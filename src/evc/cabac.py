@@ -1,242 +1,193 @@
-"""Adaptive binary arithmetic coding over byte strings.
+"""Adaptive range coding over byte strings.
 
-Carry-free range coder with 32-bit state and pending-bit renormalization.
-Each context is a 12-bit probability of the zero bin, nudged by a shift-5
-exponential step after every coded bin.  Unsigned integers ride on top as
-an adaptive Elias-gamma code: a unary run of ones picks the magnitude
-class, a zero terminates it, and the class offset follows as plain bins.
-Every bin position draws from its own context so short codes adapt fast.
+A byte-oriented range coder after the LZMA SDK ``rc``: a 32-bit range
+that renormalises a byte at a time whenever it falls below 2^24, with
+carries resolved through a cached byte plus a count of pending 0xFF
+bytes.  The first byte of every coded stream is therefore 0, and a
+decoder consumes a valid stream exactly to its last byte.
+
+Symbols come from adaptive frequency models in the manner of Witten,
+Neal & Cleary (CACM 1987): every coded symbol adds INCREMENT to its
+count, and all counts halve once the total passes HALVE_ABOVE, so
+recent statistics dominate.  Unsigned integers ride on top as an
+Elias-gamma code: the magnitude class ``k = bitlen(u + 1) - 1`` is one
+symbol of the model, and the k offset bits below the leading one go out
+as equiprobable bypass bits, up to 16 per coding step.
 """
 
 from __future__ import annotations
 
-PROB_BITS = 12
-PROB_ONE = 1 << PROB_BITS
-PROB_INIT = PROB_ONE >> 1
-ADAPT_SHIFT = 5
-
-# unary prefixes beyond this are impossible for any 32-bit payload value;
-# hitting the cap while decoding means the bitstream is corrupt
+# Elias-gamma classes beyond this are impossible for any value the codec
+# writes; a uint model's alphabet is the classes 0..MAX_PREFIX
 MAX_PREFIX = 40
 
+INCREMENT = 24
+HALVE_ABOVE = 1 << 16
+INITIAL_COUNT = 1
+
+BYPASS_CHUNK = 16
+
+_TOP = 1 << 24
 _MASK = 0xFFFFFFFF
-_HALF = 0x80000000
-_QUARTER = 0x40000000
+# flush pushes the four bytes of low through the cache, one more than the
+# decoder's code register primes past the leading zero
+_FLUSH_SHIFTS = 5
 
 
-def make_contexts(n):
-    """Fresh context bank: every bin starts at even odds."""
-    return [PROB_INIT] * n
+class AdaptiveModel:
+    """Symbol counts for an alphabet of ``size`` symbols."""
+
+    __slots__ = ("freq", "total")
+
+    def __init__(self, size):
+        self.freq = [INITIAL_COUNT] * size
+        self.total = INITIAL_COUNT * size
+
+    def update(self, s):
+        self.freq[s] += INCREMENT
+        self.total += INCREMENT
+        if self.total > HALVE_ABOVE:
+            self.freq = [(f + 1) >> 1 for f in self.freq]
+            self.total = sum(self.freq)
 
 
-class BinaryEncoder:
-    """Encodes bins into a byte string; call finish() exactly once."""
+def uint_model():
+    """Model over the Elias-gamma classes of uint()."""
+    return AdaptiveModel(MAX_PREFIX + 1)
 
-    __slots__ = ("low", "high", "pending", "_acc", "_nacc", "_out")
+
+class RangeEncoder:
+    """Codes symbols, uints and bypass bits; call finish() exactly once."""
+
+    __slots__ = ("low", "range", "_cache", "_pending", "_out")
 
     def __init__(self):
         self.low = 0
-        self.high = _MASK
-        self.pending = 0
-        self._acc = 0
-        self._nacc = 0
+        self.range = _MASK
+        self._cache = 0
+        self._pending = 0
         self._out = bytearray()
 
-    def _write_bit(self, bit):
-        acc = (self._acc << 1) | bit
-        n = self._nacc + 1
-        if n == 8:
-            self._out.append(acc)
-            acc = 0
-            n = 0
-        self._acc = acc
-        self._nacc = n
-
-    def _emit(self, bit):
-        self._write_bit(bit)
-        inv = bit ^ 1
-        while self.pending:
-            self._write_bit(inv)
-            self.pending -= 1
-
-    def encode(self, ctx, i, bit):
-        p0 = ctx[i]
+    def _shift_low(self):
         low = self.low
-        high = self.high
-        split = low + (((high - low + 1) * p0) >> PROB_BITS) - 1
-        if bit:
-            low = split + 1
-            ctx[i] = p0 - (p0 >> ADAPT_SHIFT)
+        if low < 0xFF000000 or low > _MASK:
+            carry = low >> 32
+            self._out.append((self._cache + carry) & 0xFF)
+            if self._pending:
+                self._out += bytes(((0xFF + carry) & 0xFF,)) * self._pending
+                self._pending = 0
+            self._cache = (low >> 24) & 0xFF
         else:
-            high = split
-            ctx[i] = p0 + ((PROB_ONE - p0) >> ADAPT_SHIFT)
-        while True:
-            if (low ^ high) & _HALF == 0:
-                self._emit(low >> 31)
-                low = (low << 1) & _MASK
-                high = ((high << 1) | 1) & _MASK
-            elif low & ~high & _QUARTER:
-                # straddling the midpoint: defer the bit, drop the 2nd MSB
-                self.pending += 1
-                low = (low << 1) ^ _HALF
-                high = ((high ^ _HALF) << 1) | _HALF | 1
-            else:
-                break
-        self.low = low
-        self.high = high
+            # top byte 0xFF: a later carry may still ripple through it
+            self._pending += 1
+        self.low = (low << 8) & _MASK
 
-    def encode_uint(self, prefix_ctx, suffix_ctx, u):
-        """Adaptive Elias-gamma write of u >= 0.
+    def _normalize(self, rng):
+        while rng < _TOP:
+            rng <<= 8
+            self._shift_low()
+        self.range = rng
 
-        Emits the same bins, in the same order and against the same
-        contexts, as per-bin encode() calls would; the whole number is
-        coded in one pass with the coder state held in locals because
-        this path dominates stream-encoding time.
-        """
+    def symbol(self, model, s):
+        freq = model.freq
+        r = self.range // model.total
+        self.low += r * sum(freq[:s])
+        self._normalize(r * freq[s])
+        model.update(s)
+
+    def bits(self, value, n):
+        """Write the low n bits of value, most significant first."""
+        while n:
+            step = n if n < BYPASS_CHUNK else BYPASS_CHUNK
+            n -= step
+            rng = self.range >> step
+            self.low += rng * ((value >> n) & ((1 << step) - 1))
+            self._normalize(rng)
+
+    def uint(self, model, u):
+        """Elias-gamma write of u >= 0: class symbol, then offset bits."""
         k = (u + 1).bit_length() - 1
-        top = len(prefix_ctx) - 1
-        bins = []
-        ap = bins.append
-        for i in range(k):
-            ap((prefix_ctx, i if i < top else top, 1))
-        ap((prefix_ctx, k if k < top else top, 0))
+        if k > MAX_PREFIX:
+            raise ValueError(f"{u} exceeds the largest Elias-gamma class")
+        self.symbol(model, k)
         if k:
-            rem = u + 1 - (1 << k)
-            stop = len(suffix_ctx) - 1
-            for j in range(k - 1, -1, -1):
-                ap((suffix_ctx, j if j < stop else stop, (rem >> j) & 1))
-
-        low = self.low
-        high = self.high
-        pending = self.pending
-        acc = self._acc
-        nacc = self._nacc
-        out = self._out
-        for ctx, i, bit in bins:
-            p0 = ctx[i]
-            split = low + (((high - low + 1) * p0) >> PROB_BITS) - 1
-            if bit:
-                low = split + 1
-                ctx[i] = p0 - (p0 >> ADAPT_SHIFT)
-            else:
-                high = split
-                ctx[i] = p0 + ((PROB_ONE - p0) >> ADAPT_SHIFT)
-            while True:
-                if (low ^ high) & _HALF == 0:
-                    msb = low >> 31
-                    acc = (acc << 1) | msb
-                    nacc += 1
-                    if nacc == 8:
-                        out.append(acc)
-                        acc = 0
-                        nacc = 0
-                    if pending:
-                        inv = msb ^ 1
-                        while pending:
-                            acc = (acc << 1) | inv
-                            nacc += 1
-                            if nacc == 8:
-                                out.append(acc)
-                                acc = 0
-                                nacc = 0
-                            pending -= 1
-                    low = (low << 1) & _MASK
-                    high = ((high << 1) | 1) & _MASK
-                elif low & ~high & _QUARTER:
-                    pending += 1
-                    low = (low << 1) ^ _HALF
-                    high = ((high ^ _HALF) << 1) | _HALF | 1
-                else:
-                    break
-        self.low = low
-        self.high = high
-        self.pending = pending
-        self._acc = acc
-        self._nacc = nacc
+            self.bits(u + 1, k)
 
     def finish(self):
-        # the value 0.1000... always lies inside [low, high); the implicit
-        # zero padding past the last byte completes it for the decoder
-        self._emit(1)
-        while self._nacc:
-            self._write_bit(0)
+        for _ in range(_FLUSH_SHIFTS):
+            self._shift_low()
         return bytes(self._out)
 
 
-class BinaryDecoder:
-    """Decodes bins from a byte string; reads zeros past the end."""
+class RangeDecoder:
+    """Inverse of RangeEncoder; raises ValueError on undecodable input.
 
-    __slots__ = ("low", "high", "code", "_data", "_pos", "_nbits")
+    A corrupt stream shows as a nonzero first byte, a symbol target
+    beyond the model's total, a bypass value wider than its bit count,
+    or a read past the end.
+    """
+
+    __slots__ = ("range", "code", "pos", "_data")
 
     def __init__(self, data):
-        self.low = 0
-        self.high = _MASK
+        if len(data) < _FLUSH_SHIFTS:
+            raise ValueError("read past the end of the payload")
+        if data[0]:
+            raise ValueError("coded stream does not start with a zero byte")
         self._data = data
-        self._pos = 0
-        self._nbits = len(data) * 8
-        code = 0
-        for _ in range(32):
-            code = (code << 1) | self._read_bit()
+        self.code = int.from_bytes(data[1:_FLUSH_SHIFTS], "big")
+        self.range = _MASK
+        self.pos = _FLUSH_SHIFTS
+
+    def _normalize(self, code, rng):
+        data = self._data
+        while rng < _TOP:
+            pos = self.pos
+            if pos >= len(data):
+                raise ValueError("read past the end of the payload")
+            code = (code << 8) | data[pos]
+            self.pos = pos + 1
+            rng <<= 8
         self.code = code
+        self.range = rng
 
-    def _read_bit(self):
-        pos = self._pos
-        if pos >= self._nbits:
-            return 0
-        self._pos = pos + 1
-        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
-
-    def decode(self, ctx, i):
-        p0 = ctx[i]
-        low = self.low
-        high = self.high
+    def symbol(self, model):
+        freq = model.freq
+        total = model.total
+        r = self.range // total
         code = self.code
-        split = low + (((high - low + 1) * p0) >> PROB_BITS) - 1
-        if code > split:
-            bit = 1
-            low = split + 1
-            ctx[i] = p0 - (p0 >> ADAPT_SHIFT)
-        else:
-            bit = 0
-            high = split
-            ctx[i] = p0 + ((PROB_ONE - p0) >> ADAPT_SHIFT)
-        while True:
-            if (low ^ high) & _HALF == 0:
-                low = (low << 1) & _MASK
-                high = ((high << 1) | 1) & _MASK
-                code = ((code << 1) & _MASK) | self._read_bit()
-            elif low & ~high & _QUARTER:
-                low = (low << 1) ^ _HALF
-                high = ((high ^ _HALF) << 1) | _HALF | 1
-                code = (code & _HALF) | ((code << 1) & (_MASK >> 1)) | self._read_bit()
-            else:
-                break
-        self.low = low
-        self.high = high
-        self.code = code
-        return bit
+        target = code // r
+        if target >= total:
+            raise ValueError("symbol target outside the model total")
+        s = 0
+        cum = 0
+        f = freq[0]
+        while cum + f <= target:
+            cum += f
+            s += 1
+            f = freq[s]
+        self._normalize(code - r * cum, r * f)
+        model.update(s)
+        return s
 
+    def bits(self, n):
+        value = 0
+        while n:
+            step = n if n < BYPASS_CHUNK else BYPASS_CHUNK
+            n -= step
+            rng = self.range >> step
+            v = self.code // rng
+            if v >> step:
+                raise ValueError("bypass bits outside the coded range")
+            value = (value << step) | v
+            self._normalize(self.code - v * rng, rng)
+        return value
 
-def encode_uint(enc, prefix_ctx, suffix_ctx, u):
-    """Adaptive Elias-gamma write of u >= 0."""
-    enc.encode_uint(prefix_ctx, suffix_ctx, u)
-
-
-def decode_uint(dec, prefix_ctx, suffix_ctx):
-    """Inverse of encode_uint; raises ValueError on an impossible prefix."""
-    k = 0
-    top = len(prefix_ctx) - 1
-    while dec.decode(prefix_ctx, k if k < top else top):
-        k += 1
-        if k > MAX_PREFIX:
-            raise ValueError("unary prefix exceeds any encodable value")
-    if not k:
-        return 0
-    rem = 0
-    stop = len(suffix_ctx) - 1
-    for j in range(k - 1, -1, -1):
-        rem |= dec.decode(suffix_ctx, j if j < stop else stop) << j
-    return (1 << k) + rem - 1
+    def uint(self, model):
+        k = self.symbol(model)
+        if not k:
+            return 0
+        return (1 << k) + self.bits(k) - 1
 
 
 def zigzag(v):

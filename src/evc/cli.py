@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +166,10 @@ def _bench_one(config: ExperimentConfig, frames, fps):
 
 
 def cmd_bench(args) -> int:
+    # imported here so that only bench pays for the multiprocessing import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.input:
         frames, fps = _load_clip(args.input, args.fps)
         stem = Path(args.input).stem
@@ -184,9 +188,12 @@ def cmd_bench(args) -> int:
             seed=args.seed, fps=fps)
         for crf, feat in grid
     ]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(
-            lambda cfg: _bench_one(cfg, frames, fps), configs))
+    # the runs are pure-Python compute, so only processes overlap them
+    with ProcessPoolExecutor(
+            max_workers=worker_count(),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_bench_one, configs, repeat(frames),
+                                repeat(fps)))
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "bench.csv"
     with open(summary, "w", newline="") as fp:

@@ -1,15 +1,16 @@
-"""Lossy event-stream compression with context-adaptive arithmetic coding.
+"""Lossy event-stream compression with adaptive range coding.
 
 The stream is cut into application data units (ADUs) on a fixed tick
-grid, each coded independently from fresh contexts so a reader can drop
+grid, each coded independently from fresh models so a reader can drop
 into any unit.  Within an ADU, events group into 16x16 pixel cubes.  An
 intra pass codes the first event of every pixel losslessly as a residual
 chain threaded across cubes; an inter pass codes each remaining event
 against the pixel's reconstructed state, where the timestamp residual
 may be right-shifted as long as the reconstructed intensity stays inside
-the contrast tolerance.  Three context groups carry the symbols:
-decimation residuals (sharing reserved SKIP and end-of-sequence codes),
-timestamp residuals, and shift amounts.
+the contrast tolerance.  Besides the cube-presence flag, three symbol
+groups carry the values, each with its own adaptive model: decimation
+residuals (sharing reserved SKIP and end-of-sequence codes), timestamp
+residuals, and shift amounts.
 
 Two structural rules keep the loss bound airtight: a shifted timestamp
 never overshoots the true one, and the encoder looks one event ahead so
@@ -24,11 +25,10 @@ import struct
 from dataclasses import dataclass, field
 
 from .cabac import (
-    BinaryDecoder,
-    BinaryEncoder,
-    decode_uint,
-    encode_uint,
-    make_contexts,
+    AdaptiveModel,
+    RangeDecoder,
+    RangeEncoder,
+    uint_model,
     unzigzag,
     zigzag,
 )
@@ -71,27 +71,25 @@ class DecodeError(StreamFormatError):
 
 @dataclass(slots=True)
 class CoderContexts:
-    """Adaptive probabilities, reset at every ADU boundary.
+    """Adaptive models, reset at every ADU boundary.
 
-    One shared context per symbol group (decimation residuals including
-    SKIP and end-of-sequence, timestamp residuals, shift amounts), plus a
-    flag for cube presence.  All bins of a group's binarization drive the
-    same probability.
+    A two-symbol model codes cube presence.  Each symbol group
+    (decimation residuals including SKIP and end-of-sequence, timestamp
+    residuals, shift amounts) has one model over the Elias-gamma classes
+    of its values, so every class, and with it every position of a
+    unary binarization, adapts on its own; the offset bits within a
+    class are coded at even odds.
     """
 
-    cube: list
-    d: list
-    t: list
-    s: list
+    cube: AdaptiveModel
+    d: AdaptiveModel
+    t: AdaptiveModel
+    s: AdaptiveModel
 
     @classmethod
     def fresh(cls):
-        return cls(
-            cube=make_contexts(1),
-            d=make_contexts(1),
-            t=make_contexts(1),
-            s=make_contexts(1),
-        )
+        return cls(cube=AdaptiveModel(2), d=uint_model(), t=uint_model(),
+                   s=uint_model())
 
 
 @dataclass(slots=True)
@@ -282,7 +280,7 @@ def encode_adu(adu, header):
     """Serialize one ADU to a self-contained byte payload."""
     m_max = crf_params(header.crf).m_max
     dt_ref = header.dt_ref
-    enc = BinaryEncoder()
+    enc = RangeEncoder()
     ctx = CoderContexts.fresh()
     occupied = []
 
@@ -290,20 +288,18 @@ def encode_adu(adu, header):
     t_prev = adu.start_t
     for cube in adu.cubes:
         if not cube.queues:
-            enc.encode(ctx.cube, 0, 0)
+            enc.symbol(ctx.cube, 0)
             continue
-        enc.encode(ctx.cube, 0, 1)
+        enc.symbol(ctx.cube, 1)
         for key in _scan_keys(cube, header.width, header.height,
                               header.channels):
             queue = cube.queues.get(key)
             if not queue:
-                encode_uint(enc, ctx.d, ctx.d, SKIP_U)
+                enc.uint(ctx.d, SKIP_U)
                 continue
             first = queue[0]
-            encode_uint(enc, ctx.d, ctx.d,
-                        zigzag(first.d - d_prev) + D_OFFSET)
-            encode_uint(enc, ctx.t, ctx.t,
-                        zigzag(first.t - t_prev))
+            enc.uint(ctx.d, zigzag(first.d - d_prev) + D_OFFSET)
+            enc.uint(ctx.t, zigzag(first.t - t_prev))
             d_prev, t_prev = first.d, first.t
             occupied.append((cube, key, queue))
 
@@ -316,8 +312,7 @@ def encode_adu(adu, header):
         for i in range(1, len(queue)):
             ev = queue[i]
             d_r = ev.d - prev_d
-            encode_uint(enc, ctx.d, ctx.d,
-                        zigzag(d_r) + D_OFFSET)
+            enc.uint(ctx.d, zigzag(d_r) + D_OFFSET)
             shift_by = 0 if (ev.d == EMPTY or prev_d == EMPTY) else d_r
             p_b = t_prediction(prev_t, prev_dt, shift_by)
             if i != last:
@@ -326,15 +321,18 @@ def encode_adu(adu, header):
                 nxt = cube.following.get(key)
             s, res = choose_shift(ev.t, p_b, ev.d, prev_t, m_max, dt_ref,
                                   dt_true=ev.t - prev_t_true, following=nxt)
-            encode_uint(enc, ctx.s, ctx.s, s)
-            encode_uint(enc, ctx.t, ctx.t, zigzag(res))
             t_recon = p_b + (res << s)
-            assert prev_t < t_recon <= ev.t
+            if not prev_t < t_recon <= ev.t:
+                raise ValueError(
+                    f"event ({ev.x}, {ev.y}) at t={ev.t} reconstructs at "
+                    f"t={t_recon}, outside ({prev_t}, {ev.t}]")
+            enc.uint(ctx.s, s)
+            enc.uint(ctx.t, zigzag(res))
             prev_dt = t_recon - prev_t
             prev_d, prev_t, prev_t_true = ev.d, t_recon, ev.t
-        encode_uint(enc, ctx.d, ctx.d, SKIP_U)
+        enc.uint(ctx.d, SKIP_U)
 
-    encode_uint(enc, ctx.d, ctx.d, EOS_U)
+    enc.uint(ctx.d, EOS_U)
     return _ADU_PREFIX.pack(adu.start_t, adu.span) + enc.finish()
 
 
@@ -343,25 +341,26 @@ def decode_adu(payload, header, adu_index=0):
     if len(payload) < _ADU_PREFIX.size:
         raise DecodeError("payload shorter than the unit prefix", adu_index)
     start_t, _span = _ADU_PREFIX.unpack_from(payload)
-    dec = BinaryDecoder(memoryview(payload)[_ADU_PREFIX.size:])
+    coded = payload[_ADU_PREFIX.size:]
     ctx = CoderContexts.fresh()
     cols = (header.width + CUBE - 1) // CUBE
     rows = (header.height + CUBE - 1) // CUBE
     dt_ref = header.dt_ref
 
     try:
+        dec = RangeDecoder(coded)
         pixels = []
         d_prev = 0
         t_prev = start_t
         for cy in range(rows):
             for cx in range(cols):
                 cube_origin = (cx * CUBE, cy * CUBE)
-                if not dec.decode(ctx.cube, 0):
+                if not dec.symbol(ctx.cube):
                     continue
                 cube = EventCube(cube_origin)
                 for key in _scan_keys(cube, header.width, header.height,
                                       header.channels):
-                    u = decode_uint(dec, ctx.d, ctx.d)
+                    u = dec.uint(ctx.d)
                     if u == SKIP_U:
                         continue
                     if u == EOS_U:
@@ -373,8 +372,7 @@ def decode_adu(payload, header, adu_index=0):
                         raise DecodeError(
                             f"decimation {d} outside the value range",
                             adu_index)
-                    t = t_prev + unzigzag(
-                        decode_uint(dec, ctx.t, ctx.t))
+                    t = t_prev + unzigzag(dec.uint(ctx.t))
                     if not 0 <= t < _T_LIMIT:
                         raise DecodeError(
                             f"timestamp {t} outside the tick range",
@@ -388,7 +386,7 @@ def decode_adu(payload, header, adu_index=0):
             prev_d, prev_t = queue[0].d, queue[0].t
             prev_dt = dt_ref
             while True:
-                u = decode_uint(dec, ctx.d, ctx.d)
+                u = dec.uint(ctx.d)
                 if u == SKIP_U:
                     break
                 if u == EOS_U:
@@ -399,10 +397,10 @@ def decode_adu(payload, header, adu_index=0):
                 if d < 0 or (d > D_MAX and d != EMPTY):
                     raise DecodeError(
                         f"decimation {d} outside the value range", adu_index)
-                s = decode_uint(dec, ctx.s, ctx.s)
+                s = dec.uint(ctx.s)
                 if s > SHIFT_CAP:
                     raise DecodeError(f"shift {s} beyond the cap", adu_index)
-                res = unzigzag(decode_uint(dec, ctx.t, ctx.t))
+                res = unzigzag(dec.uint(ctx.t))
                 shift_by = 0 if (d == EMPTY or prev_d == EMPTY) else d_r
                 t = t_prediction(prev_t, prev_dt, shift_by) + (res << s)
                 if not prev_t < t < _T_LIMIT:
@@ -412,8 +410,11 @@ def decode_adu(payload, header, adu_index=0):
                 prev_dt = t - prev_t
                 prev_d, prev_t = d, t
 
-        if decode_uint(dec, ctx.d, ctx.d) != EOS_U:
+        if dec.uint(ctx.d) != EOS_U:
             raise DecodeError("missing end of sequence", adu_index)
+        if dec.pos != len(coded):
+            raise DecodeError("bytes left over after the end of sequence",
+                              adu_index)
     except ValueError as exc:
         if isinstance(exc, DecodeError):
             raise

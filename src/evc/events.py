@@ -20,9 +20,11 @@ D_MAX = 127
 MAGIC = b"AEVS"
 VERSION = 1
 
-# Source codec ids carried in the stream header.
+# Source codec ids carried in the stream header.  Id 1 was the earlier
+# binary arithmetic coder, whose streams no longer decode; bumping the
+# codec id rather than VERSION leaves raw streams byte-identical.
 CODEC_RAW = 0
-CODEC_COMPRESSED = 1
+CODEC_COMPRESSED = 2
 
 DEFAULT_DT_REF = 255
 
@@ -123,13 +125,17 @@ class StreamHeader:
 
     def validate(self) -> None:
         if self.channels not in (1, 3):
-            raise ValueError(f"channel count must be 1 or 3, got {self.channels}")
+            raise StreamFormatError(
+                f"channel count must be 1 or 3, got {self.channels}")
         if self.dt_ref < 1:
-            raise ValueError("dt_ref must be at least one tick")
+            raise StreamFormatError("dt_ref must be at least one tick")
         if self.dt_max < self.dt_ref:
-            raise ValueError("dt_max must be >= dt_ref")
+            raise StreamFormatError("dt_max must be >= dt_ref")
         if not 0 <= self.crf <= 9:
-            raise ValueError(f"quality preset out of range: {self.crf}")
+            raise StreamFormatError(f"quality preset out of range: {self.crf}")
+        if self.source_codec not in (CODEC_RAW, CODEC_COMPRESSED):
+            raise StreamFormatError(
+                f"unsupported source codec {self.source_codec}")
 
     @property
     def event_size(self) -> int:

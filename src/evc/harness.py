@@ -13,8 +13,9 @@ nothing moving, a global change, a translating box, per-pixel noise, and a
 slowly drifting texture for quality-ladder calibration.  All of them are
 deterministic given a seed.
 
-Runs are sequential per clip; independent clips may run concurrently, and
-``worker_count`` (the EVC_THREADS override) caps that fan-out.
+Runs are sequential per clip; independent clips may run concurrently in
+worker processes, and ``worker_count`` (the EVC_THREADS override) caps
+that fan-out.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ CLIP_KINDS = ("static", "step", "moving_box", "noise", "walk")
 
 
 def worker_count() -> int:
-    """Concurrent-clip cap: EVC_THREADS when set, else the CPU count."""
+    """Worker-process cap: EVC_THREADS when set, else the CPU count."""
     value = os.environ.get("EVC_THREADS")
     if value:
         return max(1, int(value))

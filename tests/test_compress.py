@@ -1,9 +1,18 @@
 import io
 import random
+import time
 
 import pytest
 
-from evc import EMPTY, Event, StreamFormatError, StreamHeader, crf_params
+from evc import (
+    CODEC_COMPRESSED,
+    EMPTY,
+    Event,
+    StreamFormatError,
+    StreamHeader,
+    crf_params,
+)
+from evc import compress
 from evc.compress import (
     Adu,
     DecodeError,
@@ -225,7 +234,7 @@ def test_file_roundtrip_and_truncation():
     write_compressed(buf, hdr, events)
     buf.seek(0)
     rhdr, decoded = read_compressed(buf)
-    assert rhdr.source_codec == 1
+    assert rhdr.source_codec == CODEC_COMPRESSED
     assert (rhdr.width, rhdr.height, rhdr.crf) == (32, 24, 0)
     assert key_sorted(decoded) == key_sorted(events)
 
@@ -240,3 +249,61 @@ def test_single_event_pixel_needs_only_intra():
     payloads = compress_events(events, hdr)
     decoded = decompress_payloads(payloads, hdr)
     assert decoded == events
+
+
+def test_bad_shift_raises_instead_of_asserting(monkeypatch):
+    rng = random.Random(21)
+    hdr = header(32, 24, crf=3)
+    adu = build_adus(random_stream(rng, 32, 24, 2550), hdr)[0]
+    # a shift that lands one tick past the true timestamp
+    monkeypatch.setattr(compress, "choose_shift",
+                        lambda t_true, p_b, *a, **k: (0, t_true - p_b + 1))
+    with pytest.raises(ValueError, match="outside"):
+        encode_adu(adu, hdr)
+
+
+def test_valid_payloads_are_consumed_exactly():
+    rng = random.Random(41)
+    for crf in (0, 3, 9):
+        hdr = header(32, 24, crf=crf)
+        payloads = compress_events(random_stream(rng, 32, 24, 3 * 2550), hdr)
+        for k, payload in enumerate(payloads):
+            # the range coder's stream opens with a zero byte
+            assert payload[8] == 0
+            decode_adu(payload, hdr, k)
+            with pytest.raises(DecodeError, match="left over"):
+                decode_adu(payload + b"\x00", hdr, k)
+            with pytest.raises(DecodeError, match="past the end"):
+                decode_adu(payload[:-1], hdr, k)
+
+
+def test_fuzzed_payloads_raise_only_stream_format_error():
+    rng = random.Random(2024)
+    cases = []
+    for crf in (0, 3, 6):
+        hdr = header(16, 16, crf=crf)
+        events = random_stream(rng, 16, 16, 2 * 2550)
+        for payload in compress_events(events, hdr):
+            cases.append((hdr, payload))
+    attempts = raised = 0
+    for n in range(600):
+        hdr, payload = cases[n % len(cases)]
+        data = bytearray(payload)
+        mode = n % 3
+        if mode == 0:
+            for _ in range(rng.randrange(1, 4)):
+                data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        elif mode == 1:
+            del data[rng.randrange(len(data)):]
+        else:
+            cut = rng.randrange(len(data))
+            data[cut:] = rng.randbytes(rng.randrange(1, 64))
+        attempts += 1
+        start = time.perf_counter()
+        try:
+            decode_adu(bytes(data), hdr, n)
+        except StreamFormatError:
+            raised += 1
+        assert time.perf_counter() - start < 2.0
+    assert attempts >= 500
+    assert raised >= attempts * 0.95

@@ -118,6 +118,20 @@ def test_header_rejects_bad_magic_and_version():
         read_header(bytes(blob))
 
 
+def test_header_rejects_unknown_source_codec():
+    blob = bytearray(write_header(StreamHeader(4, 4)))
+    # byte 12 is the source codec id; 1 was the retired binary coder
+    for codec in (1, 3, 255):
+        blob[12] = codec
+        with pytest.raises(StreamFormatError):
+            read_header(bytes(blob))
+    with pytest.raises(StreamFormatError):
+        write_header(StreamHeader(4, 4, source_codec=1))
+    for codec in (ev.CODEC_RAW, ev.CODEC_COMPRESSED):
+        blob[12] = codec
+        assert read_header(bytes(blob)).source_codec == codec
+
+
 def test_header_invariants():
     with pytest.raises(ValueError):
         write_header(StreamHeader(4, 4, channels=2))
