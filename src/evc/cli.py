@@ -11,10 +11,8 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-
-import numpy as np
 
 from .compress import read_compressed, write_compressed
 from .events import (
@@ -23,27 +21,26 @@ from .events import (
     DEFAULT_DT_REF,
     HEADER_SIZE,
     StreamFormatError,
-    StreamHeader,
-    crf_params,
     read_header,
     read_stream,
     write_stream,
 )
-from .fastdet import DEFAULT_THRESHOLD, Detector, make_feature_hook
+from .fastdet import DEFAULT_THRESHOLD, Detector
 from .harness import (
     CLIP_KINDS,
     ExperimentConfig,
     PipelineError,
+    ingest,
     load_frames,
     report,
     run_pipeline,
     synth_clip,
+    transcode_clip,
     worker_count,
     write_raw,
     write_y4m,
 )
-from .reconstruct import reconstruct_at_boundaries
-from .transcode import Transcoder
+from .reconstruct import reconstruct_at_boundaries, replay_batches
 
 BENCH_CRFS = (0, 3, 6, 9)
 
@@ -67,29 +64,20 @@ def _read_any_stream(path: str):
     return read_stream(path)
 
 
-def _load_clip(path: str, fps: float) -> tuple[list[np.ndarray], float]:
-    frames, file_fps = load_frames(path)
-    return frames, file_fps if file_fps else fps
+def _frame_count(events, header) -> int:
+    """Frames a stream plays as: its whole frame intervals, at least one."""
+    last_t = max((e.t for e in events), default=0)
+    return max(1, last_t // header.dt_ref)
 
 
 def cmd_transcode(args) -> int:
-    frames, fps = _load_clip(args.input, args.fps)
-    height, width = np.asarray(frames[0]).shape
-    header = StreamHeader(
-        width=width, height=height, channels=1, dt_ref=args.dt_ref,
-        dt_max=args.dt_max, dt_s=round(args.dt_ref * fps), crf=args.crf)
-    header.validate()
-    transcoder = Transcoder(header)
-    detector = None
-    if args.features == "on":
-        detector = Detector(header, threshold=args.fast_threshold,
-                            retest_neighbors=args.mode == "exact")
-        transcoder.hook = make_feature_hook(detector, crf_params(args.crf),
-                                            transcoder)
-    events = []
-    for frame in frames:
-        events.extend(transcoder.integrate_frame(frame))
-    events.extend(transcoder.flush_all())
+    config = ExperimentConfig(
+        input=args.input, crf=args.crf,
+        feature_adaptation=args.features == "on", dt_ref=args.dt_ref,
+        dt_max=args.dt_max, fast_threshold=args.fast_threshold,
+        detector_mode=args.mode, fps=args.fps)
+    frames, header = ingest(config)
+    events = transcode_clip(config, header, frames)[0]
     out = args.out or f"{Path(args.input).stem}.adder"
     size = write_stream(out, header, events)
     print(f"{out}: {len(events)} events, {size} bytes "
@@ -101,7 +89,7 @@ def cmd_compress(args) -> int:
     header, events = read_stream(args.input)
     out = args.out or f"{Path(args.input).stem}.adderc"
     with open(out, "wb") as fp:
-        write_compressed(fp, header, events, args.dt_adu or header.dt_max)
+        write_compressed(fp, header, events, args.dt_adu)
     raw = Path(args.input).stat().st_size
     coded = Path(out).stat().st_size
     print(f"{out}: {raw} -> {coded} bytes ({raw / coded:.2f}:1)")
@@ -121,8 +109,7 @@ def cmd_play(args) -> int:
     header, events = _read_any_stream(args.input)
     if not events:
         raise StreamFormatError("stream holds no events")
-    n_frames = max(e.t for e in events) // header.dt_ref
-    n_frames = max(1, n_frames)
+    n_frames = _frame_count(events, header)
     frames = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.gray"
     if out.endswith(".y4m"):
@@ -137,19 +124,15 @@ def cmd_detect(args) -> int:
     header, events = _read_any_stream(args.input)
     detector = Detector(header, threshold=args.fast_threshold,
                         retest_neighbors=args.mode == "exact")
-    ordered = sorted(events, key=lambda e: e.t)
-    last_t = ordered[-1].t if ordered else 0
-    n_frames = max(1, last_t // header.dt_ref)
+    n_frames = _frame_count(events, header)
+    batches = replay_batches(events, header.dt_ref, n_frames)
     out = args.out or f"{Path(args.input).stem}.features.csv"
-    i = 0
     with open(out, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(("frame", "x", "y"))
-        for k in range(n_frames):
-            boundary = (k + 1) * header.dt_ref
-            while i < len(ordered) and ordered[i].t <= boundary:
-                detector.on_event(ordered[i])
-                i += 1
+        for k, batch in enumerate(islice(batches, n_frames)):
+            for event in batch:
+                detector.on_event(event)
             for x, y in sorted(detector.features):
                 writer.writerow((k, x, y))
     pixels = header.width * header.height
@@ -171,7 +154,8 @@ def cmd_bench(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
     if args.input:
-        frames, fps = _load_clip(args.input, args.fps)
+        frames, file_fps = load_frames(args.input)
+        fps = file_fps or args.fps
         stem = Path(args.input).stem
     else:
         frames = synth_clip(args.kind, *args.size, args.frames, args.seed)
@@ -185,7 +169,7 @@ def cmd_bench(args) -> int:
             dt_ref=args.dt_ref, dt_max=args.dt_max, dt_adu=args.dt_adu,
             fast_threshold=args.fast_threshold, detector_mode=args.mode,
             out_dir=str(out_dir / f"crf{crf}-feat-{'on' if feat else 'off'}"),
-            seed=args.seed, fps=fps)
+            fps=fps)
         for crf, feat in grid
     ]
     # the runs are pure-Python compute, so only processes overlap them

@@ -22,7 +22,7 @@ strictly less than the tolerance.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cabac import (
     AdaptiveModel,
@@ -39,7 +39,6 @@ from .events import (
     HEADER_SIZE,
     Event,
     StreamFormatError,
-    StreamHeader,
     crf_params,
     read_header,
     write_header,
@@ -94,7 +93,8 @@ class CoderContexts:
 
 @dataclass(slots=True)
 class EventCube:
-    """16x16 spatial region: per-pixel, per-channel ordered event queues."""
+    """16x16 spatial region: per-pixel ordered event queues, keyed by the
+    pixel's (row, column) within the cube."""
 
     origin: tuple
     queues: dict = field(default_factory=dict)
@@ -104,16 +104,21 @@ class EventCube:
 
 @dataclass(slots=True)
 class Adu:
-    """Independently decodable unit spanning a window of the tick grid."""
+    """Independently decodable unit spanning a window of the tick grid.
+
+    ``cubes`` holds only the occupied cubes, keyed by their row-major
+    index in the cube grid.
+    """
 
     start_t: int
     span: int
-    cubes: list
-    cube_cols: int
-    cube_rows: int
+    cubes: dict = field(default_factory=dict)
 
-    def is_empty(self):
-        return all(not cube.queues for cube in self.cubes)
+
+def _cube_grid(header):
+    """(columns, rows) of 16x16 cubes covering the frame."""
+    return ((header.width + CUBE - 1) // CUBE,
+            (header.height + CUBE - 1) // CUBE)
 
 
 def _window_index(t, span):
@@ -127,27 +132,25 @@ def build_adus(events, header, dt_adu=None):
     span = int(dt_adu) if dt_adu else header.dt_max
     if span <= 0:
         raise ValueError("dt_adu must be positive")
-    cols = (header.width + CUBE - 1) // CUBE
-    rows = (header.height + CUBE - 1) // CUBE
-
-    def new_adu(k):
-        cubes = [EventCube((cx * CUBE, cy * CUBE))
-                 for cy in range(rows) for cx in range(cols)]
-        return Adu(k * span, span, cubes, cols, rows)
+    cols, _ = _cube_grid(header)
 
     ordered = sorted(events, key=lambda e: e.t)
     count = _window_index(ordered[-1].t, span) + 1 if ordered else 1
-    adus = [new_adu(k) for k in range(count)]
+    adus = [Adu(k * span, span) for k in range(count)]
 
     trail = {}
     for ev in ordered:
         if not (0 <= ev.x < header.width and 0 <= ev.y < header.height):
             raise ValueError(f"event out of bounds at ({ev.x}, {ev.y})")
-        k = _window_index(ev.t, span)
-        cube = adus[k].cubes[(ev.y // CUBE) * cols + (ev.x // CUBE)]
-        key = (ev.y % CUBE, ev.x % CUBE, ev.c)
+        cubes = adus[_window_index(ev.t, span)].cubes
+        cy, ly = divmod(ev.y, CUBE)
+        cx, lx = divmod(ev.x, CUBE)
+        cube = cubes.get(cy * cols + cx)
+        if cube is None:
+            cube = cubes[cy * cols + cx] = EventCube((cx * CUBE, cy * CUBE))
+        key = (ly, lx)
         cube.queues.setdefault(key, []).append(ev)
-        pixel = (ev.x, ev.y, ev.c)
+        pixel = (ev.x, ev.y)
         prev = trail.get(pixel)
         if prev is not None and prev[0] is not cube:
             prev[0].following[prev[1]] = (ev.d, ev.t)
@@ -263,17 +266,12 @@ def choose_shift(t_true, p_b, d, prev_t_recon, m_max, dt_ref=1,
     return 0, r
 
 
-def _valid_span(cube, width, height):
-    x0, y0 = cube.origin
-    return min(CUBE, height - y0), min(CUBE, width - x0)
-
-
-def _scan_keys(cube, width, height, channels):
-    ny, nx = _valid_span(cube, width, height)
-    for ly in range(ny):
-        for lx in range(nx):
-            for c in range(channels):
-                yield (ly, lx, c)
+def _scan_keys(origin, width, height):
+    """(row, column) of each in-frame pixel of the cube at ``origin``."""
+    x0, y0 = origin
+    for ly in range(min(CUBE, height - y0)):
+        for lx in range(min(CUBE, width - x0)):
+            yield (ly, lx)
 
 
 def encode_adu(adu, header):
@@ -284,15 +282,16 @@ def encode_adu(adu, header):
     ctx = CoderContexts.fresh()
     occupied = []
 
+    cols, rows = _cube_grid(header)
     d_prev = 0
     t_prev = adu.start_t
-    for cube in adu.cubes:
-        if not cube.queues:
+    for index in range(cols * rows):
+        cube = adu.cubes.get(index)
+        if cube is None:
             enc.symbol(ctx.cube, 0)
             continue
         enc.symbol(ctx.cube, 1)
-        for key in _scan_keys(cube, header.width, header.height,
-                              header.channels):
+        for key in _scan_keys(cube.origin, header.width, header.height):
             queue = cube.queues.get(key)
             if not queue:
                 enc.uint(ctx.d, SKIP_U)
@@ -343,8 +342,7 @@ def decode_adu(payload, header, adu_index=0):
     start_t, _span = _ADU_PREFIX.unpack_from(payload)
     coded = payload[_ADU_PREFIX.size:]
     ctx = CoderContexts.fresh()
-    cols = (header.width + CUBE - 1) // CUBE
-    rows = (header.height + CUBE - 1) // CUBE
+    cols, rows = _cube_grid(header)
     dt_ref = header.dt_ref
 
     try:
@@ -354,12 +352,11 @@ def decode_adu(payload, header, adu_index=0):
         t_prev = start_t
         for cy in range(rows):
             for cx in range(cols):
-                cube_origin = (cx * CUBE, cy * CUBE)
                 if not dec.symbol(ctx.cube):
                     continue
-                cube = EventCube(cube_origin)
-                for key in _scan_keys(cube, header.width, header.height,
-                                      header.channels):
+                x0, y0 = cx * CUBE, cy * CUBE
+                for ly, lx in _scan_keys((x0, y0), header.width,
+                                         header.height):
                     u = dec.uint(ctx.d)
                     if u == SKIP_U:
                         continue
@@ -378,11 +375,10 @@ def decode_adu(payload, header, adu_index=0):
                             f"timestamp {t} outside the tick range",
                             adu_index)
                     d_prev, t_prev = d, t
-                    x = cube_origin[0] + key[1]
-                    y = cube_origin[1] + key[0]
-                    pixels.append((x, y, key[2], [Event(x, y, key[2], d, t)]))
+                    x, y = x0 + lx, y0 + ly
+                    pixels.append((x, y, [Event(x, y, d, t)]))
 
-        for x, y, c, queue in pixels:
+        for x, y, queue in pixels:
             prev_d, prev_t = queue[0].d, queue[0].t
             prev_dt = dt_ref
             while True:
@@ -406,7 +402,7 @@ def decode_adu(payload, header, adu_index=0):
                 if not prev_t < t < _T_LIMIT:
                     raise DecodeError(
                         f"timestamp {t} breaks pixel monotonicity", adu_index)
-                queue.append(Event(x, y, c, d, t))
+                queue.append(Event(x, y, d, t))
                 prev_dt = t - prev_t
                 prev_d, prev_t = d, t
 
@@ -421,7 +417,7 @@ def decode_adu(payload, header, adu_index=0):
         raise DecodeError(str(exc), adu_index) from exc
 
     out = []
-    for _x, _y, _c, queue in pixels:
+    for _x, _y, queue in pixels:
         out.extend(queue)
     return out
 
@@ -441,10 +437,7 @@ def decompress_payloads(payloads, header):
 
 def write_payloads(fp, header, payloads):
     """Write header plus length-prefixed ADU blocks from encoded payloads."""
-    coded = StreamHeader(
-        width=header.width, height=header.height, channels=header.channels,
-        dt_ref=header.dt_ref, dt_max=header.dt_max, dt_s=header.dt_s,
-        crf=header.crf, source_codec=CODEC_COMPRESSED)
+    coded = replace(header, source_codec=CODEC_COMPRESSED)
     fp.write(write_header(coded))
     for payload in payloads:
         fp.write(struct.pack("<I", len(payload)))

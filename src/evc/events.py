@@ -1,11 +1,12 @@
 """Core event types, intensity math, quality presets, and stream serialization.
 
-An intensity event is the tuple ``(x, y, c, d, t)``: pixel coordinates, a
-channel index, a decimation factor ``d``, and an absolute timestamp ``t`` in
-ticks.  The event expresses that ``2**d`` intensity units accumulated at its
-pixel over the interval since the pixel's previous event, so the expressed
-rate is ``2**d / dt``.  A reserved decimation value marks spans in which no
-intensity arrived at all.
+An intensity event is the tuple ``(x, y, d, t)``: pixel coordinates, a
+decimation factor ``d``, and an absolute timestamp ``t`` in ticks.  The
+event expresses that ``2**d`` intensity units accumulated at its pixel over
+the interval since the pixel's previous event, so the expressed rate is
+``2**d / dt``.  A reserved decimation value marks spans in which no
+intensity arrived at all.  Streams are mono: one grayscale intensity per
+pixel.
 """
 
 from __future__ import annotations
@@ -37,12 +38,8 @@ class StreamFormatError(ValueError):
 class Event:
     x: int
     y: int
-    c: int
     d: int
     t: int
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.c)
 
 
 def event_intensity(d: int, dt: int) -> float:
@@ -106,8 +103,7 @@ def crf_params(crf: int) -> ParamSet:
 
 
 _HEADER = struct.Struct("<4sHHHBBBIII")
-_EVENT_MONO = struct.Struct("<HHBI")
-_EVENT_COLOR = struct.Struct("<HHBBI")
+_EVENT = struct.Struct("<HHBI")
 
 HEADER_SIZE = _HEADER.size
 
@@ -116,7 +112,7 @@ HEADER_SIZE = _HEADER.size
 class StreamHeader:
     width: int
     height: int
-    channels: int = 1
+    channels: int = 1  # streams are mono; the byte stays in the layout
     dt_ref: int = DEFAULT_DT_REF
     dt_max: int = DEFAULT_DT_REF
     dt_s: int = DEFAULT_DT_REF
@@ -124,9 +120,10 @@ class StreamHeader:
     source_codec: int = CODEC_RAW
 
     def validate(self) -> None:
-        if self.channels not in (1, 3):
+        if self.channels != 1:
             raise StreamFormatError(
-                f"channel count must be 1 or 3, got {self.channels}")
+                f"only mono streams are supported, got {self.channels} "
+                "channels")
         if self.dt_ref < 1:
             raise StreamFormatError("dt_ref must be at least one tick")
         if self.dt_max < self.dt_ref:
@@ -139,7 +136,7 @@ class StreamHeader:
 
     @property
     def event_size(self) -> int:
-        return _EVENT_COLOR.size if self.channels == 3 else _EVENT_MONO.size
+        return _EVENT.size
 
 
 def write_header(header: StreamHeader) -> bytes:
@@ -171,27 +168,19 @@ def read_header(data: bytes) -> StreamHeader:
     return header
 
 
-def serialize_event(event: Event, channels: int = 1) -> bytes:
+def serialize_event(event: Event) -> bytes:
     if not 0 <= event.x <= 0xFFFF or not 0 <= event.y <= 0xFFFF:
         raise ValueError(f"coordinates exceed 16-bit range: ({event.x}, {event.y})")
     if not (0 <= event.d <= D_MAX or event.d == EMPTY):
         raise ValueError(f"decimation out of range: {event.d}")
     if not 0 <= event.t <= 0xFFFFFFFF:
         raise ValueError(f"timestamp exceeds 32-bit range: {event.t}")
-    if channels == 1:
-        return _EVENT_MONO.pack(event.x, event.y, event.d, event.t)
-    if not 0 <= event.c < channels:
-        raise ValueError(f"channel index out of range: {event.c}")
-    return _EVENT_COLOR.pack(event.x, event.y, event.c, event.d, event.t)
+    return _EVENT.pack(event.x, event.y, event.d, event.t)
 
 
-def parse_event(data: bytes, offset: int = 0, channels: int = 1) -> Event:
+def parse_event(data: bytes, offset: int = 0) -> Event:
     try:
-        if channels == 1:
-            x, y, d, t = _EVENT_MONO.unpack_from(data, offset)
-            return Event(x, y, 0, d, t)
-        x, y, c, d, t = _EVENT_COLOR.unpack_from(data, offset)
-        return Event(x, y, c, d, t)
+        return Event(*_EVENT.unpack_from(data, offset))
     except struct.error as exc:
         raise StreamFormatError("incomplete event record") from exc
 
@@ -199,9 +188,8 @@ def parse_event(data: bytes, offset: int = 0, channels: int = 1) -> Event:
 def write_stream(path: str, header: StreamHeader, events: list[Event]) -> int:
     """Write a raw event stream; returns the byte count written."""
     blob = bytearray(write_header(header))
-    channels = header.channels
     for event in events:
-        blob += serialize_event(event, channels)
+        blob += serialize_event(event)
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)
@@ -216,7 +204,7 @@ def read_stream(path: str) -> tuple[StreamHeader, list[Event]]:
     if body % size:
         raise StreamFormatError("incomplete event record at end of stream")
     events = [
-        parse_event(data, HEADER_SIZE + i * size, header.channels)
+        parse_event(data, HEADER_SIZE + i * size)
         for i in range(body // size)
     ]
     return header, events

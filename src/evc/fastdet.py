@@ -124,11 +124,8 @@ class Detector:
         is what makes the incremental set track the full-frame scan even
         when the changed pixel itself sits too close to the border to test.
         """
-        value = self.recon.apply_event(event)
-        if event.c != 0:
-            return [], []
         x, y = event.x, event.y
-        self.image[y][x] = value
+        self.image[y][x] = self.recon.apply_event(event)
         candidates: list[tuple[int, int]] = []
         if self._testable(x, y):
             candidates.append((x, y))

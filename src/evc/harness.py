@@ -39,7 +39,7 @@ from .events import (
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, Detector, make_feature_hook
-from .reconstruct import mse, psnr, reconstruct_at_boundaries
+from .reconstruct import mse, psnr, reconstruct_at_boundaries, replay_batches
 from .transcode import Transcoder
 
 CLIP_KINDS = ("static", "step", "moving_box", "noise", "walk")
@@ -84,12 +84,7 @@ class ExperimentConfig:
     fast_threshold: int = DEFAULT_THRESHOLD
     detector_mode: str = "paper"
     out_dir: str = "."
-    seed: int = 0
     fps: float = 30.0
-
-    @property
-    def effective_dt_adu(self) -> int:
-        return self.dt_adu if self.dt_adu else self.dt_max
 
 
 @dataclass(slots=True)
@@ -296,6 +291,91 @@ def _artifact_paths(config: ExperimentConfig) -> dict:
     }
 
 
+def ingest(config: ExperimentConfig, frames=None,
+           fps: float | None = None) -> tuple[list[np.ndarray], StreamHeader]:
+    """The clip's frames (``frames``, else loaded from ``config.input``)
+    and the stream header they transcode under.  The frame rate, which sets
+    ticks per second, is ``fps``, else the file's, else ``config.fps``."""
+    if frames is None:
+        frames, file_fps = load_frames(config.input)
+        if fps is None:
+            fps = file_fps if file_fps else config.fps
+    elif fps is None:
+        fps = config.fps
+    frames = [np.asarray(f, np.uint8) for f in frames]
+    if not frames:
+        raise ValueError("clip has no frames")
+    height, width = frames[0].shape
+    header = StreamHeader(
+        width=width, height=height, dt_ref=config.dt_ref,
+        dt_max=config.dt_max, dt_s=round(config.dt_ref * fps),
+        crf=config.crf)
+    header.validate()
+    return frames, header
+
+
+def _detector(config: ExperimentConfig, header: StreamHeader) -> Detector:
+    return Detector(header, threshold=config.fast_threshold,
+                    retest_neighbors=config.detector_mode == "exact")
+
+
+def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
+    """Transcode the frames, the detector steering sensitivity from inside
+    the loop when feature adaptation is on.
+
+    Returns (events, per-frame event counts, detector counts): an event
+    counts on the frame that emitted it, the final flush on the last one.
+    Detector counts are None with adaptation off, else the per-frame
+    ``is_feature`` tests and corner-set sizes.
+    """
+    params = crf_params(config.crf)
+    transcoder = Transcoder(header, params)
+    detector = None
+    if config.feature_adaptation:
+        detector = _detector(config, header)
+        transcoder.hook = make_feature_hook(detector, params, transcoder)
+    n_frames = len(frames)
+    events = []
+    frame_events = [0] * n_frames
+    tests, features = [0] * n_frames, [0] * n_frames
+    seen = 0
+    for k, frame in enumerate(frames):
+        emitted = transcoder.integrate_frame(frame)
+        events.extend(emitted)
+        frame_events[k] = len(emitted)
+        if detector is not None:
+            tests[k] = detector.test_count - seen
+            seen = detector.test_count
+            features[k] = len(detector.features)
+    tail = transcoder.flush_all()
+    events.extend(tail)
+    frame_events[-1] += len(tail)
+    if detector is None:
+        return events, frame_events, None
+    tests[-1] += detector.test_count - seen
+    features[-1] = len(detector.features)
+    return events, frame_events, (tests, features)
+
+
+def _replay_detector(config: ExperimentConfig, header: StreamHeader,
+                     events, n_frames: int):
+    """Per-frame detector tests and corner-set sizes from replaying the
+    events up to each frame boundary; the events after the last boundary
+    count on the last frame."""
+    detector = _detector(config, header)
+    tests, features = [0] * n_frames, [0] * n_frames
+    seen = 0
+    for k, batch in enumerate(replay_batches(events, header.dt_ref,
+                                             n_frames)):
+        for event in batch:
+            detector.on_event(event)
+        row = min(k, n_frames - 1)
+        tests[row] += detector.test_count - seen
+        seen = detector.test_count
+        features[row] = len(detector.features)
+    return tests, features
+
+
 def run_pipeline(config: ExperimentConfig, frames=None,
                  fps: float | None = None) -> PipelineResult:
     """Run the full pipeline over one clip and write its artifacts.
@@ -307,51 +387,12 @@ def run_pipeline(config: ExperimentConfig, frames=None,
     off, detection runs as a separate pass so the work metrics still fill.
     """
     with _stage("ingest"):
-        if frames is None:
-            frames, file_fps = load_frames(config.input)
-            if fps is None:
-                fps = file_fps if file_fps else config.fps
-        elif fps is None:
-            fps = config.fps
-        frames = [np.asarray(f, np.uint8) for f in frames]
-        if not frames:
-            raise ValueError("clip has no frames")
-        height, width = frames[0].shape
-        header = StreamHeader(
-            width=width, height=height, channels=1, dt_ref=config.dt_ref,
-            dt_max=config.dt_max, dt_s=round(config.dt_ref * fps),
-            crf=config.crf)
-        header.validate()
+        frames, header = ingest(config, frames, fps)
     n_frames = len(frames)
-    params = crf_params(config.crf)
-    exact = config.detector_mode == "exact"
-    detector = None
 
     with _stage("transcode"):
-        transcoder = Transcoder(header, params)
-        if config.feature_adaptation:
-            detector = Detector(header, threshold=config.fast_threshold,
-                                retest_neighbors=exact)
-            transcoder.hook = make_feature_hook(detector, params, transcoder)
-        events = []
-        frame_events = [0] * n_frames
-        tests = [0] * n_frames
-        features = [0] * n_frames
-        seen_tests = 0
-        for k, frame in enumerate(frames):
-            emitted = transcoder.integrate_frame(frame)
-            events.extend(emitted)
-            frame_events[k] = len(emitted)
-            if detector is not None:
-                tests[k] = detector.test_count - seen_tests
-                seen_tests = detector.test_count
-                features[k] = len(detector.features)
-        tail = transcoder.flush_all()
-        events.extend(tail)
-        frame_events[-1] += len(tail)
-        if detector is not None:
-            tests[-1] += detector.test_count - seen_tests
-            features[-1] = len(detector.features)
+        events, frame_events, counts = transcode_clip(config, header,
+                                                      frames)
 
     paths = _artifact_paths(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -360,7 +401,7 @@ def run_pipeline(config: ExperimentConfig, frames=None,
         write_stream(paths["raw"], header, events)
 
     with _stage("compress"):
-        adus = build_adus(events, header, config.effective_dt_adu)
+        adus = build_adus(events, header, config.dt_adu)
         payloads = [encode_adu(adu, header) for adu in adus]
         with open(paths["compressed"], "wb") as fp:
             write_payloads(fp, header, payloads)
@@ -383,24 +424,9 @@ def run_pipeline(config: ExperimentConfig, frames=None,
             psnrs_comp.append(psnr(ref, b))
 
     with _stage("detect"):
-        if detector is None:
-            detector = Detector(header, threshold=config.fast_threshold,
-                                retest_neighbors=exact)
-            ordered = sorted(events, key=lambda e: e.t)
-            i, seen_tests = 0, 0
-            for k in range(n_frames):
-                boundary = (k + 1) * header.dt_ref
-                while i < len(ordered) and ordered[i].t <= boundary:
-                    detector.on_event(ordered[i])
-                    i += 1
-                tests[k] = detector.test_count - seen_tests
-                seen_tests = detector.test_count
-                features[k] = len(detector.features)
-            while i < len(ordered):
-                detector.on_event(ordered[i])
-                i += 1
-            tests[-1] += detector.test_count - seen_tests
-            features[-1] = len(detector.features)
+        if counts is None:
+            counts = _replay_detector(config, header, events, n_frames)
+        tests, features = counts
 
     with _stage("metrics"):
         comp_bits = [0.0] * n_frames

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
 from .events import EMPTY, D_MAX, Event, StreamHeader
 
 PSNR_CAP = 60.0
+
+_tick = attrgetter("t")
 
 
 class Reconstructor:
@@ -23,23 +29,21 @@ class Reconstructor:
     def __init__(self, header: StreamHeader):
         self.width = header.width
         self.height = header.height
-        self.channels = header.channels
         self.dt_ref = header.dt_ref
         n = self.width * self.height
-        self.image = [[0] * n for _ in range(self.channels)]
-        self.last_t = [[0] * n for _ in range(self.channels)]
+        self.image = [0] * n
+        self.last_t = [0] * n
 
     def apply_event(self, event: Event) -> int:
         """Apply one event; returns the new displayed value of its pixel."""
         if not (0 <= event.x < self.width and 0 <= event.y < self.height):
             raise ValueError(f"event outside image bounds: ({event.x}, {event.y})")
         idx = event.y * self.width + event.x
-        chan = event.c
-        dt = event.t - self.last_t[chan][idx]
+        dt = event.t - self.last_t[idx]
         if dt <= 0:
             raise ValueError(
                 f"out-of-order event for pixel ({event.x}, {event.y}): "
-                f"t={event.t} after t={self.last_t[chan][idx]}"
+                f"t={event.t} after t={self.last_t[idx]}"
             )
         d = event.d
         if d == EMPTY:
@@ -50,18 +54,14 @@ class Reconstructor:
                 value = 255
         else:
             raise ValueError(f"decimation out of range: {d}")
-        self.image[chan][idx] = value
-        self.last_t[chan][idx] = event.t
+        self.image[idx] = value
+        self.last_t[idx] = event.t
         return value
 
-    def frame_at(self, t: int | None = None) -> np.ndarray:
-        """Snapshot of the running image (events with timestamps <= t must
-        already be applied; t is documentation of intent, not a filter)."""
-        planes = [
-            np.asarray(plane, dtype=np.uint8).reshape(self.height, self.width)
-            for plane in self.image
-        ]
-        return planes[0] if self.channels == 1 else np.stack(planes)
+    def frame_at(self) -> np.ndarray:
+        """Snapshot of the running image."""
+        return np.asarray(self.image, dtype=np.uint8).reshape(self.height,
+                                                              self.width)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,23 +78,33 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(PSNR_CAP, 10.0 * math.log10(255.0 * 255.0 / err))
 
 
+def replay_batches(events: list[Event], dt_ref: int,
+                   n_frames: int) -> Iterator[list[Event]]:
+    """Events in timestamp order, cut at the frame boundaries.
+
+    Yields ``n_frames`` batches, batch k holding the events with
+    ``k * dt_ref < t <= (k + 1) * dt_ref`` (batch 0 also those at or before
+    tick 0), then one last batch with the events after the last boundary.
+    The sort is stable, and a pixel's own events are already mutually
+    ordered, so the order within a stream does not matter.
+    """
+    ordered = sorted(events, key=_tick)
+    start = 0
+    for k in range(1, n_frames + 1):
+        stop = bisect_right(ordered, k * dt_ref, start, key=_tick)
+        yield ordered[start:stop]
+        start = stop
+    yield ordered[start:]
+
+
 def reconstruct_at_boundaries(events: list[Event], header: StreamHeader,
                               n_frames: int) -> list[np.ndarray]:
-    """Reconstructed image at the end of each of ``n_frames`` frame spans.
-
-    Events are applied in timestamp order (a pixel's own events are already
-    mutually ordered, so a stable global sort is safe regardless of emission
-    order in the stream).
-    """
+    """Reconstructed image at the end of each of ``n_frames`` frame spans."""
     recon = Reconstructor(header)
-    ordered = sorted(events, key=lambda e: e.t)
     out: list[np.ndarray] = []
-    i = 0
-    total = len(ordered)
-    for k in range(n_frames):
-        boundary = (k + 1) * header.dt_ref
-        while i < total and ordered[i].t <= boundary:
-            recon.apply_event(ordered[i])
-            i += 1
-        out.append(recon.frame_at(boundary))
+    for batch in islice(replay_batches(events, header.dt_ref, n_frames),
+                        n_frames):
+        for event in batch:
+            recon.apply_event(event)
+        out.append(recon.frame_at())
     return out

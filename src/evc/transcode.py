@@ -220,8 +220,6 @@ class Transcoder:
     def __init__(self, header: StreamHeader, params: ParamSet | None = None,
                  hook: Hook | None = None):
         header.validate()
-        if header.channels != 1:
-            raise ValueError("transcoding expects single-channel input")
         self.header = header
         self.params = params if params is not None else crf_params(header.crf)
         self.hook = hook
@@ -252,7 +250,7 @@ class Transcoder:
                 out = pixels[base + x].integrate(row[x])
                 if out:
                     for d, t in out:
-                        append(Event(x, y, 0, d, t))
+                        append(Event(x, y, d, t))
         self.frame_index += 1
         if self.hook is not None:
             for event in emitted:
@@ -267,7 +265,7 @@ class Transcoder:
             base = y * width
             for x in range(width):
                 for d, t in self.pixels[base + x].flush():
-                    append(Event(x, y, 0, d, t))
+                    append(Event(x, y, d, t))
         if self.hook is not None:
             for event in emitted:
                 self.hook(event)

@@ -54,7 +54,7 @@ def pipeline(tmp_path, crf, frames, dt_adu=None, name="run"):
 def by_pixel(events):
     seqs = {}
     for ev in sorted(events, key=lambda e: e.t):
-        seqs.setdefault((ev.x, ev.y, ev.c), []).append(ev)
+        seqs.setdefault((ev.x, ev.y), []).append(ev)
     return seqs
 
 
@@ -84,7 +84,7 @@ def test_crf0_is_bit_lossless(tmp_path):
         _, raw = read_stream(result.paths["raw"])
         with open(result.paths["compressed"], "rb") as fp:
             _, decoded = read_compressed(fp)
-        key = lambda e: (e.y, e.x, e.c, e.t)  # noqa: E731
+        key = lambda e: (e.y, e.x, e.t)  # noqa: E731
         assert sorted(decoded, key=key) == sorted(raw, key=key)
         assert (Path(result.paths["recon_comp"]).read_bytes()
                 == Path(result.paths["recon_raw"]).read_bytes())

@@ -34,7 +34,7 @@ def header(w=32, h=32, crf=0, dt_ref=255, dt_max=2550):
 
 
 def key_sorted(events):
-    return sorted(events, key=lambda e: (e.y, e.x, e.c, e.t))
+    return sorted(events, key=lambda e: (e.y, e.x, e.t))
 
 
 def random_stream(rng, w, h, max_t, mean_events=4):
@@ -47,7 +47,7 @@ def random_stream(rng, w, h, max_t, mean_events=4):
             ts = sorted(rng.sample(range(1, max_t), n))
             for t in ts:
                 d = EMPTY if rng.random() < 0.08 else rng.randrange(0, 12)
-                events.append(Event(x, y, 0, d, t))
+                events.append(Event(x, y, d, t))
     rng.shuffle(events)
     return events
 
@@ -99,23 +99,33 @@ def test_choose_shift_lookahead_guards_successor():
 
 def test_adu_windows_are_left_open():
     hdr = header(16, 16)
-    events = [Event(0, 0, 0, 3, 2550), Event(0, 0, 0, 3, 2551)]
+    events = [Event(0, 0, 3, 2550), Event(0, 0, 3, 2551)]
     adus = build_adus(events, hdr, dt_adu=2550)
     assert len(adus) == 2
-    assert [len(a.cubes[0].queues.get((0, 0, 0), [])) for a in adus] == [1, 1]
+    assert [len(a.cubes[0].queues[(0, 0)]) for a in adus] == [1, 1]
     assert adus[0].start_t == 0 and adus[1].start_t == 2550
 
 
 def test_adu_count_matches_grid():
     hdr = header(16, 16, dt_max=7650)
-    events = [Event(0, 0, 0, 3, t) for t in range(255, 122401, 255)]
+    events = [Event(0, 0, 3, t) for t in range(255, 122401, 255)]
     adus = build_adus(events, hdr)
     assert len(adus) == 16  # 480 frames of 255 ticks, 30 frames per unit
 
 
+def test_build_adus_keeps_only_occupied_cubes():
+    hdr = header(4096, 4096)
+    assert build_adus([], hdr)[0].cubes == {}
+    events = [Event(40, 20, 3, 10), Event(40, 20, 3, 2600)]
+    first, second = build_adus(events, hdr)
+    assert list(first.cubes) == list(second.cubes) == [256 + 2]
+    assert first.cubes[258].origin == (32, 16)
+    assert first.cubes[258].following == {(4, 8): (3, 2600)}
+
+
 def test_build_adus_rejects_out_of_bounds():
     with pytest.raises(ValueError):
-        build_adus([Event(40, 0, 0, 3, 10)], header(32, 32))
+        build_adus([Event(40, 0, 3, 10)], header(32, 32))
 
 
 def test_empty_adu_roundtrip_is_tiny():
@@ -136,7 +146,7 @@ def test_lossless_roundtrip_random_streams():
 
 def test_constant_rate_pixel_is_exact_even_lossy():
     hdr = header(16, 16, crf=9)
-    events = [Event(3, 2, 0, 6, 255 * k) for k in range(1, 30)]
+    events = [Event(3, 2, 6, 255 * k) for k in range(1, 30)]
     decoded = decompress_payloads(compress_events(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
@@ -152,10 +162,10 @@ def test_lossy_roundtrip_preserves_counts_and_bound():
     span = hdr.dt_max
     truth = {}
     for ev in sorted(events, key=lambda e: e.t):
-        truth.setdefault((ev.x, ev.y, ev.c), []).append(ev)
+        truth.setdefault((ev.x, ev.y), []).append(ev)
     got = {}
     for ev in decoded:
-        got.setdefault((ev.x, ev.y, ev.c), []).append(ev)
+        got.setdefault((ev.x, ev.y), []).append(ev)
 
     checked = 0
     for pixel, true_seq in truth.items():
@@ -200,17 +210,8 @@ def test_encoding_is_reproducible():
 
 def test_partial_edge_cubes_roundtrip():
     hdr = header(20, 20, crf=0)
-    events = [Event(19, 19, 0, 4, 100), Event(19, 19, 0, 4, 300),
-              Event(0, 17, 0, 2, 50)]
-    decoded = decompress_payloads(compress_events(events, hdr), hdr)
-    assert key_sorted(decoded) == key_sorted(events)
-
-
-def test_color_channels_roundtrip():
-    hdr = StreamHeader(8, 8, channels=3, dt_ref=255, dt_max=2550,
-                       dt_s=7650, crf=0)
-    events = [Event(2, 3, c, 5, 100 + 40 * c) for c in range(3)]
-    events += [Event(2, 3, 1, 5, 900)]
+    events = [Event(19, 19, 4, 100), Event(19, 19, 4, 300),
+              Event(0, 17, 2, 50)]
     decoded = decompress_payloads(compress_events(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
@@ -245,7 +246,7 @@ def test_file_roundtrip_and_truncation():
 
 def test_single_event_pixel_needs_only_intra():
     hdr = header(16, 16, crf=5)
-    events = [Event(1, 1, 0, 7, 500)]
+    events = [Event(1, 1, 7, 500)]
     payloads = compress_events(events, hdr)
     decoded = decompress_payloads(payloads, hdr)
     assert decoded == events

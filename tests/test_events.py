@@ -60,44 +60,31 @@ def test_crf_table_shape_and_anchors():
 
 
 def test_serialize_known_bytes():
-    blob = serialize_event(Event(1, 2, 0, 5, 100))
+    blob = serialize_event(Event(1, 2, 5, 100))
     assert blob == bytes([0x01, 0x00, 0x02, 0x00, 0x05, 0x64, 0x00, 0x00, 0x00])
     assert len(blob) == 9
-
-
-def test_serialize_color_layout():
-    blob = serialize_event(Event(1, 2, 1, 5, 100), channels=3)
-    assert len(blob) == 10
-    assert blob[4] == 1  # channel byte sits between y and d
-    assert blob[5] == 5
 
 
 def test_serialize_roundtrip_random():
     rng = random.Random(3)
     for _ in range(1000):
-        e = Event(rng.randrange(65536), rng.randrange(65536), 0,
+        e = Event(rng.randrange(65536), rng.randrange(65536),
                   rng.choice(list(range(128)) + [EMPTY]), rng.randrange(1 << 32))
         back = parse_event(serialize_event(e))
         assert back == e
-    for _ in range(200):
-        e = Event(rng.randrange(65536), rng.randrange(65536), rng.randrange(3),
-                  rng.randrange(128), rng.randrange(1 << 32))
-        assert parse_event(serialize_event(e, 3), 0, 3) == e
 
 
 def test_serialize_rejects_out_of_range():
     with pytest.raises(ValueError):
-        serialize_event(Event(70000, 0, 0, 5, 1))
+        serialize_event(Event(70000, 0, 5, 1))
     with pytest.raises(ValueError):
-        serialize_event(Event(0, 0, 0, 200, 1))
+        serialize_event(Event(0, 0, 200, 1))
     with pytest.raises(ValueError):
-        serialize_event(Event(0, 0, 0, 5, 1 << 32))
-    with pytest.raises(ValueError):
-        serialize_event(Event(0, 0, 5, 5, 1), channels=3)
+        serialize_event(Event(0, 0, 5, 1 << 32))
 
 
 def test_parse_truncated():
-    blob = serialize_event(Event(1, 2, 0, 5, 100))
+    blob = serialize_event(Event(1, 2, 5, 100))
     with pytest.raises(StreamFormatError):
         parse_event(blob[:-1])
 
@@ -132,6 +119,17 @@ def test_header_rejects_unknown_source_codec():
         assert read_header(bytes(blob)).source_codec == codec
 
 
+def test_three_channel_header_is_rejected():
+    blob = bytearray(write_header(StreamHeader(4, 4)))
+    # byte 10 is the channel count; streams are mono
+    for channels in (0, 2, 3):
+        blob[10] = channels
+        with pytest.raises(StreamFormatError, match="mono"):
+            read_header(bytes(blob))
+    with pytest.raises(StreamFormatError, match="mono"):
+        write_header(StreamHeader(4, 4, channels=3))
+
+
 def test_header_invariants():
     with pytest.raises(ValueError):
         write_header(StreamHeader(4, 4, channels=2))
@@ -143,7 +141,7 @@ def test_header_invariants():
 
 def test_stream_file_roundtrip(tmp_path):
     hdr = StreamHeader(8, 8, dt_ref=255, dt_max=510, dt_s=7650)
-    evs = [Event(0, 0, 0, 3, 10), Event(7, 7, 0, EMPTY, 300)]
+    evs = [Event(0, 0, 3, 10), Event(7, 7, EMPTY, 300)]
     path = str(tmp_path / "s.adder")
     n = ev.write_stream(path, hdr, evs)
     assert n == ev.HEADER_SIZE + 9 * len(evs)
@@ -154,7 +152,7 @@ def test_stream_file_roundtrip(tmp_path):
 def test_stream_file_truncated(tmp_path):
     hdr = StreamHeader(8, 8)
     path = str(tmp_path / "s.adder")
-    ev.write_stream(path, hdr, [Event(0, 0, 0, 3, 10)])
+    ev.write_stream(path, hdr, [Event(0, 0, 3, 10)])
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:

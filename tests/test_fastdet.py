@@ -99,7 +99,7 @@ def random_stream(w, h, n, rng):
         t = clocks.get((x, y), 0) + rng.randint(1, 300)
         clocks[(x, y)] = t
         d = EMPTY if rng.random() < 0.15 else rng.randrange(11)
-        events.append(Event(x, y, 0, d, t))
+        events.append(Event(x, y, d, t))
     return events
 
 
@@ -136,7 +136,7 @@ def test_exact_mode_work_is_bounded_per_event():
 
 def test_border_event_in_single_pixel_mode_is_free():
     det = Detector(header(16, 16), threshold=10)
-    added, removed = det.on_event(Event(0, 0, 0, 7, 100))
+    added, removed = det.on_event(Event(0, 0, 7, 100))
     assert (added, removed) == ([], [])
     assert det.test_count == 0
 
@@ -148,14 +148,14 @@ def test_on_event_reports_feature_insertion_and_removal():
     # bright circle around a dark center
     for dx, dy in RING:
         t += 1
-        det.on_event(Event(8 + dx, 8 + dy, 0, 10, t))  # displays as 255
+        det.on_event(Event(8 + dx, 8 + dy, 10, t))  # displays as 255
     # neighbor retesting picked the dark center up while the ring built
     assert (8, 8) in det.features
     # brightening the center to match the ring dissolves the corner
-    added, removed = det.on_event(Event(8, 8, 0, 10, t + 1))
+    added, removed = det.on_event(Event(8, 8, 10, t + 1))
     assert added == [] and removed == [(8, 8)]
     # going dark again re-inserts it
-    added, removed = det.on_event(Event(8, 8, 0, EMPTY, t + 2))
+    added, removed = det.on_event(Event(8, 8, EMPTY, t + 2))
     assert added == [(8, 8)] and removed == []
 
 
@@ -183,11 +183,11 @@ def test_feature_hook_sensitizes_only_new_corners():
     t = 0
     for dx, dy in RING:
         t += 1
-        hook(Event(8 + dx, 8 + dy, 0, 10, t))
+        hook(Event(8 + dx, 8 + dy, 10, t))
     assert log.calls.count((8, 8, 4)) == 1
     before = list(log.calls)
     # corner persists through an unrelated faraway event: no re-arm
-    hook(Event(0, 15, 0, 5, 10))
+    hook(Event(0, 15, 5, 10))
     # a center event that leaves it a corner doesn't re-arm either
-    hook(Event(8, 8, 0, EMPTY, t + 1))
+    hook(Event(8, 8, EMPTY, t + 1))
     assert log.calls == before

@@ -131,7 +131,7 @@ def test_synth_rejects_bad_dimensions():
 
 def test_moving_box_events_follow_the_box(tmp_path):
     # events away from refresh boundaries should sit on the box trajectory
-    config = ExperimentConfig(crf=3, out_dir=str(tmp_path), seed=2)
+    config = ExperimentConfig(crf=3, out_dir=str(tmp_path))
     frames = synth_clip("moving_box", 48, 32, 10, seed=2)
     run_pipeline(config, frames=frames)
     _, events = read_stream(str(Path(tmp_path) / "clip.adder"))
@@ -143,7 +143,7 @@ def test_moving_box_events_follow_the_box(tmp_path):
 
 
 def test_pipeline_writes_artifacts_and_csv(tmp_path):
-    config = ExperimentConfig(crf=2, out_dir=str(tmp_path), seed=3)
+    config = ExperimentConfig(crf=2, out_dir=str(tmp_path))
     result = run_pipeline(config, frames=small_clip())
     for key in ("raw", "compressed", "recon_raw", "recon_comp", "metrics"):
         assert Path(result.paths[key]).exists()
@@ -160,7 +160,7 @@ def test_pipeline_is_deterministic(tmp_path):
     blobs = []
     for name in ("one", "two"):
         out = tmp_path / name
-        config = ExperimentConfig(crf=4, out_dir=str(out), seed=4)
+        config = ExperimentConfig(crf=4, out_dir=str(out))
         result = run_pipeline(config, frames=frames)
         blobs.append([Path(result.paths[k]).read_bytes()
                       for k in sorted(result.paths)])
@@ -192,7 +192,7 @@ def test_feature_adaptation_raises_bitrate_and_psnr(tmp_path):
     for feat in (False, True):
         out = tmp_path / ("on" if feat else "off")
         config = ExperimentConfig(crf=9, feature_adaptation=feat,
-                                  out_dir=str(out), seed=6)
+                                  out_dir=str(out))
         result = run_pipeline(config, frames=frames)
         runs[feat] = report(result.rows, 32 * 24)
     assert runs[True]["events"] > runs[False]["events"]
@@ -200,7 +200,7 @@ def test_feature_adaptation_raises_bitrate_and_psnr(tmp_path):
 
 
 def test_report_values(tmp_path):
-    config = ExperimentConfig(crf=3, out_dir=str(tmp_path), seed=5)
+    config = ExperimentConfig(crf=3, out_dir=str(tmp_path))
     result = run_pipeline(config, frames=small_clip(seed=5))
     summary = report(result.rows, 20 * 14)
     assert summary["frames"] == 6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evc import (
     EMPTY,
@@ -13,6 +15,7 @@ from evc import (
     reconstruct_at_boundaries,
     transcode,
 )
+from evc.reconstruct import replay_batches
 
 
 def header(w=4, h=4, dt_ref=255):
@@ -21,7 +24,7 @@ def header(w=4, h=4, dt_ref=255):
 
 def test_absolute_timestamps_recover_intervals():
     recon = Reconstructor(header(1, 1))
-    seq = [Event(0, 0, 0, 5, 100), Event(0, 0, 0, 5, 220), Event(0, 0, 0, 5, 330)]
+    seq = [Event(0, 0, 5, 100), Event(0, 0, 5, 220), Event(0, 0, 5, 330)]
     values = [recon.apply_event(e) for e in seq]
     # intervals 100, 120, 110 scaled by dt_ref
     assert values == [
@@ -32,8 +35,8 @@ def test_absolute_timestamps_recover_intervals():
 
 
 def test_timestamp_corruption_stays_local():
-    clean = [Event(0, 0, 0, 5, 100), Event(0, 0, 0, 5, 220), Event(0, 0, 0, 5, 330)]
-    corrupt = [Event(0, 0, 0, 5, 70)] + clean[1:]
+    clean = [Event(0, 0, 5, 100), Event(0, 0, 5, 220), Event(0, 0, 5, 330)]
+    corrupt = [Event(0, 0, 5, 70)] + clean[1:]
     a = Reconstructor(header(1, 1))
     b = Reconstructor(header(1, 1))
     va = [a.apply_event(e) for e in clean]
@@ -45,26 +48,26 @@ def test_timestamp_corruption_stays_local():
 
 def test_out_of_order_rejected():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(Event(0, 0, 0, 5, 100))
+    recon.apply_event(Event(0, 0, 5, 100))
     with pytest.raises(ValueError):
-        recon.apply_event(Event(0, 0, 0, 5, 100))
+        recon.apply_event(Event(0, 0, 5, 100))
     with pytest.raises(ValueError):
-        recon.apply_event(Event(0, 0, 0, 5, 40))
+        recon.apply_event(Event(0, 0, 5, 40))
 
 
 def test_empty_event_darkens_pixel():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(Event(0, 0, 0, 6, 255))
+    recon.apply_event(Event(0, 0, 6, 255))
     assert recon.frame_at()[0, 0] > 0
-    recon.apply_event(Event(0, 0, 0, EMPTY, 900))
+    recon.apply_event(Event(0, 0, EMPTY, 900))
     assert recon.frame_at()[0, 0] == 0
 
 
 def test_pixels_hold_last_value():
     recon = Reconstructor(header(2, 1))
-    recon.apply_event(Event(0, 0, 0, 6, 255))
+    recon.apply_event(Event(0, 0, 6, 255))
     first = recon.frame_at().copy()
-    recon.apply_event(Event(1, 0, 0, 3, 500))
+    recon.apply_event(Event(1, 0, 3, 500))
     assert recon.frame_at()[0, 0] == first[0, 0]
 
 
@@ -141,3 +144,18 @@ def test_static_reconstruction_within_one_unit_for_all_values():
         events = transcode(frames, hdr)
         for snap in reconstruct_at_boundaries(events, hdr, 12):
             assert abs(int(snap[0, 0]) - v) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt_ref=st.integers(1, 4), n_frames=st.integers(1, 5),
+       ticks=st.lists(st.integers(0, 30), max_size=40))
+def test_replay_batches_match_a_per_boundary_filter(dt_ref, n_frames, ticks):
+    # ticks come unsorted, land on boundaries k * dt_ref often and run past
+    # the last boundary; x tells events with equal t apart
+    events = [Event(i, 0, 5, t) for i, t in enumerate(ticks)]
+    ordered = sorted(events, key=lambda e: e.t)
+    expected = [[e for e in ordered
+                 if (k == 0 or e.t > k * dt_ref) and e.t <= (k + 1) * dt_ref]
+                for k in range(n_frames)]
+    expected.append([e for e in ordered if e.t > n_frames * dt_ref])
+    assert list(replay_batches(events, dt_ref, n_frames)) == expected
