@@ -171,34 +171,15 @@ def t_prediction(prev_t_recon, prev_dt_recon, d_r):
     return prev_t_recon + delta
 
 
-def _display(d, dt, dt_ref):
-    """The decoder's displayed value for an event: round(2^d*dt_ref/dt)."""
-    num = (1 << d) * dt_ref
-    value = (2 * num + dt) // (2 * dt)
-    return value if value < 255 else 255
-
-
-def _intensity_close(d, dt_a, dt_b, m_max, dt_ref):
-    """Shift admissibility: the displayed value must not move at all, and
-    the underlying intensities must stay strictly within m_max of each
-    other (the latter also covers the clamped regime, where two displays
-    can agree at 255 while the raw intensities drift apart).
-    """
-    if d == EMPTY:
-        return True
-    if _display(d, dt_a, dt_ref) != _display(d, dt_b, dt_ref):
-        return False
-    return ((1 << d) * dt_ref * abs(dt_a - dt_b)) < m_max * dt_a * dt_b
-
-
 def _dt_window(d, dt_true, m_max, dt_ref):
     """Inclusive interval of dt values admissible around dt_true.
 
-    Closed form of ``_intensity_close(d, dt_true, dt, m_max, dt_ref)``:
-    dt must display the same value as dt_true under the decoder's
-    round-half-up (with the 255 clamp) and keep the raw intensity
-    strictly within m_max.  Returns (lo, hi) with hi None when unbounded;
-    dt_true itself always falls inside.  m_max must be positive.
+    dt is admissible when ``events.display_value`` shows the same value
+    for it as for dt_true, and the raw intensity 2**d * dt_ref / dt stays
+    strictly within m_max of dt_true's (which also bounds the clamped
+    regime, where two displays agree at 255 while the raw intensities
+    drift apart).  Returns (lo, hi) with hi None when unbounded; dt_true
+    itself always falls inside.  m_max must be positive.
     """
     num = (1 << d) * dt_ref
     num2 = 2 * num

@@ -56,9 +56,14 @@ def event_intensity(d: int, dt: int) -> float:
     return float(1 << d) / dt
 
 
-def display_intensity(d: int, dt: int, dt_ref: int) -> float:
-    """Intensity scaled to frame units (units per dt_ref ticks)."""
-    return event_intensity(d, dt) * dt_ref
+def display_value(d: int, dt: int, dt_ref: int) -> int:
+    """The displayed 8-bit value of an event: round(2**d * dt_ref / dt),
+    halves rounding up, clamped at 255; EMPTY shows 0.  Neither d nor dt
+    is checked here; callers validate them."""
+    if d == EMPTY:
+        return 0
+    value = ((2 << d) * dt_ref + dt) // (2 * dt)
+    return value if value < 255 else 255
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ from .events import (
     crf_params,
     write_stream,
 )
-from .fastdet import DEFAULT_THRESHOLD, Detector, make_feature_hook
+from .fastdet import DEFAULT_THRESHOLD, Detector
 from .reconstruct import mse, psnr, reconstruct_at_boundaries, replay_batches
 from .transcode import Transcoder
 
@@ -323,6 +323,14 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     """Transcode the frames, the detector steering sensitivity from inside
     the loop when feature adaptation is on.
 
+    After each frame, the detector sees that frame's events in emission
+    order, and every corner an event freshly inserts into its set pins the
+    pixels within ``feature_radius`` of it to their base threshold for the
+    frames that follow.  Only fresh insertions re-arm the boost: a corner
+    that persists across many events does not, and removals trigger
+    nothing.  The final flush's events go to the detector only, as no
+    frame follows them.
+
     Returns (events, per-frame event counts, detector counts): an event
     counts on the frame that emitted it, the final flush on the last one.
     Detector counts are None with adaptation off, else the per-frame
@@ -333,7 +341,6 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     detector = None
     if config.feature_adaptation:
         detector = _detector(config, header)
-        transcoder.hook = make_feature_hook(detector, params, transcoder)
     n_frames = len(frames)
     events = []
     frame_events = [0] * n_frames
@@ -344,6 +351,10 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
         events.extend(emitted)
         frame_events[k] = len(emitted)
         if detector is not None:
+            for event in emitted:
+                added, _ = detector.on_event(event)
+                for x, y in added:
+                    transcoder.set_sensitivity(x, y, params.feature_radius)
             tests[k] = detector.test_count - seen
             seen = detector.test_count
             features[k] = len(detector.features)
@@ -352,6 +363,8 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     frame_events[-1] += len(tail)
     if detector is None:
         return events, frame_events, None
+    for event in tail:
+        detector.on_event(event)
     tests[-1] += detector.test_count - seen
     features[-1] = len(detector.features)
     return events, frame_events, (tests, features)

@@ -10,7 +10,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .events import EMPTY, D_MAX, Event, StreamHeader
+from .events import EMPTY, D_MAX, Event, StreamHeader, display_value
 
 PSNR_CAP = 60.0
 
@@ -23,45 +23,41 @@ class Reconstructor:
     A pixel keeps its last displayed value until its next event arrives
     (hold-last-value semantics for the open interval).  Events of one pixel
     must arrive in strictly increasing timestamp order; events of different
-    pixels may be interleaved arbitrarily.
+    pixels may be interleaved arbitrarily.  ``image`` is the running image
+    as row-major rows of ints, the form ``fastdet.is_feature`` reads.
     """
 
     def __init__(self, header: StreamHeader):
         self.width = header.width
         self.height = header.height
         self.dt_ref = header.dt_ref
-        n = self.width * self.height
-        self.image = [0] * n
-        self.last_t = [0] * n
+        self.image = [[0] * self.width for _ in range(self.height)]
+        self.last_t = [[0] * self.width for _ in range(self.height)]
 
     def apply_event(self, event: Event) -> int:
         """Apply one event; returns the new displayed value of its pixel."""
-        if not (0 <= event.x < self.width and 0 <= event.y < self.height):
-            raise ValueError(f"event outside image bounds: ({event.x}, {event.y})")
-        idx = event.y * self.width + event.x
-        dt = event.t - self.last_t[idx]
+        x, y = event.x, event.y
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise ValueError(f"event outside image bounds: ({x}, {y})")
+        last_t = self.last_t[y]
+        dt = event.t - last_t[x]
         if dt <= 0:
             raise ValueError(
-                f"out-of-order event for pixel ({event.x}, {event.y}): "
-                f"t={event.t} after t={self.last_t[idx]}"
+                f"out-of-order event for pixel ({x}, {y}): "
+                f"t={event.t} after t={last_t[x]}"
             )
         d = event.d
-        if d == EMPTY:
-            value = 0
-        elif 0 <= d <= D_MAX:
-            value = int((1 << d) * self.dt_ref / dt + 0.5)
-            if value > 255:
-                value = 255
-        else:
+        if not (0 <= d <= D_MAX or d == EMPTY):
             raise ValueError(f"decimation out of range: {d}")
-        self.image[idx] = value
-        self.last_t[idx] = event.t
+        value = display_value(d, dt, self.dt_ref)
+        self.image[y][x] = value
+        last_t[x] = event.t
         return value
 
     def frame_at(self) -> np.ndarray:
         """Snapshot of the running image."""
-        return np.asarray(self.image, dtype=np.uint8).reshape(self.height,
-                                                              self.width)
+        return np.array(self.image, dtype=np.uint8).reshape(self.height,
+                                                            self.width)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

@@ -27,13 +27,10 @@ on elsewhere:
 from __future__ import annotations
 
 import logging
-from typing import Callable
 
 from .events import EMPTY, Event, ParamSet, StreamHeader, crf_params
 
 log = logging.getLogger(__name__)
-
-Hook = Callable[[Event], None]
 
 
 def starting_decimation(value: int, dt_ref: int, dt_max: int) -> int:
@@ -51,30 +48,16 @@ def starting_decimation(value: int, dt_ref: int, dt_max: int) -> int:
     return min(d_intensity, d_latency)
 
 
-def coalesce_queue(entries: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Coalesce a pixel queue of (d, t) entries covering contiguous spans.
-
-    Two adjacent entries with equal decimation merge into one entry with
-    decimation + 1 at the later timestamp, repeatedly, to a fixpoint.  The
-    first entry is pinned: it carries the dt_max latency guarantee and never
-    merges.
-    """
-    out: list[tuple[int, int]] = []
-    for d, t in entries:
-        out.append((d, t))
-        while len(out) >= 3 and out[-1][0] == out[-2][0]:
-            merged = (out[-1][0] + 1, out[-1][1])
-            out[-2:] = [merged]
-    return out
-
-
 class PixelIntegrator:
     """Integration state for a single pixel.
 
-    ``integrate(value, span)`` advances the pixel clock by ``span`` ticks of
-    input at ``value`` units per span, and returns any events emitted by a
-    run ending (None when the run continues).  Emitted entries are (d, t)
-    pairs with absolute timestamps.
+    ``integrate(value)`` advances the pixel clock by one frame (dt_ref
+    ticks) of input at ``value`` units per frame, and returns any events
+    emitted by a run ending (None when the run continues).  Emitted entries
+    are (d, t) pairs with absolute timestamps.  A crossing appended to the
+    queue coalesces with its predecessor while the two share a decimation,
+    one level up at the later timestamp; the first entry is pinned, since
+    it carries the dt_max latency guarantee, and never merges.
     """
 
     __slots__ = (
@@ -137,9 +120,8 @@ class PixelIntegrator:
             self.t_emit = out[-1][1]
         return out
 
-    def integrate(self, value: int, span: int | None = None) -> list[tuple[int, int]] | None:
-        if span is None:
-            span = self.dt_ref
+    def integrate(self, value: int) -> list[tuple[int, int]] | None:
+        span = self.dt_ref
         start = self.now
         self.now = start + span
         if self.override_until >= 0 and start >= self.override_until:
@@ -212,28 +194,20 @@ class Transcoder:
     """Grayscale frame-sequence transcoder over a grid of pixel integrators.
 
     Pixels are visited in row-major order each frame, and a frame's emitted
-    events are reported in that order, so output is deterministic.  The
-    optional hook observes every emitted event after the frame completes,
-    and may call set_sensitivity to steer later frames.
+    events are reported in that order, so output is deterministic.  A
+    caller may call set_sensitivity between frames to steer later ones.
     """
 
-    def __init__(self, header: StreamHeader, params: ParamSet | None = None,
-                 hook: Hook | None = None):
+    def __init__(self, header: StreamHeader, params: ParamSet | None = None):
         header.validate()
         self.header = header
         self.params = params if params is not None else crf_params(header.crf)
-        self.hook = hook
-        self.frame_index = 0
         self.width = header.width
         self.height = header.height
         self.pixels = [
             PixelIntegrator(self.params, header.dt_ref, header.dt_max)
             for _ in range(self.width * self.height)
         ]
-
-    @property
-    def now(self) -> int:
-        return self.frame_index * self.header.dt_ref
 
     def integrate_frame(self, frame) -> list[Event]:
         rows = frame.tolist() if hasattr(frame, "tolist") else frame
@@ -251,10 +225,6 @@ class Transcoder:
                 if out:
                     for d, t in out:
                         append(Event(x, y, d, t))
-        self.frame_index += 1
-        if self.hook is not None:
-            for event in emitted:
-                self.hook(event)
         return emitted
 
     def flush_all(self) -> list[Event]:
@@ -266,9 +236,6 @@ class Transcoder:
             for x in range(width):
                 for d, t in self.pixels[base + x].flush():
                     append(Event(x, y, d, t))
-        if self.hook is not None:
-            for event in emitted:
-                self.hook(event)
         return emitted
 
     def set_sensitivity(self, x: int, y: int, radius: int,
@@ -288,10 +255,10 @@ class Transcoder:
                 self.pixels[base + xx].sensitize(duration)
 
 
-def transcode(frames, header: StreamHeader, params: ParamSet | None = None,
-              hook: Hook | None = None) -> list[Event]:
+def transcode(frames, header: StreamHeader,
+              params: ParamSet | None = None) -> list[Event]:
     """Transcode a frame sequence and flush, returning all emitted events."""
-    coder = Transcoder(header, params, hook)
+    coder = Transcoder(header, params)
     events: list[Event] = []
     for frame in frames:
         events.extend(coder.integrate_frame(frame))

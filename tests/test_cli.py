@@ -35,7 +35,7 @@ def pipeline_stream(tmp_path, pos=None, value=None):
     ``value`` when given; returns (result, path)."""
     config = ExperimentConfig(input="clip.y4m", crf=3, out_dir=str(tmp_path))
     result = run_pipeline(config, frames=synth_clip("walk", 16, 16, 4))
-    blob = bytearray(open(result.paths["compressed"], "rb").read())
+    blob = bytearray(Path(result.paths["compressed"]).read_bytes())
     if pos is not None:
         blob[pos] = value
     stream = tmp_path / "patched.adderc"
@@ -103,6 +103,5 @@ def test_exact_detect_rows_match_a_full_frame_scan(tmp_path, kind):
     frames = reconstruct_at_boundaries(events, header, n_frames)
     assert set(found) <= set(range(n_frames))
     for k, image in enumerate(frames):
-        assert found.get(k, set()) == detect_frame(image.tolist(),
-                                                   DEFAULT_THRESHOLD)
+        assert found.get(k, set()) == detect_frame(image, DEFAULT_THRESHOLD)
     assert any(found.values())

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evc import (
     CODEC_COMPRESSED,
@@ -11,6 +13,7 @@ from evc import (
     StreamFormatError,
     StreamHeader,
     crf_params,
+    display_value,
 )
 from evc import compress
 from evc.compress import (
@@ -95,6 +98,38 @@ def test_choose_shift_lookahead_guards_successor():
     t_free = 1800 + (free[1] << free[0])
     t_held = 1800 + (held[1] << held[0])
     assert t_held > t_free
+
+
+def _intensity_close(d, dt_a, dt_b, m_max, dt_ref):
+    """Shift admissibility written out: the displayed value must not move
+    at all, and the underlying intensities must stay strictly within m_max
+    of each other (the latter also covers the clamped regime, where two
+    displays can agree at 255 while the raw intensities drift apart).
+    """
+    if d == EMPTY:
+        return True
+    if display_value(d, dt_a, dt_ref) != display_value(d, dt_b, dt_ref):
+        return False
+    return ((1 << d) * dt_ref * abs(dt_a - dt_b)) < m_max * dt_a * dt_b
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(0, 127), dt_true=st.integers(1, 1 << 20),
+       m_max=st.integers(1, 40),
+       dt_ref=st.sampled_from((1, 2, 3, 255, 256, 1000)),
+       dt=st.integers(1, 1 << 24))
+def test_dt_window_admits_exactly_what_the_oracle_accepts(d, dt_true, m_max,
+                                                          dt_ref, dt):
+    lo, hi = compress._dt_window(d, dt_true, m_max, dt_ref)
+    assert lo <= dt_true and (hi is None or dt_true <= hi)
+    probes = {dt, dt_true, lo - 1, lo, lo + 1}
+    if hi is not None:
+        probes |= {hi - 1, hi, hi + 1}
+    for probe in probes:
+        if probe >= 1:
+            inside = lo <= probe and (hi is None or probe <= hi)
+            assert inside == _intensity_close(d, dt_true, probe, m_max,
+                                              dt_ref), probe
 
 
 def test_adu_windows_are_left_open():

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evc import events as ev
 from evc.events import (
@@ -11,6 +14,7 @@ from evc.events import (
     StreamFormatError,
     StreamHeader,
     crf_params,
+    display_value,
     event_intensity,
     parse_event,
     read_header,
@@ -39,6 +43,18 @@ def test_intensity_rejects_bad_interval():
         event_intensity(5, 0)
     with pytest.raises(ValueError):
         event_intensity(5, -3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=st.integers(0, 127) | st.just(EMPTY), dt=st.integers(1, 1 << 32),
+       dt_ref=st.integers(1, 1 << 12))
+def test_display_value_rounds_half_up_and_clamps(d, dt, dt_ref):
+    if d == EMPTY:
+        want = 0
+    else:
+        exact = Fraction((1 << d) * dt_ref, dt) + Fraction(1, 2)
+        want = min(255, math.floor(exact))
+    assert display_value(d, dt, dt_ref) == want
 
 
 def test_crf_table_shape_and_anchors():

@@ -1,14 +1,10 @@
 import random
 
-from evc import EMPTY, Event, ParamSet, StreamHeader
-from evc.fastdet import (
-    RING,
-    Detector,
-    detect_frame,
-    is_feature,
-    make_feature_hook,
-    rate_control_policy,
-)
+import numpy as np
+import pytest
+
+from evc import EMPTY, Event, StreamHeader
+from evc.fastdet import RING, Detector, detect_frame, is_feature
 
 
 def header(w, h, crf=0):
@@ -78,6 +74,17 @@ def test_detect_frame_finds_exactly_one_constructed_corner():
     img = flat(16, 16, 50)
     img[8][8] = 200
     assert detect_frame(img, threshold=10) == {(8, 8)}
+    assert detect_frame(np.array(img, dtype=np.uint8), 10) == {(8, 8)}
+
+
+@pytest.mark.parametrize("value, center", [(3, 5), (255, 250)])
+def test_uint8_frames_do_not_wrap_the_thresholds(value, center):
+    # center -/+ threshold leaves 0..255 here; on uint8 it used to wrap
+    # and turn every testable pixel into a corner
+    img = flat(16, 16, value)
+    img[8][8] = center
+    assert detect_frame(img, threshold=10) == set()
+    assert detect_frame(np.array(img, dtype=np.uint8), threshold=10) == set()
 
 
 def test_threshold_is_strict():
@@ -110,7 +117,7 @@ def test_exact_mode_tracks_full_frame_detection():
         for i, ev in enumerate(random_stream(24, 20, 2000, rng), start=1):
             det.on_event(ev)
             if i % 500 == 0:
-                assert det.features == detect_frame(det.image, 10), (
+                assert det.features == detect_frame(det.recon.image, 10), (
                     f"seed {seed}, prefix {i}")
 
 
@@ -157,37 +164,3 @@ def test_on_event_reports_feature_insertion_and_removal():
     # going dark again re-inserts it
     added, removed = det.on_event(Event(8, 8, EMPTY, t + 2))
     assert added == [(8, 8)] and removed == []
-
-
-class SensitivityLog:
-    def __init__(self):
-        self.calls = []
-
-    def set_sensitivity(self, x, y, radius, duration=None):
-        self.calls.append((x, y, radius))
-
-
-def test_policy_fires_once_per_fresh_feature():
-    params = ParamSet(2, 6, 2, 4)
-    log = SensitivityLog()
-    rate_control_policy([(5, 7)], params, log)
-    rate_control_policy([], params, log)
-    assert log.calls == [(5, 7, 4)]
-
-
-def test_feature_hook_sensitizes_only_new_corners():
-    params = ParamSet(2, 6, 2, 4)
-    log = SensitivityLog()
-    det = Detector(header(16, 16), threshold=10, retest_neighbors=True)
-    hook = make_feature_hook(det, params, log)
-    t = 0
-    for dx, dy in RING:
-        t += 1
-        hook(Event(8 + dx, 8 + dy, 10, t))
-    assert log.calls.count((8, 8, 4)) == 1
-    before = list(log.calls)
-    # corner persists through an unrelated faraway event: no re-arm
-    hook(Event(0, 15, 5, 10))
-    # a center event that leaves it a corner doesn't re-arm either
-    hook(Event(8, 8, EMPTY, t + 1))
-    assert log.calls == before

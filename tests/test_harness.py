@@ -10,6 +10,7 @@ from evc import (
     ExperimentConfig,
     PipelineError,
     StreamFormatError,
+    crf_params,
     ingest_y4m,
     load_frames,
     load_raw,
@@ -21,6 +22,8 @@ from evc import (
     write_raw,
     write_y4m,
 )
+from evc import harness
+from evc.fastdet import RING
 from evc.reconstruct import PSNR_CAP
 
 
@@ -197,6 +200,101 @@ def test_feature_adaptation_raises_bitrate_and_psnr(tmp_path):
         runs[feat] = report(result.rows, 32 * 24)
     assert runs[True]["events"] > runs[False]["events"]
     assert runs[True]["mean_psnr_raw"] > runs[False]["mean_psnr_raw"]
+
+
+def lattice_clip():
+    """A 16x16 field stepping 128 -> 64 -> 128, with dark holes on a
+    2-pixel lattice.  Power-of-two values end each run on a frame boundary,
+    so no interval marker darkens the detector's image after a run closes,
+    and one event can complete several corners at once."""
+    frames = []
+    for value in (128, 128, 64, 64, 128, 128):
+        frame = np.full((16, 16), value, np.uint8)
+        frame[4:12:2, 4:12:2] = 0
+        frames.append(frame)
+    return frames
+
+
+def feature_loop_log(monkeypatch, mode):
+    """Run ``transcode_clip`` with feature adaptation on over the lattice
+    clip, recording in order each ``on_event`` call with the corners it
+    added and removed, each ``set_sensitivity`` call, and the start of the
+    final flush.
+
+    Returns (config, emitted events, log).
+    """
+    log = []
+
+    class RecordingDetector(harness.Detector):
+        def on_event(self, event):
+            added, removed = super().on_event(event)
+            log.append(("event", event, list(added), list(removed)))
+            return added, removed
+
+    class RecordingTranscoder(harness.Transcoder):
+        def set_sensitivity(self, x, y, radius, duration=None):
+            log.append(("boost", x, y, radius))
+            super().set_sensitivity(x, y, radius, duration)
+
+        def flush_all(self):
+            log.append(("flush",))
+            return super().flush_all()
+
+    monkeypatch.setattr(harness, "Detector", RecordingDetector)
+    monkeypatch.setattr(harness, "Transcoder", RecordingTranscoder)
+    config = ExperimentConfig(crf=3, feature_adaptation=True,
+                              detector_mode=mode)
+    frames, header = harness.ingest(config, lattice_clip())
+    events, _, _ = harness.transcode_clip(config, header, frames)
+    return config, events, log
+
+
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_feature_loop_boosts_each_fresh_corner_once(monkeypatch, mode):
+    config, events, log = feature_loop_log(monkeypatch, mode)
+    radius = crf_params(config.crf).feature_radius
+    # every emitted event reaches the detector once, in emission order,
+    # the final flush's included
+    assert [entry[1] for entry in log if entry[0] == "event"] == events
+    # each corner an event freshly adds gets exactly one boost right after
+    # that event; nothing else boosts, and the flush's corners boost nothing
+    expected = []
+    flushed = False
+    for entry in log:
+        if entry[0] == "flush":
+            flushed = True
+            expected.append(entry)
+        elif entry[0] == "event":
+            expected.append(entry)
+            if not flushed:
+                expected.extend(("boost", x, y, radius)
+                                for x, y in entry[2])
+    assert log == expected
+    assert any(entry[0] == "boost" for entry in log)
+    if mode == "exact":
+        before_flush = log[:log.index(("flush",))]
+        assert any(len(entry[2]) > 1 for entry in before_flush
+                   if entry[0] == "event")
+
+
+def test_persisting_corners_and_unrelated_events_boost_nothing(monkeypatch):
+    _, _, log = feature_loop_log(monkeypatch, "exact")
+    corners = set()
+    persisting = unrelated = 0
+    for entry, after in zip(log, log[1:] + [None]):
+        if entry[0] != "event":
+            continue
+        _, event, added, removed = entry
+        if not added:
+            retested = {(event.x + dx, event.y + dy) for dx, dy in RING}
+            retested.add((event.x, event.y))
+            if (corners & retested) - set(removed):
+                persisting += 1
+            else:
+                unrelated += 1
+            assert after is None or after[0] != "boost"
+        corners = (corners | set(added)) - set(removed)
+    assert persisting > 0 and unrelated > 0
 
 
 def test_report_values(tmp_path):

@@ -10,7 +10,6 @@ from evc import (
     PixelIntegrator,
     StreamHeader,
     Transcoder,
-    coalesce_queue,
     crf_params,
     starting_decimation,
     transcode,
@@ -35,30 +34,37 @@ def run_oracle_count(value, n_frames):
     return 1 + bin(n - 1).count("1") if n else 0
 
 
+def unit_rate_queue(crossings):
+    """The queue after ``crossings`` frames at one 2**8 crossing each."""
+    px = PixelIntegrator(LOSSLESS, dt_ref=256, dt_max=300)
+    for _ in range(crossings):
+        assert px.integrate(256) is None
+    return px.queue
+
+
 def test_coalesce_three_entry_example():
-    assert coalesce_queue([(8, 256), (8, 512), (8, 768)]) == [(8, 256), (9, 768)]
+    assert unit_rate_queue(3) == [(8, 256), (9, 768)]
 
 
 def test_coalesce_five_entry_fixpoint():
-    q = [(8, 256 * i) for i in range(1, 6)]
-    out = coalesce_queue(q)
+    out = unit_rate_queue(5)
     assert out == [(8, 256), (10, 1280)]
     assert sum(1 << d for d, _ in out) == 5 * 256
 
 
 def test_coalesce_first_entry_pinned():
-    assert coalesce_queue([(8, 100), (8, 200)]) == [(8, 100), (8, 200)]
-    assert coalesce_queue([]) == []
-    assert coalesce_queue([(3, 5)]) == [(3, 5)]
+    assert unit_rate_queue(2) == [(8, 256), (8, 512)]
+    assert unit_rate_queue(1) == [(8, 256)]
+    assert unit_rate_queue(0) == []
 
 
 def test_unit_rate_drive_matches_known_sequence():
     px = PixelIntegrator(LOSSLESS, dt_ref=256, dt_max=300)
     for _ in range(3):
-        assert px.integrate(256, 256) is None
+        assert px.integrate(256) is None
     assert px.d == 8
     assert px.queue == [(8, 256), (9, 768)]
-    out = px.integrate(0, 256)  # value leaves the contrast window
+    out = px.integrate(0)  # value leaves the contrast window
     # the flushed queue, then the marker opening the dark run; the marker
     # lands one tick after the colliding final queue entry
     assert out == [(8, 256), (9, 768), (EMPTY, 769)]
@@ -280,11 +286,3 @@ def test_single_pixel_transcoder_matches_integrator():
         want.extend(px.flush())
         assert got == want
 
-
-def test_hook_sees_all_events_in_order():
-    rng = np.random.default_rng(3)
-    frames = [rng.integers(0, 200, size=(4, 4), dtype=np.uint8) for _ in range(8)]
-    hdr = header(4, 4, crf=2)
-    seen = []
-    events = transcode(frames, hdr, hook=seen.append)
-    assert seen == events
