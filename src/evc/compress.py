@@ -409,13 +409,6 @@ def compress_events(events, header, dt_adu=None):
             for adu in build_adus(events, header, dt_adu)]
 
 
-def decompress_payloads(payloads, header):
-    out = []
-    for k, payload in enumerate(payloads):
-        out.extend(decode_adu(payload, header, k))
-    return out
-
-
 def write_payloads(fp, header, payloads):
     """Write header plus length-prefixed ADU blocks from encoded payloads."""
     coded = replace(header, source_codec=CODEC_COMPRESSED)

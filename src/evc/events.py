@@ -29,6 +29,11 @@ CODEC_COMPRESSED = 2
 
 DEFAULT_DT_REF = 255
 
+# Largest frame area a header may declare (4K UHD fits): decoders and the
+# reconstructor size their work by the declared geometry, so an untrusted
+# header must not be able to demand more.
+MAX_PIXELS = 4096 * 4096
+
 
 class StreamFormatError(ValueError):
     """Raised for malformed headers, truncated records, or undecodable data."""
@@ -40,20 +45,6 @@ class Event:
     y: int
     d: int
     t: int
-
-
-def event_intensity(d: int, dt: int) -> float:
-    """Expressed intensity in units per tick: 2**d / dt (0.0 for EMPTY).
-
-    dt must be positive; a zero or negative interval has no meaning.
-    """
-    if dt <= 0:
-        raise ValueError(f"event interval must be positive, got {dt}")
-    if d == EMPTY:
-        return 0.0
-    if not 0 <= d <= D_MAX:
-        raise ValueError(f"decimation out of range: {d}")
-    return float(1 << d) / dt
 
 
 def display_value(d: int, dt: int, dt_ref: int) -> int:
@@ -129,6 +120,10 @@ class StreamHeader:
             raise StreamFormatError(
                 f"only mono streams are supported, got {self.channels} "
                 "channels")
+        if self.width * self.height > MAX_PIXELS:
+            raise StreamFormatError(
+                f"frame of {self.width}x{self.height} exceeds the "
+                f"{MAX_PIXELS}-pixel limit")
         if self.dt_ref < 1:
             raise StreamFormatError("dt_ref must be at least one tick")
         if self.dt_max < self.dt_ref:

@@ -9,6 +9,14 @@ higher-decimation entries so that a long stable run collapses to a handful
 of events.  The queue is only emitted when the run ends: either the value
 moves outside the contrast window or the stream is flushed.
 
+The coalescing rule pins the first entry (it carries the dt_max latency
+guarantee) and merges the last two entries, one level up at the later
+timestamp, while they share a decimation.  Over the crossings after the
+first, that is a binary counter: with ``count`` such crossings, the queue is
+the first entry followed by one entry ``(d + l, tick)`` for each set bit
+``l`` of ``count``, from the highest bit to the lowest, where ``tick`` is
+that of the last crossing merged into the entry.
+
 Zero-valued runs have no crossings to report, so they are bracketed by
 zero-span markers instead: one announcing the run when a contrast violation
 opens it, and one dating its far end when it closes, which restarts interval
@@ -28,174 +36,55 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
+
 from .events import EMPTY, Event, ParamSet, StreamHeader, crf_params
 
 log = logging.getLogger(__name__)
 
 
-def starting_decimation(value: int, dt_ref: int, dt_max: int) -> int:
+def _bit_length(values):
+    # frexp's exponent is the bit length of a nonnegative integer, exactly
+    # so below 2**53.
+    return np.frexp(values)[1].astype(np.int64)
+
+
+def starting_decimation(value, dt_ref: int, dt_max: int):
     """Base decimation for a run opened at ``value`` units per dt_ref ticks.
 
     Takes floor(log2(value)), additionally capped so that the first event
     (2**d units at the opening rate) completes within dt_max ticks.  The cap
-    only binds in degenerate configurations since dt_max >= dt_ref.
+    only binds in degenerate configurations since dt_max >= dt_ref.  Works
+    on an int or elementwise on an array of values.
     """
-    if value <= 0:
+    values = np.asarray(value, dtype=np.int64)
+    if (values <= 0).any():
         raise ValueError("starting decimation requires a positive value")
-    d_intensity = value.bit_length() - 1
-    budget = (value * dt_max) // dt_ref
-    d_latency = max(budget.bit_length() - 1, 0)
-    return min(d_intensity, d_latency)
-
-
-class PixelIntegrator:
-    """Integration state for a single pixel.
-
-    ``integrate(value)`` advances the pixel clock by one frame (dt_ref
-    ticks) of input at ``value`` units per frame, and returns any events
-    emitted by a run ending (None when the run continues).  Emitted entries
-    are (d, t) pairs with absolute timestamps.  A crossing appended to the
-    queue coalesces with its predecessor while the two share a decimation,
-    one level up at the later timestamp; the first entry is pinned, since
-    it carries the dt_max latency guarantee, and never merges.
-    """
-
-    __slots__ = (
-        "m_base", "m_max", "m_v", "dt_ref", "dt_max", "now", "opened",
-        "i0", "d", "units", "fired", "queue", "run_start",
-        "m_cur", "m_tgt", "stable", "override_until", "t_emit",
-    )
-
-    def __init__(self, params: ParamSet, dt_ref: int, dt_max: int):
-        self.m_base = params.m_base
-        self.m_max = params.m_max
-        self.m_v = params.m_v
-        self.dt_ref = dt_ref
-        self.dt_max = dt_max
-        self.now = 0
-        self.opened = False
-        self.i0 = 0
-        self.d = 0
-        self.units = 0
-        self.fired = 0
-        self.queue: list[tuple[int, int]] = []
-        self.run_start = 0
-        self.m_cur = params.m_base
-        self.m_tgt = params.m_max
-        self.stable = 0
-        self.override_until = -1
-        self.t_emit = 0
-
-    def _open(self, value: int, at: int) -> None:
-        self.opened = True
-        self.i0 = value
-        self.d = starting_decimation(value, self.dt_ref, self.dt_max) if value > 0 else 0
-        self.units = 0
-        self.fired = 0
-        self.queue = []
-        self.run_start = at
-        self.m_cur = self.m_base
-        self.m_tgt = self.m_base if at < self.override_until else self.m_max
-        self.stable = 0
-
-    def _marker(self, at: int) -> tuple[int, int]:
-        # Zero-span markers yield to whatever else fired at the same tick.
-        tick = max(at, self.t_emit + 1)
-        self.t_emit = tick
-        return (EMPTY, tick)
-
-    def _open_marker(self, at: int) -> tuple[int, int]:
-        # Markers opening a run date the tick after the violation so a
-        # snapshot taken exactly at the violation still shows the old run.
-        return self._marker(at + 1)
-
-    def _close_run(self, at: int) -> list[tuple[int, int]]:
-        # Sub-boundary remainder (units - fired * 2**d) is discarded here;
-        # it is always smaller than one event at the run's base decimation.
-        if self.i0 == 0:
-            return [self._marker(at)]
-        out = self.queue
-        self.queue = []
-        if out:
-            self.t_emit = out[-1][1]
-        return out
-
-    def integrate(self, value: int) -> list[tuple[int, int]] | None:
-        span = self.dt_ref
-        start = self.now
-        self.now = start + span
-        if self.override_until >= 0 and start >= self.override_until:
-            self.override_until = -1
-            self.m_tgt = self.m_max
-        emitted = None
-        if not self.opened:
-            self._open(value, start)
-        elif abs(value - self.i0) > self.m_cur:
-            emitted = self._close_run(start)
-            self._open(value, start)
-            if value == 0:
-                # A zero baseline has no boundary crossings, so a marker
-                # announces the dark run with the flush (otherwise the old
-                # value would be held for the whole dark spell); the closing
-                # marker later dates the far end of the span, restarting
-                # interval timing for whatever follows.
-                emitted.append(self._open_marker(start))
-            elif self.t_emit < start:
-                # The old run left ticks after its last firing (its
-                # sub-boundary remainder was discarded), and the next event
-                # must not stretch over them or it would express a diluted
-                # intensity.  A marker covers the gap so the new run's
-                # first event spans only its own frames.
-                emitted.append(self._open_marker(start))
-        else:
-            self.stable += 1
-            if self.stable >= self.m_v:
-                self.stable = 0
-                if self.m_cur < self.m_tgt:
-                    self.m_cur += 1
-        if value > 0 and self.i0 > 0:
-            u0 = self.units
-            self.units = u0 + value
-            d = self.d
-            total = self.units >> d
-            if total > self.fired:
-                queue = self.queue
-                prev_t = queue[-1][1] if queue else start
-                twice = 2 * value
-                for i in range(self.fired + 1, total + 1):
-                    needed = (i << d) - u0
-                    tick = start + (2 * span * needed + value) // twice
-                    if tick <= prev_t:
-                        tick = prev_t + 1
-                    queue.append((d, tick))
-                    while len(queue) >= 3 and queue[-1][0] == queue[-2][0]:
-                        merged = (queue[-1][0] + 1, queue[-1][1])
-                        queue[-2:] = [merged]
-                    prev_t = tick
-                self.fired = total
-        return emitted
-
-    def flush(self) -> list[tuple[int, int]]:
-        """End the current run at the pixel clock and emit its queue."""
-        if not self.opened:
-            return []
-        out = self._close_run(self.now)
-        self.opened = False
-        return out
-
-    def sensitize(self, duration: int) -> None:
-        """Pin the contrast threshold at m_base for ``duration`` ticks."""
-        self.m_cur = self.m_base
-        self.m_tgt = self.m_base
-        self.override_until = self.now + duration
+    d_intensity = _bit_length(values) - 1
+    d_latency = np.maximum(_bit_length(values * dt_max // dt_ref) - 1, 0)
+    d = np.minimum(d_intensity, d_latency)
+    return int(d) if d.ndim == 0 else d
 
 
 class Transcoder:
-    """Grayscale frame-sequence transcoder over a grid of pixel integrators.
+    """Grayscale frame-sequence transcoder with each pixel's state in flat,
+    row-major numpy arrays.
 
-    Pixels are visited in row-major order each frame, and a frame's emitted
-    events are reported in that order, so output is deterministic.  A
-    caller may call set_sensitivity between frames to steer later ones.
+    Per pixel: ``opened``, the run's opening value ``i0`` and decimation
+    ``d``, the integrated ``units`` and the crossings ``fired``, the
+    threshold ``m_cur`` growing towards ``m_tgt`` every ``m_v`` ``stable``
+    frames, the sensitivity override's end ``override_until`` (-1 when
+    none) and the tick of the last emitted event ``t_emit``.  The run's
+    queue is ``has_first``/``first_t``, the crossing ``count`` after the
+    first, the ``last_tick`` of the latest crossing and ``levels``, the
+    tick of each counter bit (grown in width as counts need more bits).
+
+    A frame is a few vector steps over all pixels, and Python work only
+    for the pixels whose runs end.  A frame's events come in row-major
+    pixel order; each pixel gives its closing events (the queue in order,
+    or a dark run's closing marker), then the marker opening its new run
+    if it needs one.  A caller may call set_sensitivity between frames to
+    steer later ones.
     """
 
     def __init__(self, header: StreamHeader, params: ParamSet | None = None):
@@ -204,38 +93,158 @@ class Transcoder:
         self.params = params if params is not None else crf_params(header.crf)
         self.width = header.width
         self.height = header.height
-        self.pixels = [
-            PixelIntegrator(self.params, header.dt_ref, header.dt_max)
-            for _ in range(self.width * self.height)
-        ]
+        self.now = 0
+        n = self.width * self.height
+        self.opened, self.has_first = np.zeros((2, n), bool)
+        (self.i0, self.d, self.units, self.fired, self.stable, self.t_emit,
+         self.first_t, self.count, self.last_tick) = np.zeros((9, n), np.int64)
+        self.m_cur = np.full(n, self.params.m_base, np.int64)
+        self.m_tgt = np.full(n, self.params.m_max, np.int64)
+        self.override_until = np.full(n, -1, np.int64)
+        self.levels = np.zeros((n, 8), np.int64)
 
     def integrate_frame(self, frame) -> list[Event]:
-        rows = frame.tolist() if hasattr(frame, "tolist") else frame
-        if len(rows) != self.height or len(rows[0]) != self.width:
+        """Advance every pixel by one frame (dt_ref ticks) of ``frame``,
+        a height x width grid of values in units per frame, and return the
+        events of the runs it ends."""
+        values = np.asarray(frame, dtype=np.int64)
+        if values.shape != (self.height, self.width):
             raise ValueError("frame shape does not match the stream header")
+        v = values.ravel()
+        p = self.params
+        start = self.now
+        self.now = start + self.header.dt_ref
+
+        expired = (self.override_until >= 0) & (start >= self.override_until)
+        self.override_until[expired] = -1
+        self.m_tgt[expired] = p.m_max
+
+        violated = self.opened & (np.abs(v - self.i0) > self.m_cur)
+        closing = np.flatnonzero(violated)
+        emitted = self._close_runs(closing, start, v[closing])
+
+        stays = self.opened & ~violated
+        self.stable[stays] += 1
+        grows = stays & (self.stable >= p.m_v)
+        self.stable[grows] = 0
+        self.m_cur[grows & (self.m_cur < self.m_tgt)] += 1
+
+        opening = np.flatnonzero(~stays)
+        if opening.size:
+            self._open(opening, v[opening], start)
+        self._integrate(v, start)
+        return emitted
+
+    def _open(self, idx, values, at: int) -> None:
+        p = self.params
+        self.opened[idx] = True
+        self.i0[idx] = values
+        lit = values > 0
+        d = np.zeros_like(values)
+        d[lit] = starting_decimation(values[lit], self.header.dt_ref,
+                                     self.header.dt_max)
+        self.d[idx] = d
+        self.units[idx] = 0
+        self.fired[idx] = 0
+        self.has_first[idx] = False
+        self.count[idx] = 0
+        self.m_cur[idx] = p.m_base
+        self.m_tgt[idx] = np.where(at < self.override_until[idx],
+                                   p.m_base, p.m_max)
+        self.stable[idx] = 0
+
+    def _integrate(self, v, start: int) -> None:
+        """Add a frame of units to every lit run and queue its crossings."""
+        self.units += np.where(self.i0 > 0, v, 0)
+        crossings = (self.units >> self.d) - self.fired
+        active = np.flatnonzero(crossings)
+        if not active.size:
+            return
+        span = self.header.dt_ref
+        n_new = crossings[active]
+        for k in range(int(n_new.max())):
+            idx = active[n_new > k]
+            value = v[idx]
+            u0 = self.units[idx] - value
+            needed = ((self.fired[idx] + 1 + k) << self.d[idx]) - u0
+            tick = start + (2 * span * needed + value) // (2 * value)
+            has_first = self.has_first[idx]
+            prev_t = np.where(has_first, self.last_tick[idx], start)
+            tick = np.maximum(tick, prev_t + 1)
+            self.last_tick[idx] = tick
+            first = idx[~has_first]
+            self.first_t[first] = tick[~has_first]
+            self.has_first[first] = True
+            # Binary increment: the new entry lands at the lowest clear bit
+            # of the count, having merged every entry below it.
+            rest = idx[has_first]
+            count = self.count[rest]
+            level = _bit_length((count + 1) & ~count) - 1
+            if level.size and level.max() >= self.levels.shape[1]:
+                self.levels = np.pad(self.levels,
+                                     ((0, 0), (0, self.levels.shape[1])))
+            self.levels[rest, level] = tick[has_first]
+            self.count[rest] = count + 1
+        self.fired += crossings
+
+    def _close_runs(self, idx, at: int, values=None) -> list[Event]:
+        """End the runs of pixels ``idx`` (ascending) at tick ``at``.
+
+        Each pixel's queue goes out in order, or a dark run's closing
+        marker; a lit run's sub-boundary remainder (``units - fired * 2**d``,
+        less than one event at its base decimation) is discarded.  With
+        ``values``, the pixels' new runs open at them, and a marker follows
+        when the new run is dark or the old one left ticks after its last
+        firing, which the new run's first event must not stretch over.
+        """
+        if not idx.size:
+            return []
+        i0 = self.i0[idx]
+        t_emit = self.t_emit[idx]
+        has_first = self.has_first[idx]
+        # Zero-span markers yield to whatever else fired at the same tick.
+        dark_t = np.maximum(at, t_emit + 1)
+        t_emit = np.where(i0 == 0, dark_t,
+                          np.where(has_first, self.last_tick[idx], t_emit))
+        if values is None:
+            marks = np.zeros(len(idx), bool)
+        else:
+            marks = (values == 0) | (t_emit < at)
+            # An opening marker dates the tick after the violation, so a
+            # snapshot taken exactly at the violation shows the old run.
+            t_emit = np.where(marks, np.maximum(at + 1, t_emit + 1), t_emit)
+        self.t_emit[idx] = t_emit
+        count = self.count[idx]
+        # The ticks of each pixel's set counter bits, highest bit first.
+        high_first = np.arange(self.levels.shape[1] - 1, -1, -1)
+        set_bits = (count[:, None] >> high_first) & 1 == 1
+        ticks = iter(self.levels[idx][:, ::-1][set_bits].tolist())
         emitted: list[Event] = []
         append = emitted.append
-        pixels = self.pixels
         width = self.width
-        for y in range(self.height):
-            row = rows[y]
-            base = y * width
-            for x in range(width):
-                out = pixels[base + x].integrate(row[x])
-                if out:
-                    for d, t in out:
-                        append(Event(x, y, d, t))
+        for px, dark, d, first, first_t, c, dark_tick, mark, mark_t in zip(
+                idx.tolist(), (i0 == 0).tolist(), self.d[idx].tolist(),
+                has_first.tolist(), self.first_t[idx].tolist(),
+                count.tolist(), dark_t.tolist(), marks.tolist(),
+                t_emit.tolist()):
+            y, x = divmod(px, width)
+            if dark:
+                append(Event(x, y, EMPTY, dark_tick))
+            elif first:
+                append(Event(x, y, d, first_t))
+                while c:
+                    level = c.bit_length() - 1
+                    append(Event(x, y, d + level, next(ticks)))
+                    c ^= 1 << level
+            if mark:
+                append(Event(x, y, EMPTY, mark_t))
         return emitted
 
     def flush_all(self) -> list[Event]:
-        emitted: list[Event] = []
-        append = emitted.append
-        width = self.width
-        for y in range(self.height):
-            base = y * width
-            for x in range(width):
-                for d, t in self.pixels[base + x].flush():
-                    append(Event(x, y, d, t))
+        """End every open run at the current clock and emit its queue."""
+        idx = np.flatnonzero(self.opened)
+        emitted = self._close_runs(idx, self.now)
+        self.opened[idx] = False
         return emitted
 
     def set_sensitivity(self, x: int, y: int, radius: int,
@@ -247,12 +256,12 @@ class Transcoder:
             return
         if duration is None:
             duration = 2 * self.header.dt_max
-        x0, x1 = max(0, x - radius), min(self.width - 1, x + radius)
-        y0, y1 = max(0, y - radius), min(self.height - 1, y + radius)
-        for yy in range(y0, y1 + 1):
-            base = yy * self.width
-            for xx in range(x0, x1 + 1):
-                self.pixels[base + xx].sensitize(duration)
+        box = (slice(max(0, y - radius), y + radius + 1),
+               slice(max(0, x - radius), x + radius + 1))
+        shape = (self.height, self.width)
+        self.m_cur.reshape(shape)[box] = self.params.m_base
+        self.m_tgt.reshape(shape)[box] = self.params.m_base
+        self.override_until.reshape(shape)[box] = self.now + duration
 
 
 def transcode(frames, header: StreamHeader,

@@ -1,16 +1,23 @@
 import csv
+import struct
+import time
 from pathlib import Path
 
 import pytest
 
 from evc import (
+    CODEC_COMPRESSED,
     ExperimentConfig,
+    StreamHeader,
+    build_adus,
     detect_frame,
+    encode_adu,
     read_compressed,
     read_stream,
     reconstruct_at_boundaries,
     run_pipeline,
     synth_clip,
+    write_header,
     write_y4m,
 )
 from evc.cli import main
@@ -61,6 +68,23 @@ def test_three_channel_stream_fails_cleanly(tmp_path, capsys, verb):
     out = tmp_path / "out"
     assert main([verb, str(stream), "--out", str(out)]) == 1
     assert "only mono streams are supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["play", "decompress", "detect"])
+def test_oversized_header_fails_fast(tmp_path, capsys, verb):
+    # a 65535x65535 header (bytes 6-9) in front of one empty ADU
+    hdr = StreamHeader(16, 16, dt_max=7650, source_codec=CODEC_COMPRESSED)
+    blob = bytearray(write_header(hdr))
+    blob[6:10] = struct.pack("<HH", 65535, 65535)
+    empty = encode_adu(build_adus([], hdr)[0], hdr)
+    stream = tmp_path / "huge.adderc"
+    stream.write_bytes(bytes(blob) + struct.pack("<I", len(empty)) + empty)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([verb, str(stream), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "pixel limit" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from evc.compress import (
     choose_shift,
     compress_events,
     decode_adu,
-    decompress_payloads,
     encode_adu,
     read_compressed,
     t_prediction,
@@ -34,6 +33,12 @@ from evc.compress import (
 def header(w=32, h=32, crf=0, dt_ref=255, dt_max=2550):
     return StreamHeader(w, h, dt_ref=dt_ref, dt_max=dt_max,
                         dt_s=dt_ref * 30, crf=crf)
+
+
+def decompress_payloads(payloads, hdr):
+    """All events of a stream's ADU payloads, decoded in order."""
+    return [ev for k, payload in enumerate(payloads)
+            for ev in decode_adu(payload, hdr, k)]
 
 
 def key_sorted(events):

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -15,34 +16,11 @@ from evc.events import (
     StreamHeader,
     crf_params,
     display_value,
-    event_intensity,
     parse_event,
     read_header,
     serialize_event,
     write_header,
 )
-
-
-def test_intensity_examples():
-    assert event_intensity(7, 255) == pytest.approx(128 / 255, abs=1e-9)
-    assert event_intensity(0, 1) == pytest.approx(1.0, abs=1e-9)
-    assert event_intensity(EMPTY, 1000) == 0.0
-
-
-def test_intensity_doubles_with_d():
-    rng = random.Random(11)
-    for _ in range(200):
-        d = rng.randrange(0, 126)
-        dt = rng.randrange(1, 100000)
-        assert event_intensity(d + 1, dt) == pytest.approx(2 * event_intensity(d, dt), rel=1e-12)
-        assert event_intensity(d, 2 * dt) == pytest.approx(event_intensity(d, dt) / 2, rel=1e-12)
-
-
-def test_intensity_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        event_intensity(5, 0)
-    with pytest.raises(ValueError):
-        event_intensity(5, -3)
 
 
 @settings(max_examples=500, deadline=None)
@@ -144,6 +122,19 @@ def test_three_channel_header_is_rejected():
             read_header(bytes(blob))
     with pytest.raises(StreamFormatError, match="mono"):
         write_header(StreamHeader(4, 4, channels=3))
+
+
+def test_header_rejects_oversized_frames():
+    assert read_header(write_header(StreamHeader(4096, 4096))).width == 4096
+    assert read_header(write_header(StreamHeader(3840, 2160))).height == 2160
+    blob = bytearray(write_header(StreamHeader(4096, 4096)))
+    # bytes 6-7 and 8-9 are the width and the height
+    for width, height in ((4097, 4096), (65535, 65535), (65535, 257)):
+        blob[6:10] = struct.pack("<HH", width, height)
+        with pytest.raises(StreamFormatError, match="pixel limit"):
+            read_header(bytes(blob))
+    with pytest.raises(StreamFormatError, match="pixel limit"):
+        write_header(StreamHeader(8192, 4096))
 
 
 def test_header_invariants():

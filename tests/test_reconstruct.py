@@ -9,7 +9,6 @@ from evc import (
     PSNR_CAP,
     Reconstructor,
     StreamHeader,
-    event_intensity,
     mse,
     psnr,
     reconstruct_at_boundaries,

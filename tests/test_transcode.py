@@ -2,18 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evc import (
     EMPTY,
-    Event,
     ParamSet,
-    PixelIntegrator,
     StreamHeader,
     Transcoder,
     crf_params,
     starting_decimation,
     transcode,
 )
+from transcode_oracle import OracleGrid, PixelIntegrator
 
 LOSSLESS = ParamSet(0, 0, 1, 0)
 
@@ -200,10 +201,10 @@ def test_set_sensitivity_changes_next_comparison():
     coder.integrate_frame([[100]])
     for _ in range(4):
         coder.integrate_frame([[100]])
-    assert coder.pixels[0].m_cur == 4
+    assert coder.m_cur[0] == 4
     assert coder.integrate_frame([[103]]) == []  # absorbed by grown threshold
     coder.set_sensitivity(0, 0, 0)
-    assert coder.pixels[0].m_cur == 0
+    assert coder.m_cur[0] == 0
     out = coder.integrate_frame([[103]])  # same deviation now violates
     assert len(out) >= 1
 
@@ -215,17 +216,19 @@ def test_set_sensitivity_respects_radius_and_bounds():
     coder.integrate_frame(frame)
     for _ in range(8):
         coder.integrate_frame(frame)
-    grown = coder.pixels[0].m_cur
+    grown = coder.m_cur[0]
     assert grown > coder.params.m_base
     coder.set_sensitivity(2, 2, 1, duration=10 * 255)
     for y in range(5):
         for x in range(5):
-            px = coder.pixels[y * 5 + x]
+            i = y * 5 + x
             if max(abs(x - 2), abs(y - 2)) <= 1:
-                assert px.m_cur == coder.params.m_base
-                assert px.m_tgt == coder.params.m_base
+                assert coder.m_cur[i] == coder.params.m_base
+                assert coder.m_tgt[i] == coder.params.m_base
+                assert coder.override_until[i] == coder.now + 10 * 255
             else:
-                assert px.m_cur == grown
+                assert coder.m_cur[i] == grown
+                assert coder.override_until[i] == -1
     coder.set_sensitivity(99, 99, 3)  # out of bounds: no-op with a warning
 
 
@@ -286,3 +289,93 @@ def test_single_pixel_transcoder_matches_integrator():
         want.extend(px.flush())
         assert got == want
 
+
+def test_starting_decimation_works_elementwise():
+    values = np.array([1, 2, 3, 127, 128, 255])
+    want = [starting_decimation(int(v), 255, 7650) for v in values]
+    assert starting_decimation(values, 255, 7650).tolist() == want
+    with pytest.raises(ValueError):
+        starting_decimation(np.array([4, 0]), 255, 7650)
+
+
+def test_frame_of_the_wrong_shape_raises_value_error():
+    coder = Transcoder(header(3, 3))
+    with pytest.raises(ValueError):
+        coder.integrate_frame([1, 2, 3])
+    with pytest.raises(ValueError):
+        coder.integrate_frame(np.zeros((3, 4), np.uint8))
+    with pytest.raises(ValueError):
+        coder.integrate_frame([[1, 2, 3], [4, 5], [6, 7, 8]])
+
+
+def run_both(hdr, params, steps):
+    """Drive the array transcoder and the oracle grid through ``steps``
+    (frames, sensitivity calls and flushes) and return both event logs."""
+    coder = Transcoder(hdr, params)
+    oracle = OracleGrid(hdr, params if params is not None else crf_params(hdr.crf))
+    got, want = [], []
+    for step in steps:
+        if step[0] == "frame":
+            got.append(coder.integrate_frame(step[1]))
+            want.append(oracle.integrate_frame(step[1]))
+        elif step[0] == "sense":
+            coder.set_sensitivity(*step[1:])
+            oracle.set_sensitivity(*step[1:])
+        else:
+            got.append(coder.flush_all())
+            want.append(oracle.flush_all())
+    got.append(coder.flush_all())
+    want.append(oracle.flush_all())
+    return got, want
+
+
+@st.composite
+def transcoder_runs(draw):
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    dt_ref = draw(st.sampled_from([1, 7, 255, 256]))
+    # a dt_max of one frame is the tightest latency bound a header allows
+    dt_max = dt_ref * draw(st.sampled_from([1, 1, 2, 5, 30]))
+    crf = draw(st.integers(0, 9))
+    hdr = header(width, height, dt_ref=dt_ref, dt_max=dt_max, crf=crf)
+    params = None
+    if draw(st.booleans()):
+        m_base = draw(st.integers(0, 12))
+        params = ParamSet(m_base, m_base + draw(st.integers(0, 20)),
+                          draw(st.integers(1, 5)), draw(st.integers(0, 3)))
+    value = st.sampled_from([0, 1, 255]) | st.integers(0, 255)
+    grid = st.lists(st.lists(value, min_size=width, max_size=width),
+                    min_size=height, max_size=height)
+    flat = value.map(lambda v: [[v] * width for _ in range(height)])
+    sense = st.tuples(st.just("sense"), st.integers(-1, width),
+                      st.integers(-1, height), st.integers(0, 2),
+                      st.none() | st.integers(0, 6 * dt_ref))
+    frame = st.tuples(st.just("frame"), grid | flat)
+    repeat = st.tuples(frame, st.integers(1, 12)).map(lambda fr: [fr[0]] * fr[1])
+    step = (frame.map(lambda f: [f]) | repeat
+            | sense.map(lambda s: [s]) | st.just([("flush",)]))
+    steps = [s for chunk in draw(st.lists(step, max_size=16)) for s in chunk]
+    return hdr, params, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(transcoder_runs())
+def test_array_transcoder_matches_oracle_grid(run):
+    got, want = run_both(*run)
+    assert got == want
+
+
+def test_long_constant_run_grows_the_level_table():
+    hdr = header(2, 2)
+    # 255 crosses its 2**7 boundary about twice a frame and first needs a
+    # wider table near frame 129, when 192's count already has bit 7 set
+    frame = [[1, 3], [192, 255]]
+    coder = Transcoder(hdr)
+    start_width = coder.levels.shape[1]
+    for _ in range(1100):
+        coder.integrate_frame(frame)
+    assert coder.count.max() >= 1 << 10
+    assert coder.levels.shape[1] > start_width
+    steps = [("frame", frame)] * 140 + [("flush",)] + [("frame", frame)] * 1100
+    got, want = run_both(hdr, None, steps)
+    assert got == want
+    assert len(got[-1]) > 4
