@@ -21,6 +21,7 @@ from .events import (
     DEFAULT_DT_REF,
     HEADER_SIZE,
     StreamFormatError,
+    event_rows,
     read_header,
     read_stream,
     write_stream,
@@ -66,8 +67,7 @@ def _read_any_stream(path: str):
 
 def _frame_count(events, header) -> int:
     """Frames a stream plays as: its whole frame intervals, at least one."""
-    last_t = max((e.t for e in events), default=0)
-    return max(1, last_t // header.dt_ref)
+    return max(1, int(events["t"].max(initial=0)) // header.dt_ref)
 
 
 def cmd_transcode(args) -> int:
@@ -107,7 +107,7 @@ def cmd_decompress(args) -> int:
 
 def cmd_play(args) -> int:
     header, events = _read_any_stream(args.input)
-    if not events:
+    if not len(events):
         raise StreamFormatError("stream holds no events")
     n_frames = _frame_count(events, header)
     frames = reconstruct_at_boundaries(events, header, n_frames)
@@ -131,8 +131,8 @@ def cmd_detect(args) -> int:
         writer = csv.writer(fp)
         writer.writerow(("frame", "x", "y"))
         for k, batch in enumerate(islice(batches, n_frames)):
-            for event in batch:
-                detector.on_event(event)
+            for event in event_rows(batch):
+                detector.on_event(*event)
             for x, y in sorted(detector.features):
                 writer.writerow((k, x, y))
     pixels = header.width * header.height

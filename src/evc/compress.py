@@ -24,6 +24,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .cabac import (
     AdaptiveModel,
     RangeDecoder,
@@ -36,10 +38,12 @@ from .events import (
     CODEC_COMPRESSED,
     D_MAX,
     EMPTY,
+    EVENT,
     HEADER_SIZE,
-    Event,
     StreamFormatError,
     crf_params,
+    event_array,
+    event_rows,
     read_header,
     write_header,
 )
@@ -93,8 +97,8 @@ class CoderContexts:
 
 @dataclass(slots=True)
 class EventCube:
-    """16x16 spatial region: per-pixel ordered event queues, keyed by the
-    pixel's (row, column) within the cube."""
+    """16x16 spatial region: per-pixel ordered queues of ``(d, t)`` pairs,
+    keyed by the pixel's (row, column) within the cube."""
 
     origin: tuple
     queues: dict = field(default_factory=dict)
@@ -128,33 +132,33 @@ def _window_index(t, span):
 
 
 def build_adus(events, header, dt_adu=None):
-    """Partition an event stream into ADUs on the dt_adu tick grid."""
+    """Partition an ``EVENT`` array into ADUs on the dt_adu tick grid."""
     span = int(dt_adu) if dt_adu else header.dt_max
     if span <= 0:
         raise ValueError("dt_adu must be positive")
     cols, _ = _cube_grid(header)
 
-    ordered = sorted(events, key=lambda e: e.t)
-    count = _window_index(ordered[-1].t, span) + 1 if ordered else 1
+    ordered = events[np.argsort(events["t"], kind="stable")]
+    count = _window_index(int(events["t"].max(initial=0)), span) + 1
     adus = [Adu(k * span, span) for k in range(count)]
 
     trail = {}
-    for ev in ordered:
-        if not (0 <= ev.x < header.width and 0 <= ev.y < header.height):
-            raise ValueError(f"event out of bounds at ({ev.x}, {ev.y})")
-        cubes = adus[_window_index(ev.t, span)].cubes
-        cy, ly = divmod(ev.y, CUBE)
-        cx, lx = divmod(ev.x, CUBE)
+    for x, y, d, t in event_rows(ordered):
+        if x >= header.width or y >= header.height:
+            raise ValueError(f"event out of bounds at ({x}, {y})")
+        cubes = adus[_window_index(t, span)].cubes
+        cy, ly = divmod(y, CUBE)
+        cx, lx = divmod(x, CUBE)
         cube = cubes.get(cy * cols + cx)
         if cube is None:
             cube = cubes[cy * cols + cx] = EventCube((cx * CUBE, cy * CUBE))
         key = (ly, lx)
-        cube.queues.setdefault(key, []).append(ev)
-        pixel = (ev.x, ev.y)
-        prev = trail.get(pixel)
-        if prev is not None and prev[0] is not cube:
-            prev[0].following[prev[1]] = (ev.d, ev.t)
-        trail[pixel] = (cube, key)
+        cube.queues.setdefault(key, []).append((d, t))
+        # a pixel's key is the same in every ADU, so trail keeps its cube
+        prev = trail.get((x, y))
+        if prev is not None and prev is not cube:
+            prev.following[key] = (d, t)
+        trail[(x, y)] = cube
     return adus
 
 
@@ -277,39 +281,36 @@ def encode_adu(adu, header):
             if not queue:
                 enc.uint(ctx.d, SKIP_U)
                 continue
-            first = queue[0]
-            enc.uint(ctx.d, zigzag(first.d - d_prev) + D_OFFSET)
-            enc.uint(ctx.t, zigzag(first.t - t_prev))
-            d_prev, t_prev = first.d, first.t
+            first_d, first_t = queue[0]
+            enc.uint(ctx.d, zigzag(first_d - d_prev) + D_OFFSET)
+            enc.uint(ctx.t, zigzag(first_t - t_prev))
+            d_prev, t_prev = first_d, first_t
             occupied.append((cube, key, queue))
 
     for cube, key, queue in occupied:
-        first = queue[0]
-        prev_d, prev_t = first.d, first.t
-        prev_t_true = first.t
+        prev_d, prev_t = queue[0]
+        prev_t_true = prev_t
         prev_dt = dt_ref
         last = len(queue) - 1
         for i in range(1, len(queue)):
-            ev = queue[i]
-            d_r = ev.d - prev_d
+            d, t = queue[i]
+            d_r = d - prev_d
             enc.uint(ctx.d, zigzag(d_r) + D_OFFSET)
-            shift_by = 0 if (ev.d == EMPTY or prev_d == EMPTY) else d_r
+            shift_by = 0 if (d == EMPTY or prev_d == EMPTY) else d_r
             p_b = t_prediction(prev_t, prev_dt, shift_by)
-            if i != last:
-                nxt = (queue[i + 1].d, queue[i + 1].t)
-            else:
-                nxt = cube.following.get(key)
-            s, res = choose_shift(ev.t, p_b, ev.d, prev_t, m_max, dt_ref,
-                                  dt_true=ev.t - prev_t_true, following=nxt)
+            nxt = queue[i + 1] if i != last else cube.following.get(key)
+            s, res = choose_shift(t, p_b, d, prev_t, m_max, dt_ref,
+                                  dt_true=t - prev_t_true, following=nxt)
             t_recon = p_b + (res << s)
-            if not prev_t < t_recon <= ev.t:
+            if not prev_t < t_recon <= t:
+                x, y = cube.origin[0] + key[1], cube.origin[1] + key[0]
                 raise ValueError(
-                    f"event ({ev.x}, {ev.y}) at t={ev.t} reconstructs at "
-                    f"t={t_recon}, outside ({prev_t}, {ev.t}]")
+                    f"event ({x}, {y}) at t={t} reconstructs at "
+                    f"t={t_recon}, outside ({prev_t}, {t}]")
             enc.uint(ctx.s, s)
             enc.uint(ctx.t, zigzag(res))
             prev_dt = t_recon - prev_t
-            prev_d, prev_t, prev_t_true = ev.d, t_recon, ev.t
+            prev_d, prev_t, prev_t_true = d, t_recon, t
         enc.uint(ctx.d, SKIP_U)
 
     enc.uint(ctx.d, EOS_U)
@@ -317,7 +318,8 @@ def encode_adu(adu, header):
 
 
 def decode_adu(payload, header, adu_index=0):
-    """Decode one ADU payload back to events (cube scan order)."""
+    """Decode one ADU payload back to an ``EVENT`` array, pixel by pixel in
+    cube scan order."""
     if len(payload) < _ADU_PREFIX.size:
         raise DecodeError("payload shorter than the unit prefix", adu_index)
     start_t, _span = _ADU_PREFIX.unpack_from(payload)
@@ -356,11 +358,14 @@ def decode_adu(payload, header, adu_index=0):
                             f"timestamp {t} outside the tick range",
                             adu_index)
                     d_prev, t_prev = d, t
-                    x, y = x0 + lx, y0 + ly
-                    pixels.append((x, y, [Event(x, y, d, t)]))
+                    pixels.append((x0 + lx, y0 + ly, d, t))
 
-        for x, y, queue in pixels:
-            prev_d, prev_t = queue[0].d, queue[0].t
+        # Columns of the output: each pixel's first event, then its queue.
+        xs, ys, ds, ts = [], [], [], []
+        for x, y, prev_d, prev_t in pixels:
+            start = len(ts)
+            ds.append(prev_d)
+            ts.append(prev_t)
             prev_dt = dt_ref
             while True:
                 u = dec.uint(ctx.d)
@@ -383,9 +388,12 @@ def decode_adu(payload, header, adu_index=0):
                 if not prev_t < t < _T_LIMIT:
                     raise DecodeError(
                         f"timestamp {t} breaks pixel monotonicity", adu_index)
-                queue.append(Event(x, y, d, t))
+                ds.append(d)
+                ts.append(t)
                 prev_dt = t - prev_t
                 prev_d, prev_t = d, t
+            xs += [x] * (len(ts) - start)
+            ys += [y] * (len(ts) - start)
 
         if dec.uint(ctx.d) != EOS_U:
             raise DecodeError("missing end of sequence", adu_index)
@@ -397,10 +405,7 @@ def decode_adu(payload, header, adu_index=0):
             raise
         raise DecodeError(str(exc), adu_index) from exc
 
-    out = []
-    for _x, _y, queue in pixels:
-        out.extend(queue)
-    return out
+    return event_array(xs, ys, ds, ts)
 
 
 def compress_events(events, header, dt_adu=None):
@@ -424,11 +429,11 @@ def write_compressed(fp, header, events, dt_adu=None):
 
 
 def read_compressed(fp):
-    """Read a compressed stream; returns (header, events)."""
+    """Read a compressed stream; returns (header, ``EVENT`` array)."""
     header = read_header(fp.read(HEADER_SIZE))
     if header.source_codec != CODEC_COMPRESSED:
         raise StreamFormatError("not a compressed stream")
-    events = []
+    chunks = [np.empty(0, EVENT)]
     index = 0
     while True:
         raw = fp.read(4)
@@ -440,6 +445,6 @@ def read_compressed(fp):
         payload = fp.read(length)
         if len(payload) < length:
             raise StreamFormatError(f"truncated block {index}")
-        events.extend(decode_adu(payload, header, index))
+        chunks.append(decode_adu(payload, header, index))
         index += 1
-    return header, events
+    return header, np.concatenate(chunks)

@@ -7,12 +7,18 @@ the interval since the pixel's previous event, so the expressed rate is
 ``2**d / dt``.  A reserved decimation value marks spans in which no
 intensity arrived at all.  Streams are mono: one grayscale intensity per
 pixel.
+
+A stream of events is a numpy array of ``EVENT``, whose 9-byte records
+are exactly the records of a raw stream file.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
 
 # Decimation sentinel for a zero-intensity span.  Real decimations are 0..127.
 EMPTY = 255
@@ -39,12 +45,30 @@ class StreamFormatError(ValueError):
     """Raised for malformed headers, truncated records, or undecodable data."""
 
 
-@dataclass(slots=True)
-class Event:
-    x: int
-    y: int
-    d: int
-    t: int
+# One event, in memory as on disk: 9 little-endian bytes, unpadded.
+EVENT = np.dtype([("x", "<u2"), ("y", "<u2"), ("d", "u1"), ("t", "<u4")])
+
+
+def event_array(x, y, d, t) -> np.ndarray:
+    """An ``EVENT`` array from integer columns, refusing with ValueError
+    any value that would wrap in its field and any invalid decimation."""
+    x, y, d, t = (np.asarray(c, np.int64) for c in (x, y, d, t))
+    if ((x < 0) | (x > 0xFFFF) | (y < 0) | (y > 0xFFFF)).any():
+        raise ValueError("coordinates exceed 16-bit range")
+    if (((d < 0) | (d > D_MAX)) & (d != EMPTY)).any():
+        raise ValueError("decimation out of range")
+    if ((t < 0) | (t > 0xFFFFFFFF)).any():
+        raise ValueError("timestamp exceeds 32-bit range")
+    out = np.empty(len(t), EVENT)
+    out["x"], out["y"], out["d"], out["t"] = x, y, d, t
+    return out
+
+
+def event_rows(events):
+    """``(x, y, d, t)`` tuples of Python ints, whose arithmetic cannot
+    wrap the way that of fixed-width numpy scalars does."""
+    return zip(events["x"].tolist(), events["y"].tolist(),
+               events["d"].tolist(), events["t"].tolist())
 
 
 def display_value(d: int, dt: int, dt_ref: int) -> int:
@@ -99,7 +123,6 @@ def crf_params(crf: int) -> ParamSet:
 
 
 _HEADER = struct.Struct("<4sHHHBBBIII")
-_EVENT = struct.Struct("<HHBI")
 
 HEADER_SIZE = _HEADER.size
 
@@ -136,7 +159,7 @@ class StreamHeader:
 
     @property
     def event_size(self) -> int:
-        return _EVENT.size
+        return EVENT.itemsize
 
 
 def write_header(header: StreamHeader) -> bytes:
@@ -168,43 +191,18 @@ def read_header(data: bytes) -> StreamHeader:
     return header
 
 
-def serialize_event(event: Event) -> bytes:
-    if not 0 <= event.x <= 0xFFFF or not 0 <= event.y <= 0xFFFF:
-        raise ValueError(f"coordinates exceed 16-bit range: ({event.x}, {event.y})")
-    if not (0 <= event.d <= D_MAX or event.d == EMPTY):
-        raise ValueError(f"decimation out of range: {event.d}")
-    if not 0 <= event.t <= 0xFFFFFFFF:
-        raise ValueError(f"timestamp exceeds 32-bit range: {event.t}")
-    return _EVENT.pack(event.x, event.y, event.d, event.t)
-
-
-def parse_event(data: bytes, offset: int = 0) -> Event:
-    try:
-        return Event(*_EVENT.unpack_from(data, offset))
-    except struct.error as exc:
-        raise StreamFormatError("incomplete event record") from exc
-
-
-def write_stream(path: str, header: StreamHeader, events: list[Event]) -> int:
-    """Write a raw event stream; returns the byte count written."""
-    blob = bytearray(write_header(header))
-    for event in events:
-        blob += serialize_event(event)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+def write_stream(path: str, header: StreamHeader, events) -> int:
+    """Write a raw stream of ``EVENT``s; returns the byte count written."""
+    blob = write_header(header) + np.asarray(events, EVENT).tobytes()
+    Path(path).write_bytes(blob)
     return len(blob)
 
 
-def read_stream(path: str) -> tuple[StreamHeader, list[Event]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def read_stream(path: str) -> tuple[StreamHeader, np.ndarray]:
+    """Read a raw event stream; the events are a read-only ``EVENT`` view
+    of the file's bytes."""
+    data = Path(path).read_bytes()
     header = read_header(data)
-    size = header.event_size
-    body = len(data) - HEADER_SIZE
-    if body % size:
+    if (len(data) - HEADER_SIZE) % header.event_size:
         raise StreamFormatError("incomplete event record at end of stream")
-    events = [
-        parse_event(data, HEADER_SIZE + i * size)
-        for i in range(body // size)
-    ]
-    return header, events
+    return header, np.frombuffer(data, EVENT, offset=HEADER_SIZE)

@@ -19,7 +19,7 @@ event generation.
 
 from __future__ import annotations
 
-from .events import Event, StreamHeader
+from .events import StreamHeader
 from .reconstruct import Reconstructor
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
@@ -111,8 +111,8 @@ class Detector:
         self.features: set[tuple[int, int]] = set()
         self.test_count = 0
 
-    def on_event(self, event: Event) -> tuple[list[tuple[int, int]],
-                                              list[tuple[int, int]]]:
+    def on_event(self, x: int, y: int, d: int, t: int
+                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Apply one event and retest affected pixels.
 
         Returns the feature delta as (added, removed) coordinate lists.  In
@@ -121,8 +121,7 @@ class Detector:
         is what makes the incremental set track the full-frame scan even
         when the changed pixel itself sits too close to the border to test.
         """
-        self.recon.apply_event(event)
-        x, y = event.x, event.y
+        self.recon.apply_event(x, y, d, t)
         x_hi, y_hi = self.width - 3, self.height - 3
         candidates: list[tuple[int, int]] = []
         if 3 <= x < x_hi and 3 <= y < y_hi:

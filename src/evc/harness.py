@@ -36,6 +36,7 @@ from .events import (
     StreamFormatError,
     StreamHeader,
     crf_params,
+    event_rows,
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, Detector
@@ -342,29 +343,28 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     if config.feature_adaptation:
         detector = _detector(config, header)
     n_frames = len(frames)
-    events = []
-    frame_events = [0] * n_frames
+    chunks = []
     tests, features = [0] * n_frames, [0] * n_frames
     seen = 0
     for k, frame in enumerate(frames):
         emitted = transcoder.integrate_frame(frame)
-        events.extend(emitted)
-        frame_events[k] = len(emitted)
+        chunks.append(emitted)
         if detector is not None:
-            for event in emitted:
-                added, _ = detector.on_event(event)
+            for event in event_rows(emitted):
+                added, _ = detector.on_event(*event)
                 for x, y in added:
                     transcoder.set_sensitivity(x, y, params.feature_radius)
             tests[k] = detector.test_count - seen
             seen = detector.test_count
             features[k] = len(detector.features)
     tail = transcoder.flush_all()
-    events.extend(tail)
+    events = np.concatenate(chunks + [tail])
+    frame_events = [len(c) for c in chunks]
     frame_events[-1] += len(tail)
     if detector is None:
         return events, frame_events, None
-    for event in tail:
-        detector.on_event(event)
+    for event in event_rows(tail):
+        detector.on_event(*event)
     tests[-1] += detector.test_count - seen
     features[-1] = len(detector.features)
     return events, frame_events, (tests, features)
@@ -380,8 +380,8 @@ def _replay_detector(config: ExperimentConfig, header: StreamHeader,
     seen = 0
     for k, batch in enumerate(replay_batches(events, header.dt_ref,
                                              n_frames)):
-        for event in batch:
-            detector.on_event(event)
+        for event in event_rows(batch):
+            detector.on_event(*event)
         row = min(k, n_frames - 1)
         tests[row] += detector.test_count - seen
         seen = detector.test_count

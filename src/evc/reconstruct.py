@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 
-from .events import EMPTY, D_MAX, Event, StreamHeader, display_value
+from .events import EMPTY, D_MAX, StreamHeader, display_value, event_rows
 
 PSNR_CAP = 60.0
-
-_tick = attrgetter("t")
 
 
 class Reconstructor:
@@ -34,24 +30,22 @@ class Reconstructor:
         self.image = [[0] * self.width for _ in range(self.height)]
         self.last_t = [[0] * self.width for _ in range(self.height)]
 
-    def apply_event(self, event: Event) -> int:
+    def apply_event(self, x: int, y: int, d: int, t: int) -> int:
         """Apply one event; returns the new displayed value of its pixel."""
-        x, y = event.x, event.y
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise ValueError(f"event outside image bounds: ({x}, {y})")
         last_t = self.last_t[y]
-        dt = event.t - last_t[x]
+        dt = t - last_t[x]
         if dt <= 0:
             raise ValueError(
                 f"out-of-order event for pixel ({x}, {y}): "
-                f"t={event.t} after t={last_t[x]}"
+                f"t={t} after t={last_t[x]}"
             )
-        d = event.d
         if not (0 <= d <= D_MAX or d == EMPTY):
             raise ValueError(f"decimation out of range: {d}")
         value = display_value(d, dt, self.dt_ref)
         self.image[y][x] = value
-        last_t[x] = event.t
+        last_t[x] = t
         return value
 
     def frame_at(self) -> np.ndarray:
@@ -74,9 +68,9 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(PSNR_CAP, 10.0 * math.log10(255.0 * 255.0 / err))
 
 
-def replay_batches(events: list[Event], dt_ref: int,
-                   n_frames: int) -> Iterator[list[Event]]:
-    """Events in timestamp order, cut at the frame boundaries.
+def replay_batches(events: np.ndarray, dt_ref: int,
+                   n_frames: int) -> Iterator[np.ndarray]:
+    """An ``EVENT`` array in timestamp order, cut at the frame boundaries.
 
     Yields ``n_frames`` batches, batch k holding the events with
     ``k * dt_ref < t <= (k + 1) * dt_ref`` (batch 0 also those at or before
@@ -84,23 +78,20 @@ def replay_batches(events: list[Event], dt_ref: int,
     The sort is stable, and a pixel's own events are already mutually
     ordered, so the order within a stream does not matter.
     """
-    ordered = sorted(events, key=_tick)
-    start = 0
-    for k in range(1, n_frames + 1):
-        stop = bisect_right(ordered, k * dt_ref, start, key=_tick)
-        yield ordered[start:stop]
-        start = stop
-    yield ordered[start:]
+    ordered = events[np.argsort(events["t"], kind="stable")]
+    bounds = np.arange(1, n_frames + 1, dtype=np.int64) * dt_ref
+    yield from np.split(ordered, np.searchsorted(ordered["t"], bounds,
+                                                 side="right"))
 
 
-def reconstruct_at_boundaries(events: list[Event], header: StreamHeader,
+def reconstruct_at_boundaries(events: np.ndarray, header: StreamHeader,
                               n_frames: int) -> list[np.ndarray]:
     """Reconstructed image at the end of each of ``n_frames`` frame spans."""
     recon = Reconstructor(header)
     out: list[np.ndarray] = []
     for batch in islice(replay_batches(events, header.dt_ref, n_frames),
                         n_frames):
-        for event in batch:
-            recon.apply_event(event)
+        for event in event_rows(batch):
+            recon.apply_event(*event)
         out.append(recon.frame_at())
     return out

@@ -38,7 +38,8 @@ import logging
 
 import numpy as np
 
-from .events import EMPTY, Event, ParamSet, StreamHeader, crf_params
+from .events import (EMPTY, EVENT, ParamSet, StreamHeader, crf_params,
+                     event_array)
 
 log = logging.getLogger(__name__)
 
@@ -49,20 +50,17 @@ def _bit_length(values):
     return np.frexp(values)[1].astype(np.int64)
 
 
-def starting_decimation(value, dt_ref: int, dt_max: int):
-    """Base decimation for a run opened at ``value`` units per dt_ref ticks.
-
-    Takes floor(log2(value)), additionally capped so that the first event
-    (2**d units at the opening rate) completes within dt_max ticks.  The cap
-    only binds in degenerate configurations since dt_max >= dt_ref.  Works
-    on an int or elementwise on an array of values.
+def starting_decimation(value):
+    """Base decimation for a run opened at ``value`` units per dt_ref ticks:
+    floor(log2(value)), so the first event (2**d units at the opening
+    rate) completes within one dt_ref, and with it within dt_max, which a
+    header never sets below dt_ref.  Works on an int or elementwise on an
+    array of values.
     """
     values = np.asarray(value, dtype=np.int64)
     if (values <= 0).any():
         raise ValueError("starting decimation requires a positive value")
-    d_intensity = _bit_length(values) - 1
-    d_latency = np.maximum(_bit_length(values * dt_max // dt_ref) - 1, 0)
-    d = np.minimum(d_intensity, d_latency)
+    d = _bit_length(values) - 1
     return int(d) if d.ndim == 0 else d
 
 
@@ -79,9 +77,8 @@ class Transcoder:
     first, the ``last_tick`` of the latest crossing and ``levels``, the
     tick of each counter bit (grown in width as counts need more bits).
 
-    A frame is a few vector steps over all pixels, and Python work only
-    for the pixels whose runs end.  A frame's events come in row-major
-    pixel order; each pixel gives its closing events (the queue in order,
+    A frame, the events of the runs it ends included, is a few vector
+    steps over all pixels.  A frame's events come in row-major pixel order; each pixel gives its closing events (the queue in order,
     or a dark run's closing marker), then the marker opening its new run
     if it needs one.  A caller may call set_sensitivity between frames to
     steer later ones.
@@ -103,10 +100,10 @@ class Transcoder:
         self.override_until = np.full(n, -1, np.int64)
         self.levels = np.zeros((n, 8), np.int64)
 
-    def integrate_frame(self, frame) -> list[Event]:
+    def integrate_frame(self, frame) -> np.ndarray:
         """Advance every pixel by one frame (dt_ref ticks) of ``frame``,
         a height x width grid of values in units per frame, and return the
-        events of the runs it ends."""
+        events of the runs it ends as an ``EVENT`` array."""
         values = np.asarray(frame, dtype=np.int64)
         if values.shape != (self.height, self.width):
             raise ValueError("frame shape does not match the stream header")
@@ -139,11 +136,8 @@ class Transcoder:
         p = self.params
         self.opened[idx] = True
         self.i0[idx] = values
-        lit = values > 0
-        d = np.zeros_like(values)
-        d[lit] = starting_decimation(values[lit], self.header.dt_ref,
-                                     self.header.dt_max)
-        self.d[idx] = d
+        # dark runs keep d = 0
+        self.d[idx] = starting_decimation(np.maximum(values, 1))
         self.units[idx] = 0
         self.fired[idx] = 0
         self.has_first[idx] = False
@@ -187,7 +181,7 @@ class Transcoder:
             self.count[rest] = count + 1
         self.fired += crossings
 
-    def _close_runs(self, idx, at: int, values=None) -> list[Event]:
+    def _close_runs(self, idx, at: int, values=None) -> np.ndarray:
         """End the runs of pixels ``idx`` (ascending) at tick ``at``.
 
         Each pixel's queue goes out in order, or a dark run's closing
@@ -198,13 +192,13 @@ class Transcoder:
         firing, which the new run's first event must not stretch over.
         """
         if not idx.size:
-            return []
-        i0 = self.i0[idx]
+            return np.empty(0, EVENT)
         t_emit = self.t_emit[idx]
         has_first = self.has_first[idx]
+        dark = self.i0[idx] == 0
         # Zero-span markers yield to whatever else fired at the same tick.
         dark_t = np.maximum(at, t_emit + 1)
-        t_emit = np.where(i0 == 0, dark_t,
+        t_emit = np.where(dark, dark_t,
                           np.where(has_first, self.last_tick[idx], t_emit))
         if values is None:
             marks = np.zeros(len(idx), bool)
@@ -214,33 +208,22 @@ class Transcoder:
             # snapshot taken exactly at the violation shows the old run.
             t_emit = np.where(marks, np.maximum(at + 1, t_emit + 1), t_emit)
         self.t_emit[idx] = t_emit
-        count = self.count[idx]
-        # The ticks of each pixel's set counter bits, highest bit first.
+        # One row of slots per pixel, in emission order: the closing head
+        # (the queue's first entry, or a dark run's marker), the counter
+        # bits from high to low, then the opening marker.
         high_first = np.arange(self.levels.shape[1] - 1, -1, -1)
-        set_bits = (count[:, None] >> high_first) & 1 == 1
-        ticks = iter(self.levels[idx][:, ::-1][set_bits].tolist())
-        emitted: list[Event] = []
-        append = emitted.append
-        width = self.width
-        for px, dark, d, first, first_t, c, dark_tick, mark, mark_t in zip(
-                idx.tolist(), (i0 == 0).tolist(), self.d[idx].tolist(),
-                has_first.tolist(), self.first_t[idx].tolist(),
-                count.tolist(), dark_t.tolist(), marks.tolist(),
-                t_emit.tolist()):
-            y, x = divmod(px, width)
-            if dark:
-                append(Event(x, y, EMPTY, dark_tick))
-            elif first:
-                append(Event(x, y, d, first_t))
-                while c:
-                    level = c.bit_length() - 1
-                    append(Event(x, y, d + level, next(ticks)))
-                    c ^= 1 << level
-            if mark:
-                append(Event(x, y, EMPTY, mark_t))
-        return emitted
+        d = self.d[idx]
+        slots_d = np.column_stack((np.where(dark, EMPTY, d),
+                                   d[:, None] + high_first,
+                                   np.full(len(idx), EMPTY)))
+        slots_t = np.column_stack((np.where(dark, dark_t, self.first_t[idx]),
+                                   self.levels[idx][:, ::-1], t_emit))
+        bits = (self.count[idx][:, None] >> high_first) & 1 == 1
+        present = np.column_stack((dark | has_first, bits, marks))
+        y, x = np.divmod(idx[np.nonzero(present)[0]], self.width)
+        return event_array(x, y, slots_d[present], slots_t[present])
 
-    def flush_all(self) -> list[Event]:
+    def flush_all(self) -> np.ndarray:
         """End every open run at the current clock and emit its queue."""
         idx = np.flatnonzero(self.opened)
         emitted = self._close_runs(idx, self.now)
@@ -265,11 +248,9 @@ class Transcoder:
 
 
 def transcode(frames, header: StreamHeader,
-              params: ParamSet | None = None) -> list[Event]:
+              params: ParamSet | None = None) -> np.ndarray:
     """Transcode a frame sequence and flush, returning all emitted events."""
     coder = Transcoder(header, params)
-    events: list[Event] = []
-    for frame in frames:
-        events.extend(coder.integrate_frame(frame))
-    events.extend(coder.flush_all())
-    return events
+    chunks = [coder.integrate_frame(frame) for frame in frames]
+    chunks.append(coder.flush_all())
+    return np.concatenate(chunks)

@@ -52,19 +52,20 @@ def pipeline(tmp_path, crf, frames, dt_adu=None, name="run"):
 
 
 def by_pixel(events):
+    """Each pixel's (d, t) pairs in timestamp order."""
     seqs = {}
-    for ev in sorted(events, key=lambda e: e.t):
-        seqs.setdefault((ev.x, ev.y), []).append(ev)
+    for x, y, d, t in sorted(events.tolist(), key=lambda e: e[3]):
+        seqs.setdefault((x, y), []).append((d, t))
     return seqs
 
 
 def displayed(seq, dt_ref):
     out, prev = [], 0
-    for ev in seq:
-        dt = ev.t - prev
-        prev = ev.t
-        out.append(0 if ev.d == EMPTY else
-                   min(255, ((2 << ev.d) * dt_ref + dt) // (2 * dt)))
+    for d, t in seq:
+        dt = t - prev
+        prev = t
+        out.append(0 if d == EMPTY else
+                   min(255, ((2 << d) * dt_ref + dt) // (2 * dt)))
     return out
 
 
@@ -84,8 +85,7 @@ def test_crf0_is_bit_lossless(tmp_path):
         _, raw = read_stream(result.paths["raw"])
         with open(result.paths["compressed"], "rb") as fp:
             _, decoded = read_compressed(fp)
-        key = lambda e: (e.y, e.x, e.t)  # noqa: E731
-        assert sorted(decoded, key=key) == sorted(raw, key=key)
+        assert by_pixel(decoded) == by_pixel(raw)
         assert (Path(result.paths["recon_comp"]).read_bytes()
                 == Path(result.paths["recon_raw"]).read_bytes())
 
@@ -100,10 +100,10 @@ def test_lossy_coding_keeps_every_displayed_value(tmp_path):
         assert truth.keys() == got.keys()
         moved = 0
         for pixel, seq in truth.items():
-            assert [e.d for e in got[pixel]] == [e.d for e in seq]
+            assert [d for d, _ in got[pixel]] == [d for d, _ in seq]
             assert (displayed(got[pixel], header.dt_ref)
                     == displayed(seq, header.dt_ref))
-            moved += sum(a.t != b.t for a, b in zip(seq, got[pixel]))
+            moved += sum(a[1] != b[1] for a, b in zip(seq, got[pixel]))
         # the gate means something only if the coder moved timestamps
         assert moved > 0
 
@@ -118,10 +118,12 @@ def test_adus_decode_on_their_own(tmp_path):
         assert len(blocks) >= 4
         alone = {k: decode_adu(blocks[k], header, k)
                  for k in reversed(range(len(blocks)))}
-        assert [e for k in range(len(blocks)) for e in alone[k]] == decoded
+        assert np.array_equal(
+            np.concatenate([alone[k] for k in range(len(blocks))]), decoded)
         for k, events in alone.items():
             lo, hi = k * 10 * DT_REF, (k + 1) * 10 * DT_REF
-            assert all(lo < e.t <= hi or e.t == 0 == k for e in events)
+            assert all(lo < t <= hi or t == 0 == k
+                       for t in events["t"].tolist())
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -178,10 +180,10 @@ def test_event_spans_stay_within_dt_max():
         frames = [np.full((2, 2), 100, np.uint8)] * 400
         for seq in by_pixel(transcode(frames, header)).values():
             prev = 0
-            for ev in seq:
-                if ev.d != EMPTY:
-                    assert ev.t - prev <= header.dt_max
-                prev = ev.t
+            for d, t in seq:
+                if d != EMPTY:
+                    assert t - prev <= header.dt_max
+                prev = t
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a player joining "
@@ -194,10 +196,9 @@ def test_mid_stream_join_recovers_within_its_window():
         payloads = compress_events(transcode(frames, header), header)
         assert len(payloads) == 3
         decoded = [decode_adu(p, header, k) for k, p in enumerate(payloads)]
-        full = reconstruct_at_boundaries(
-            [e for adu in decoded for e in adu], header, 90)
-        joined = reconstruct_at_boundaries(
-            [e for adu in decoded[1:] for e in adu], header, 90)
+        full = reconstruct_at_boundaries(np.concatenate(decoded), header, 90)
+        joined = reconstruct_at_boundaries(np.concatenate(decoded[1:]),
+                                           header, 90)
         last = 59  # the final boundary of window 1
         ref = frames[last].astype(np.float64)
         assert psnr(ref, joined[last]) >= psnr(ref, full[last]) - 1.0

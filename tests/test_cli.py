@@ -3,10 +3,12 @@ import struct
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evc import (
     CODEC_COMPRESSED,
+    EVENT,
     ExperimentConfig,
     StreamHeader,
     build_adus,
@@ -18,6 +20,7 @@ from evc import (
     run_pipeline,
     synth_clip,
     write_header,
+    write_stream,
     write_y4m,
 )
 from evc.cli import main
@@ -77,7 +80,7 @@ def test_oversized_header_fails_fast(tmp_path, capsys, verb):
     hdr = StreamHeader(16, 16, dt_max=7650, source_codec=CODEC_COMPRESSED)
     blob = bytearray(write_header(hdr))
     blob[6:10] = struct.pack("<HH", 65535, 65535)
-    empty = encode_adu(build_adus([], hdr)[0], hdr)
+    empty = encode_adu(build_adus(np.empty(0, EVENT), hdr)[0], hdr)
     stream = tmp_path / "huge.adderc"
     stream.write_bytes(bytes(blob) + struct.pack("<I", len(empty)) + empty)
     out = tmp_path / "out"
@@ -123,9 +126,31 @@ def test_exact_detect_rows_match_a_full_frame_scan(tmp_path, kind):
     else:
         with open(result.paths[kind], "rb") as fp:
             header, events = read_compressed(fp)
-    n_frames = max(e.t for e in events) // header.dt_ref
+    n_frames = int(events["t"].max()) // header.dt_ref
     frames = reconstruct_at_boundaries(events, header, n_frames)
     assert set(found) <= set(range(n_frames))
     for k, image in enumerate(frames):
         assert found.get(k, set()) == detect_frame(image, DEFAULT_THRESHOLD)
     assert any(found.values())
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 2, 5, 600)],
+    [(1, 2, 5, 300), (0, 0, 7, 255), (1, 2, 6, 900), (3, 3, 255, 1000)],
+], ids=["one", "many"])
+def test_play_and_detect_take_streams_of_one_or_many_events(tmp_path, rows):
+    stream = tmp_path / "s.adder"
+    write_stream(str(stream), StreamHeader(4, 4), np.array(rows, EVENT))
+    frames = max(t for *_, t in rows) // 255
+    play = tmp_path / "s.gray"
+    assert main(["play", str(stream), "--out", str(play)]) == 0
+    assert play.stat().st_size == frames * 16
+    assert main(["detect", str(stream), "--out",
+                 str(tmp_path / "f.csv")]) == 0
+
+
+def test_play_refuses_a_stream_of_no_events(tmp_path, capsys):
+    stream = tmp_path / "s.adder"
+    write_stream(str(stream), StreamHeader(4, 4), np.empty(0, EVENT))
+    assert main(["play", str(stream), "--out", str(tmp_path / "s.gray")]) == 1
+    assert "stream holds no events" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import io
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from evc import (
     CODEC_COMPRESSED,
     EMPTY,
-    Event,
+    EVENT,
     StreamFormatError,
     StreamHeader,
     crf_params,
     display_value,
 )
 from evc import compress
+from evc.events import HEADER_SIZE
 from evc.compress import (
     Adu,
     DecodeError,
@@ -35,14 +37,19 @@ def header(w=32, h=32, crf=0, dt_ref=255, dt_max=2550):
                         dt_s=dt_ref * 30, crf=crf)
 
 
+def events_of(rows):
+    return np.array(rows, EVENT)
+
+
 def decompress_payloads(payloads, hdr):
     """All events of a stream's ADU payloads, decoded in order."""
-    return [ev for k, payload in enumerate(payloads)
-            for ev in decode_adu(payload, hdr, k)]
+    return np.concatenate([decode_adu(payload, hdr, k)
+                           for k, payload in enumerate(payloads)])
 
 
 def key_sorted(events):
-    return sorted(events, key=lambda e: (e.y, e.x, e.t))
+    """(x, y, d, t) rows sorted by pixel, then t."""
+    return sorted(events.tolist(), key=lambda e: (e[1], e[0], e[3]))
 
 
 def random_stream(rng, w, h, max_t, mean_events=4):
@@ -55,9 +62,9 @@ def random_stream(rng, w, h, max_t, mean_events=4):
             ts = sorted(rng.sample(range(1, max_t), n))
             for t in ts:
                 d = EMPTY if rng.random() < 0.08 else rng.randrange(0, 12)
-                events.append(Event(x, y, d, t))
+                events.append((x, y, d, t))
     rng.shuffle(events)
-    return events
+    return events_of(events)
 
 
 def test_prediction_examples():
@@ -139,7 +146,7 @@ def test_dt_window_admits_exactly_what_the_oracle_accepts(d, dt_true, m_max,
 
 def test_adu_windows_are_left_open():
     hdr = header(16, 16)
-    events = [Event(0, 0, 3, 2550), Event(0, 0, 3, 2551)]
+    events = events_of([(0, 0, 3, 2550), (0, 0, 3, 2551)])
     adus = build_adus(events, hdr, dt_adu=2550)
     assert len(adus) == 2
     assert [len(a.cubes[0].queues[(0, 0)]) for a in adus] == [1, 1]
@@ -148,32 +155,36 @@ def test_adu_windows_are_left_open():
 
 def test_adu_count_matches_grid():
     hdr = header(16, 16, dt_max=7650)
-    events = [Event(0, 0, 3, t) for t in range(255, 122401, 255)]
+    events = events_of([(0, 0, 3, t) for t in range(255, 122401, 255)])
     adus = build_adus(events, hdr)
     assert len(adus) == 16  # 480 frames of 255 ticks, 30 frames per unit
 
 
 def test_build_adus_keeps_only_occupied_cubes():
     hdr = header(4096, 4096)
-    assert build_adus([], hdr)[0].cubes == {}
-    events = [Event(40, 20, 3, 10), Event(40, 20, 3, 2600)]
+    assert build_adus(events_of([]), hdr)[0].cubes == {}
+    events = events_of([(40, 20, 3, 10), (40, 20, 3, 2600)])
     first, second = build_adus(events, hdr)
     assert list(first.cubes) == list(second.cubes) == [256 + 2]
     assert first.cubes[258].origin == (32, 16)
+    assert first.cubes[258].queues == {(4, 8): [(3, 10)]}
     assert first.cubes[258].following == {(4, 8): (3, 2600)}
 
 
 def test_build_adus_rejects_out_of_bounds():
-    with pytest.raises(ValueError):
-        build_adus([Event(40, 0, 3, 10)], header(32, 32))
+    with pytest.raises(ValueError, match=r"\(40, 0\)"):
+        build_adus(events_of([(4, 0, 3, 5), (40, 0, 3, 10)]), header(32, 32))
+    with pytest.raises(ValueError, match=r"\(0, 32\)"):
+        build_adus(events_of([(0, 32, 3, 10)]), header(32, 32))
 
 
 def test_empty_adu_roundtrip_is_tiny():
     hdr = header(64, 64)
-    payloads = compress_events([], hdr)
+    payloads = compress_events(events_of([]), hdr)
     assert len(payloads) == 1
     assert len(payloads[0]) <= 48
-    assert decode_adu(payloads[0], hdr) == []
+    decoded = decode_adu(payloads[0], hdr)
+    assert decoded.dtype == EVENT and len(decoded) == 0
 
 
 def test_lossless_roundtrip_random_streams():
@@ -186,7 +197,7 @@ def test_lossless_roundtrip_random_streams():
 
 def test_constant_rate_pixel_is_exact_even_lossy():
     hdr = header(16, 16, crf=9)
-    events = [Event(3, 2, 6, 255 * k) for k in range(1, 30)]
+    events = events_of([(3, 2, 6, 255 * k) for k in range(1, 30)])
     decoded = decompress_payloads(compress_events(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
@@ -201,31 +212,31 @@ def test_lossy_roundtrip_preserves_counts_and_bound():
 
     span = hdr.dt_max
     truth = {}
-    for ev in sorted(events, key=lambda e: e.t):
-        truth.setdefault((ev.x, ev.y), []).append(ev)
+    for x, y, d, t in sorted(events.tolist(), key=lambda e: e[3]):
+        truth.setdefault((x, y), []).append((d, t))
     got = {}
-    for ev in decoded:
-        got.setdefault((ev.x, ev.y), []).append(ev)
+    for x, y, d, t in decoded.tolist():
+        got.setdefault((x, y), []).append((d, t))
 
     checked = 0
     for pixel, true_seq in truth.items():
-        rec_seq = sorted(got[pixel], key=lambda e: e.t)
-        assert [e.d for e in rec_seq] == [e.d for e in true_seq]
+        rec_seq = sorted(got[pixel], key=lambda e: e[1])
+        assert [d for d, _ in rec_seq] == [d for d, _ in true_seq]
         prev_true = prev_rec = None
         window = None
-        for te, re in zip(true_seq, rec_seq):
-            k = (te.t - 1) // span if te.t > 0 else 0
+        for (d, t_true), (_, t_rec) in zip(true_seq, rec_seq):
+            k = (t_true - 1) // span if t_true > 0 else 0
             is_first = k != window
             window = k
             if is_first:
-                assert re.t == te.t  # intra events are lossless
-            elif te.d != EMPTY:
-                true_i = (1 << te.d) * hdr.dt_ref / (te.t - prev_true)
-                rec_i = (1 << re.d) * hdr.dt_ref / (re.t - prev_rec)
+                assert t_rec == t_true  # intra events are lossless
+            elif d != EMPTY:
+                true_i = (1 << d) * hdr.dt_ref / (t_true - prev_true)
+                rec_i = (1 << d) * hdr.dt_ref / (t_rec - prev_rec)
                 assert abs(rec_i - true_i) < m_max
                 checked += 1
-            assert re.t <= te.t
-            prev_true, prev_rec = te.t, re.t
+            assert t_rec <= t_true
+            prev_true, prev_rec = t_true, t_rec
     assert checked > 200
 
 
@@ -237,7 +248,7 @@ def test_adus_decode_independently():
     assert len(payloads) >= 3
     full = [decode_adu(p, hdr, k) for k, p in enumerate(payloads)]
     alone = decode_adu(payloads[1], hdr, 1)
-    assert alone == full[1]
+    assert np.array_equal(alone, full[1])
 
 
 def test_encoding_is_reproducible():
@@ -250,8 +261,7 @@ def test_encoding_is_reproducible():
 
 def test_partial_edge_cubes_roundtrip():
     hdr = header(20, 20, crf=0)
-    events = [Event(19, 19, 4, 100), Event(19, 19, 4, 300),
-              Event(0, 17, 2, 50)]
+    events = events_of([(19, 19, 4, 100), (19, 19, 4, 300), (0, 17, 2, 50)])
     decoded = decompress_payloads(compress_events(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
@@ -279,6 +289,10 @@ def test_file_roundtrip_and_truncation():
     assert (rhdr.width, rhdr.height, rhdr.crf) == (32, 24, 0)
     assert key_sorted(decoded) == key_sorted(events)
 
+    # a stream of no ADUs holds no events
+    _, none = read_compressed(io.BytesIO(buf.getvalue()[:HEADER_SIZE]))
+    assert none.dtype == EVENT and len(none) == 0
+
     clipped = io.BytesIO(buf.getvalue()[:-3])
     with pytest.raises(StreamFormatError):
         read_compressed(clipped)
@@ -286,10 +300,10 @@ def test_file_roundtrip_and_truncation():
 
 def test_single_event_pixel_needs_only_intra():
     hdr = header(16, 16, crf=5)
-    events = [Event(1, 1, 7, 500)]
+    events = events_of([(1, 1, 7, 500)])
     payloads = compress_events(events, hdr)
     decoded = decompress_payloads(payloads, hdr)
-    assert decoded == events
+    assert decoded.tolist() == [(1, 1, 7, 500)]
 
 
 def test_bad_shift_raises_instead_of_asserting(monkeypatch):

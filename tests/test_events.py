@@ -1,8 +1,8 @@
 import math
-import random
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,16 +11,19 @@ from evc import events as ev
 from evc.events import (
     CRF_PARAMS,
     EMPTY,
-    Event,
+    EVENT,
     StreamFormatError,
     StreamHeader,
     crf_params,
     display_value,
-    parse_event,
+    event_array,
+    event_rows,
     read_header,
-    serialize_event,
     write_header,
 )
+
+# The documented 9-byte record, kept independent of EVENT.
+RECORD = struct.Struct("<HHBI")
 
 
 @settings(max_examples=500, deadline=None)
@@ -53,34 +56,64 @@ def test_crf_table_shape_and_anchors():
         crf_params(-1)
 
 
-def test_serialize_known_bytes():
-    blob = serialize_event(Event(1, 2, 5, 100))
-    assert blob == bytes([0x01, 0x00, 0x02, 0x00, 0x05, 0x64, 0x00, 0x00, 0x00])
-    assert len(blob) == 9
+def test_serialize_known_bytes(tmp_path):
+    events = event_array([1], [2], [5], [100])
+    blob = bytes([0x01, 0x00, 0x02, 0x00, 0x05, 0x64, 0x00, 0x00, 0x00])
+    assert EVENT.itemsize == 9
+    assert events.tobytes() == blob
+    path = str(tmp_path / "s.adder")
+    ev.write_stream(path, StreamHeader(4, 4), events)
+    with open(path, "rb") as fh:
+        assert fh.read()[ev.HEADER_SIZE:] == blob
 
 
-def test_serialize_roundtrip_random():
-    rng = random.Random(3)
-    for _ in range(1000):
-        e = Event(rng.randrange(65536), rng.randrange(65536),
-                  rng.choice(list(range(128)) + [EMPTY]), rng.randrange(1 << 32))
-        back = parse_event(serialize_event(e))
-        assert back == e
+_records = st.lists(st.tuples(
+    st.integers(0, 0xFFFF) | st.sampled_from((0, 0xFFFF)),
+    st.integers(0, 0xFFFF) | st.sampled_from((0, 0xFFFF)),
+    st.integers(0, 127) | st.sampled_from((0, 127, EMPTY)),
+    st.integers(0, 0xFFFFFFFF) | st.sampled_from((0, 0xFFFFFFFF))),
+    max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_records)
+def test_serialize_roundtrip_random(tmp_path_factory, records):
+    events = event_array(*(list(zip(*records)) or [[]] * 4))
+    path = str(tmp_path_factory.mktemp("rt") / "s.adder")
+    hdr = StreamHeader(8, 8)
+    n = ev.write_stream(path, hdr, events)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert blob == write_header(hdr) + b"".join(
+        RECORD.pack(*r) for r in records)
+    assert n == len(blob)
+    hdr2, back = ev.read_stream(path)
+    assert hdr2 == hdr and back.dtype == EVENT
+    assert list(event_rows(back)) == records
+    assert not back.flags.writeable
 
 
 def test_serialize_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        serialize_event(Event(70000, 0, 5, 1))
-    with pytest.raises(ValueError):
-        serialize_event(Event(0, 0, 200, 1))
-    with pytest.raises(ValueError):
-        serialize_event(Event(0, 0, 5, 1 << 32))
+    ok = ([1, 3], [2, 4], [5, EMPTY], [100, 0xFFFFFFFF])
+    assert event_array(*ok).tolist() == [(1, 2, 5, 100),
+                                         (3, 4, EMPTY, 0xFFFFFFFF)]
+    for field, bad, message in (
+            (0, 70000, "16-bit"), (1, 70000, "16-bit"), (0, -1, "16-bit"),
+            (2, 200, "decimation"), (2, 128, "decimation"),
+            (2, -1, "decimation"), (3, 1 << 32, "32-bit"), (3, -1, "32-bit")):
+        columns = [list(c) for c in ok]
+        columns[field][1] = bad
+        with pytest.raises(ValueError, match=message):
+            event_array(*columns)
 
 
-def test_parse_truncated():
-    blob = serialize_event(Event(1, 2, 5, 100))
-    with pytest.raises(StreamFormatError):
-        parse_event(blob[:-1])
+def test_parse_truncated(tmp_path):
+    path = tmp_path / "s.adder"
+    blob = write_header(StreamHeader(4, 4)) + RECORD.pack(1, 2, 5, 100)
+    for cut in range(1, 9):
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(StreamFormatError):
+            ev.read_stream(str(path))
 
 
 def test_header_roundtrip():
@@ -148,18 +181,19 @@ def test_header_invariants():
 
 def test_stream_file_roundtrip(tmp_path):
     hdr = StreamHeader(8, 8, dt_ref=255, dt_max=510, dt_s=7650)
-    evs = [Event(0, 0, 3, 10), Event(7, 7, EMPTY, 300)]
+    evs = event_array([0, 7], [0, 7], [3, EMPTY], [10, 300])
     path = str(tmp_path / "s.adder")
     n = ev.write_stream(path, hdr, evs)
     assert n == ev.HEADER_SIZE + 9 * len(evs)
     hdr2, evs2 = ev.read_stream(path)
-    assert hdr2 == hdr and evs2 == evs
+    assert hdr2 == hdr and np.array_equal(evs2, evs)
+    assert evs2.tolist() == [(0, 0, 3, 10), (7, 7, EMPTY, 300)]
 
 
 def test_stream_file_truncated(tmp_path):
     hdr = StreamHeader(8, 8)
     path = str(tmp_path / "s.adder")
-    ev.write_stream(path, hdr, [Event(0, 0, 3, 10)])
+    ev.write_stream(path, hdr, event_array([0], [0], [3], [10]))
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:

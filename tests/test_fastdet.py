@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from evc import EMPTY, Event, StreamHeader
+from evc import EMPTY, StreamHeader
 from evc.fastdet import RING, Detector, detect_frame, is_feature
 
 
@@ -106,7 +106,7 @@ def random_stream(w, h, n, rng):
         t = clocks.get((x, y), 0) + rng.randint(1, 300)
         clocks[(x, y)] = t
         d = EMPTY if rng.random() < 0.15 else rng.randrange(11)
-        events.append(Event(x, y, d, t))
+        events.append((x, y, d, t))
     return events
 
 
@@ -115,7 +115,7 @@ def test_exact_mode_tracks_full_frame_detection():
         rng = random.Random(900 + seed)
         det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
         for i, ev in enumerate(random_stream(24, 20, 2000, rng), start=1):
-            det.on_event(ev)
+            det.on_event(*ev)
             if i % 500 == 0:
                 assert det.features == detect_frame(det.recon.image, 10), (
                     f"seed {seed}, prefix {i}")
@@ -125,9 +125,9 @@ def test_single_pixel_mode_tests_once_per_interior_event():
     rng = random.Random(31)
     det = Detector(header(24, 20), threshold=10)
     interior = 0
-    for ev in random_stream(24, 20, 1500, rng):
-        det.on_event(ev)
-        if 3 <= ev.x < 21 and 3 <= ev.y < 17:
+    for x, y, d, t in random_stream(24, 20, 1500, rng):
+        det.on_event(x, y, d, t)
+        if 3 <= x < 21 and 3 <= y < 17:
             interior += 1
     assert det.test_count == interior
 
@@ -137,13 +137,13 @@ def test_exact_mode_work_is_bounded_per_event():
     det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
     n = 1500
     for ev in random_stream(24, 20, n, rng):
-        det.on_event(ev)
+        det.on_event(*ev)
     assert det.test_count <= 17 * n
 
 
 def test_border_event_in_single_pixel_mode_is_free():
     det = Detector(header(16, 16), threshold=10)
-    added, removed = det.on_event(Event(0, 0, 7, 100))
+    added, removed = det.on_event(0, 0, 7, 100)
     assert (added, removed) == ([], [])
     assert det.test_count == 0
 
@@ -155,12 +155,12 @@ def test_on_event_reports_feature_insertion_and_removal():
     # bright circle around a dark center
     for dx, dy in RING:
         t += 1
-        det.on_event(Event(8 + dx, 8 + dy, 10, t))  # displays as 255
+        det.on_event(8 + dx, 8 + dy, 10, t)  # displays as 255
     # neighbor retesting picked the dark center up while the ring built
     assert (8, 8) in det.features
     # brightening the center to match the ring dissolves the corner
-    added, removed = det.on_event(Event(8, 8, 10, t + 1))
+    added, removed = det.on_event(8, 8, 10, t + 1)
     assert added == [] and removed == [(8, 8)]
     # going dark again re-inserts it
-    added, removed = det.on_event(Event(8, 8, EMPTY, t + 2))
+    added, removed = det.on_event(8, 8, EMPTY, t + 2)
     assert added == [(8, 8)] and removed == []

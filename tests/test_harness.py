@@ -141,7 +141,7 @@ def test_moving_box_events_follow_the_box(tmp_path):
     box = np.zeros((32, 48), bool)
     for frame in frames:
         box |= frame > 0
-    hits = sum(1 for e in events if box[e.y, e.x])
+    hits = np.count_nonzero(box[events["y"], events["x"]])
     assert hits / len(events) > 0.5
 
 
@@ -226,8 +226,10 @@ def feature_loop_log(monkeypatch, mode):
     log = []
 
     class RecordingDetector(harness.Detector):
-        def on_event(self, event):
-            added, removed = super().on_event(event)
+        def on_event(self, *event):
+            # Python ints, never fixed-width numpy scalars that can wrap
+            assert [type(v) for v in event] == [int] * 4
+            added, removed = super().on_event(*event)
             log.append(("event", event, list(added), list(removed)))
             return added, removed
 
@@ -255,7 +257,8 @@ def test_feature_loop_boosts_each_fresh_corner_once(monkeypatch, mode):
     radius = crf_params(config.crf).feature_radius
     # every emitted event reaches the detector once, in emission order,
     # the final flush's included
-    assert [entry[1] for entry in log if entry[0] == "event"] == events
+    assert [entry[1] for entry in log if entry[0] == "event"] == \
+        events.tolist()
     # each corner an event freshly adds gets exactly one boost right after
     # that event; nothing else boosts, and the flush's corners boost nothing
     expected = []
@@ -284,10 +287,10 @@ def test_persisting_corners_and_unrelated_events_boost_nothing(monkeypatch):
     for entry, after in zip(log, log[1:] + [None]):
         if entry[0] != "event":
             continue
-        _, event, added, removed = entry
+        _, (x, y, _, _), added, removed = entry
         if not added:
-            retested = {(event.x + dx, event.y + dy) for dx, dy in RING}
-            retested.add((event.x, event.y))
+            retested = {(x + dx, y + dy) for dx, dy in RING}
+            retested.add((x, y))
             if (corners & retested) - set(removed):
                 persisting += 1
             else:
@@ -295,6 +298,17 @@ def test_persisting_corners_and_unrelated_events_boost_nothing(monkeypatch):
             assert after is None or after[0] != "boost"
         corners = (corners | set(added)) - set(removed)
     assert persisting > 0 and unrelated > 0
+
+
+def test_ticks_past_32_bits_fail_the_run(tmp_path):
+    # frame 3 ends at tick 3 * 2**31, past the 32-bit timestamp field
+    config = ExperimentConfig(crf=0, dt_ref=1 << 31, dt_max=1 << 31,
+                              fps=1, out_dir=str(tmp_path))
+    frames = [np.full((4, 4), 200, np.uint8)] * 3
+    with pytest.raises(PipelineError,
+                       match="timestamp exceeds 32-bit range") as err:
+        run_pipeline(config, frames=frames)
+    assert err.value.stage == "transcode"
 
 
 def test_report_values(tmp_path):

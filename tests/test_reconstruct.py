@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evc import (
     EMPTY,
-    Event,
+    EVENT,
     PSNR_CAP,
     Reconstructor,
     StreamHeader,
@@ -14,6 +14,7 @@ from evc import (
     reconstruct_at_boundaries,
     transcode,
 )
+from evc.events import event_rows
 from evc.reconstruct import replay_batches
 
 
@@ -23,8 +24,8 @@ def header(w=4, h=4, dt_ref=255):
 
 def test_absolute_timestamps_recover_intervals():
     recon = Reconstructor(header(1, 1))
-    seq = [Event(0, 0, 5, 100), Event(0, 0, 5, 220), Event(0, 0, 5, 330)]
-    values = [recon.apply_event(e) for e in seq]
+    seq = [(0, 0, 5, 100), (0, 0, 5, 220), (0, 0, 5, 330)]
+    values = [recon.apply_event(*e) for e in seq]
     # intervals 100, 120, 110 scaled by dt_ref
     assert values == [
         int(32 * 255 / 100 + 0.5),
@@ -34,12 +35,12 @@ def test_absolute_timestamps_recover_intervals():
 
 
 def test_timestamp_corruption_stays_local():
-    clean = [Event(0, 0, 5, 100), Event(0, 0, 5, 220), Event(0, 0, 5, 330)]
-    corrupt = [Event(0, 0, 5, 70)] + clean[1:]
+    clean = [(0, 0, 5, 100), (0, 0, 5, 220), (0, 0, 5, 330)]
+    corrupt = [(0, 0, 5, 70)] + clean[1:]
     a = Reconstructor(header(1, 1))
     b = Reconstructor(header(1, 1))
-    va = [a.apply_event(e) for e in clean]
-    vb = [b.apply_event(e) for e in corrupt]
+    va = [a.apply_event(*e) for e in clean]
+    vb = [b.apply_event(*e) for e in corrupt]
     assert vb[0] > va[0]      # shortened first interval reads brighter
     assert vb[1] < va[1]      # stretched second interval reads darker
     assert vb[2] == va[2]     # third interval is untouched
@@ -47,26 +48,41 @@ def test_timestamp_corruption_stays_local():
 
 def test_out_of_order_rejected():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(Event(0, 0, 5, 100))
+    recon.apply_event(0, 0, 5, 100)
     with pytest.raises(ValueError):
-        recon.apply_event(Event(0, 0, 5, 100))
+        recon.apply_event(0, 0, 5, 100)
     with pytest.raises(ValueError):
-        recon.apply_event(Event(0, 0, 5, 40))
+        recon.apply_event(0, 0, 5, 40)
+
+
+def test_out_of_order_rejected_from_an_array():
+    # The uint32 field would wrap 40 - 100 to a huge positive interval;
+    # the rows come out as Python ints, so the check still fires.
+    events = np.array([(0, 0, 5, 100), (0, 0, 5, 40)], EVENT)
+    recon = Reconstructor(header(1, 1))
+    rows = event_rows(events)
+    recon.apply_event(*next(rows))
+    with pytest.raises(ValueError, match="out-of-order"):
+        recon.apply_event(*next(rows))
+    # Replay sorts by t, so only a repeated tick can reach the check.
+    repeated = np.array([(0, 0, 5, 100), (0, 0, 6, 100)], EVENT)
+    with pytest.raises(ValueError, match="out-of-order"):
+        reconstruct_at_boundaries(repeated, header(1, 1), 1)
 
 
 def test_empty_event_darkens_pixel():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(Event(0, 0, 6, 255))
+    recon.apply_event(0, 0, 6, 255)
     assert recon.frame_at()[0, 0] > 0
-    recon.apply_event(Event(0, 0, EMPTY, 900))
+    recon.apply_event(0, 0, EMPTY, 900)
     assert recon.frame_at()[0, 0] == 0
 
 
 def test_pixels_hold_last_value():
     recon = Reconstructor(header(2, 1))
-    recon.apply_event(Event(0, 0, 6, 255))
+    recon.apply_event(0, 0, 6, 255)
     first = recon.frame_at().copy()
-    recon.apply_event(Event(1, 0, 3, 500))
+    recon.apply_event(1, 0, 3, 500)
     assert recon.frame_at()[0, 0] == first[0, 0]
 
 
@@ -126,8 +142,8 @@ def test_step_between_unaligned_values_tracks_within_rounding():
     f2 = np.full((2, 2), 192, dtype=np.uint8)
     frames = [f1] * 5 + [f2] * 5
     events = transcode(frames, hdr)
-    gaps = [e for e in events if e.d == EMPTY]
-    assert len(gaps) == 4 and all(e.t == 5 * 255 + 1 for e in gaps)
+    gaps = events[events["d"] == EMPTY]
+    assert len(gaps) == 4 and np.all(gaps["t"] == 5 * 255 + 1)
     snaps = reconstruct_at_boundaries(events, hdr, 10)
     for k in range(5):
         assert np.array_equal(snaps[k], f1)
@@ -151,10 +167,12 @@ def test_static_reconstruction_within_one_unit_for_all_values():
 def test_replay_batches_match_a_per_boundary_filter(dt_ref, n_frames, ticks):
     # ticks come unsorted, land on boundaries k * dt_ref often and run past
     # the last boundary; x tells events with equal t apart
-    events = [Event(i, 0, 5, t) for i, t in enumerate(ticks)]
-    ordered = sorted(events, key=lambda e: e.t)
+    events = np.array([(i, 0, 5, t) for i, t in enumerate(ticks)], EVENT)
+    ordered = sorted(events.tolist(), key=lambda e: e[3])
     expected = [[e for e in ordered
-                 if (k == 0 or e.t > k * dt_ref) and e.t <= (k + 1) * dt_ref]
+                 if (k == 0 or e[3] > k * dt_ref) and e[3] <= (k + 1) * dt_ref]
                 for k in range(n_frames)]
-    expected.append([e for e in ordered if e.t > n_frames * dt_ref])
-    assert list(replay_batches(events, dt_ref, n_frames)) == expected
+    expected.append([e for e in ordered if e[3] > n_frames * dt_ref])
+    batches = list(replay_batches(events, dt_ref, n_frames))
+    assert [b.tolist() for b in batches] == expected
+    assert all(b.dtype == EVENT for b in batches)

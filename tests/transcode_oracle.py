@@ -8,7 +8,7 @@ frame, flush and sensitivity interface.
 
 from __future__ import annotations
 
-from evc.events import EMPTY, Event, ParamSet
+from evc.events import EMPTY, ParamSet
 from evc.transcode import starting_decimation
 
 
@@ -25,17 +25,16 @@ class PixelIntegrator:
     """
 
     __slots__ = (
-        "m_base", "m_max", "m_v", "dt_ref", "dt_max", "now", "opened",
+        "m_base", "m_max", "m_v", "dt_ref", "now", "opened",
         "i0", "d", "units", "fired", "queue", "run_start",
         "m_cur", "m_tgt", "stable", "override_until", "t_emit",
     )
 
-    def __init__(self, params: ParamSet, dt_ref: int, dt_max: int):
+    def __init__(self, params: ParamSet, dt_ref: int):
         self.m_base = params.m_base
         self.m_max = params.m_max
         self.m_v = params.m_v
         self.dt_ref = dt_ref
-        self.dt_max = dt_max
         self.now = 0
         self.opened = False
         self.i0 = 0
@@ -53,7 +52,7 @@ class PixelIntegrator:
     def _open(self, value: int, at: int) -> None:
         self.opened = True
         self.i0 = value
-        self.d = starting_decimation(value, self.dt_ref, self.dt_max) if value > 0 else 0
+        self.d = starting_decimation(value) if value > 0 else 0
         self.units = 0
         self.fired = 0
         self.queue = []
@@ -151,27 +150,28 @@ class PixelIntegrator:
 
 class OracleGrid:
     """A row-major grid of ``PixelIntegrator``s behind the transcoder's
-    ``integrate_frame``/``flush_all``/``set_sensitivity`` interface."""
+    ``integrate_frame``/``flush_all``/``set_sensitivity`` interface; its
+    events are ``(x, y, d, t)`` tuples."""
 
     def __init__(self, header, params: ParamSet):
         self.header = header
         self.width = header.width
         self.height = header.height
-        self.pixels = [PixelIntegrator(params, header.dt_ref, header.dt_max)
+        self.pixels = [PixelIntegrator(params, header.dt_ref)
                        for _ in range(self.width * self.height)]
 
-    def _emit(self, step) -> list[Event]:
+    def _emit(self, step) -> list[tuple]:
         events = []
         for index, px in enumerate(self.pixels):
             y, x = divmod(index, self.width)
-            events.extend(Event(x, y, d, t) for d, t in step(index, px) or ())
+            events.extend((x, y, d, t) for d, t in step(index, px) or ())
         return events
 
-    def integrate_frame(self, frame) -> list[Event]:
+    def integrate_frame(self, frame) -> list[tuple]:
         rows = [list(map(int, row)) for row in frame]
         return self._emit(lambda i, px: px.integrate(rows[i // self.width][i % self.width]))
 
-    def flush_all(self) -> list[Event]:
+    def flush_all(self) -> list[tuple]:
         return self._emit(lambda i, px: px.flush())
 
     def set_sensitivity(self, x, y, radius, duration=None) -> None:
