@@ -21,7 +21,6 @@ from .events import (
     DEFAULT_DT_REF,
     HEADER_SIZE,
     StreamFormatError,
-    event_rows,
     read_header,
     read_stream,
     write_stream,
@@ -131,8 +130,7 @@ def cmd_detect(args) -> int:
         writer = csv.writer(fp)
         writer.writerow(("frame", "x", "y"))
         for k, batch in enumerate(islice(batches, n_frames)):
-            for event in event_rows(batch):
-                detector.on_event(*event)
+            detector.apply_batch(batch)
             for x, y in sorted(detector.features):
                 writer.writerow((k, x, y))
     pixels = header.width * header.height

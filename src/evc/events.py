@@ -81,6 +81,28 @@ def display_value(d: int, dt: int, dt_ref: int) -> int:
     return value if value < 255 else 255
 
 
+# 2**(d + 1) * dt_ref is capped at 2**42 in int64 arithmetic.  Any dt in
+# a u32 field is below 2**32, so a value past the cap is past 509 * dt,
+# where the rounded value reaches 255 and clamps; below it nothing wraps.
+_SCALED_BITS = 42
+
+
+def display_values(d: np.ndarray, dt: np.ndarray, dt_ref: int) -> np.ndarray:
+    """``display_value`` over arrays, exactly, for dt of 1 to 2**32 - 1
+    and dt_ref below 2**32.  Taken naively in int64, (2 << d) * dt_ref
+    wraps silently, with no RuntimeWarning, from d = 30 on for the
+    largest dt_ref, so the scaled units are capped instead."""
+    shift = np.asarray(d, np.int64) + 1
+    dt = np.asarray(dt, np.int64)
+    room = _SCALED_BITS - int(dt_ref).bit_length()
+    scaled = np.where(shift <= room,
+                      np.int64(dt_ref) << np.minimum(shift, room),
+                      1 << _SCALED_BITS)
+    value = np.minimum((scaled + dt) // (2 * dt), 255)
+    value[shift == EMPTY + 1] = 0
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class ParamSet:
     """Transcoder sensitivity parameters selected by a quality preset.

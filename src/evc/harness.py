@@ -36,7 +36,6 @@ from .events import (
     StreamFormatError,
     StreamHeader,
     crf_params,
-    event_rows,
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, Detector
@@ -324,18 +323,20 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     """Transcode the frames, the detector steering sensitivity from inside
     the loop when feature adaptation is on.
 
-    After each frame, the detector sees that frame's events in emission
-    order, and every corner an event freshly inserts into its set pins the
-    pixels within ``feature_radius`` of it to their base threshold for the
-    frames that follow.  Only fresh insertions re-arm the boost: a corner
-    that persists across many events does not, and removals trigger
-    nothing.  The final flush's events go to the detector only, as no
-    frame follows them.
+    After each frame, the detector takes that frame's events as one batch
+    in emission order, and every corner some event of the batch freshly
+    inserts into its set pins the pixels within ``feature_radius`` of it
+    to their base threshold for the frames that follow.  Within a frame a
+    boost assigns the same values however often it repeats, so each such
+    corner is boosted once.  Only fresh insertions re-arm the boost: a
+    corner that persists across many events does not, and removals
+    trigger nothing.  The final flush's events go to the detector only, as
+    no frame follows them.
 
     Returns (events, per-frame event counts, detector counts): an event
     counts on the frame that emitted it, the final flush on the last one.
     Detector counts are None with adaptation off, else the per-frame
-    ``is_feature`` tests and corner-set sizes.
+    corner tests and corner-set sizes.
     """
     params = crf_params(config.crf)
     transcoder = Transcoder(header, params)
@@ -350,23 +351,20 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
         emitted = transcoder.integrate_frame(frame)
         chunks.append(emitted)
         if detector is not None:
-            for event in event_rows(emitted):
-                added, _ = detector.on_event(*event)
-                for x, y in added:
-                    transcoder.set_sensitivity(x, y, params.feature_radius)
+            for x, y in detector.apply_batch(emitted):
+                transcoder.set_sensitivity(x, y, params.feature_radius)
             tests[k] = detector.test_count - seen
             seen = detector.test_count
-            features[k] = len(detector.features)
+            features[k] = int(detector.corners.sum())
     tail = transcoder.flush_all()
     events = np.concatenate(chunks + [tail])
     frame_events = [len(c) for c in chunks]
     frame_events[-1] += len(tail)
     if detector is None:
         return events, frame_events, None
-    for event in event_rows(tail):
-        detector.on_event(*event)
+    detector.apply_batch(tail)
     tests[-1] += detector.test_count - seen
-    features[-1] = len(detector.features)
+    features[-1] = int(detector.corners.sum())
     return events, frame_events, (tests, features)
 
 
@@ -380,12 +378,11 @@ def _replay_detector(config: ExperimentConfig, header: StreamHeader,
     seen = 0
     for k, batch in enumerate(replay_batches(events, header.dt_ref,
                                              n_frames)):
-        for event in event_rows(batch):
-            detector.on_event(*event)
+        detector.apply_batch(batch)
         row = min(k, n_frames - 1)
         tests[row] += detector.test_count - seen
         seen = detector.test_count
-        features[row] = len(detector.features)
+        features[row] = int(detector.corners.sum())
     return tests, features
 
 

@@ -16,6 +16,7 @@ from evc.events import (
     StreamHeader,
     crf_params,
     display_value,
+    display_values,
     event_array,
     event_rows,
     read_header,
@@ -36,6 +37,27 @@ def test_display_value_rounds_half_up_and_clamps(d, dt, dt_ref):
         exact = Fraction((1 << d) * dt_ref, dt) + Fraction(1, 2)
         want = min(255, math.floor(exact))
     assert display_value(d, dt, dt_ref) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt_ref=st.sampled_from((1, 255, 65535, 2**32 - 1)),
+       pairs=st.lists(st.tuples(
+           st.one_of(st.integers(0, 127), st.just(EMPTY), st.just(35)),
+           st.one_of(st.integers(1, 2**32 - 1),
+                     st.sampled_from((1, 2**31, 2**32 - 1)))),
+           min_size=1, max_size=30))
+def test_display_values_match_display_value(dt_ref, pairs):
+    # (2 << d) * dt_ref in plain int64 wraps silently from d = 30 on: at
+    # d = 35, dt_ref = 2**31 and dt = 2**32 - 1 it reads 0, not 255
+    d, dt = np.array(pairs, np.int64).T
+    assert display_values(d, dt, dt_ref).tolist() == [
+        display_value(a, b, dt_ref) for a, b in pairs]
+
+
+def test_display_values_do_not_wrap_where_int64_would():
+    d, dt = np.array([35]), np.array([2**32 - 1])
+    assert display_values(d, dt, 2**31).tolist() == [255]
+    assert display_value(35, 2**32 - 1, 2**31) == 255
 
 
 def test_crf_table_shape_and_anchors():

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from evc import (
 from evc import harness
 from evc.fastdet import RING
 from evc.reconstruct import PSNR_CAP
+from fastdet_oracle import Detector as OracleDetector
 
 
 def small_clip(n=6, w=20, h=14, seed=1):
@@ -217,21 +221,17 @@ def lattice_clip():
 
 def feature_loop_log(monkeypatch, mode):
     """Run ``transcode_clip`` with feature adaptation on over the lattice
-    clip, recording in order each ``on_event`` call with the corners it
-    added and removed, each ``set_sensitivity`` call, and the start of the
-    final flush.
+    clip, recording in order each batch the detector gets, each
+    ``set_sensitivity`` call, and the start of the final flush.
 
-    Returns (config, emitted events, log).
+    Returns (config, header, emitted events, log).
     """
     log = []
 
     class RecordingDetector(harness.Detector):
-        def on_event(self, *event):
-            # Python ints, never fixed-width numpy scalars that can wrap
-            assert [type(v) for v in event] == [int] * 4
-            added, removed = super().on_event(*event)
-            log.append(("event", event, list(added), list(removed)))
-            return added, removed
+        def apply_batch(self, events):
+            log.append(("batch", events.copy()))
+            return super().apply_batch(events)
 
     class RecordingTranscoder(harness.Transcoder):
         def set_sensitivity(self, x, y, radius, duration=None):
@@ -248,55 +248,72 @@ def feature_loop_log(monkeypatch, mode):
                               detector_mode=mode)
     frames, header = harness.ingest(config, lattice_clip())
     events, _, _ = harness.transcode_clip(config, header, frames)
-    return config, events, log
+    return config, header, events, log
+
+
+def oracle_frames(config, header, log):
+    """Replay the logged batches event by event through the per-event
+    oracle: per batch, the list of (event, added, removed) of its events,
+    and the boosts the loop made after it."""
+    oracle = OracleDetector(header, threshold=config.fast_threshold,
+                            retest_neighbors=config.detector_mode == "exact")
+    frames = []
+    for entry in log:
+        if entry[0] == "batch":
+            steps = [(event, *oracle.on_event(*event))
+                     for event in entry[1].tolist()]
+            frames.append((steps, []))
+        elif entry[0] == "boost":
+            frames[-1][1].append(entry[1:])
+    return frames
 
 
 @pytest.mark.parametrize("mode", ["paper", "exact"])
 def test_feature_loop_boosts_each_fresh_corner_once(monkeypatch, mode):
-    config, events, log = feature_loop_log(monkeypatch, mode)
+    config, header, events, log = feature_loop_log(monkeypatch, mode)
     radius = crf_params(config.crf).feature_radius
-    # every emitted event reaches the detector once, in emission order,
-    # the final flush's included
-    assert [entry[1] for entry in log if entry[0] == "event"] == \
-        events.tolist()
-    # each corner an event freshly adds gets exactly one boost right after
-    # that event; nothing else boosts, and the flush's corners boost nothing
-    expected = []
-    flushed = False
-    for entry in log:
-        if entry[0] == "flush":
-            flushed = True
-            expected.append(entry)
-        elif entry[0] == "event":
-            expected.append(entry)
-            if not flushed:
-                expected.extend(("boost", x, y, radius)
-                                for x, y in entry[2])
-    assert log == expected
-    assert any(entry[0] == "boost" for entry in log)
+    batches = [entry[1] for entry in log if entry[0] == "batch"]
+    # the detector sees every emitted event once, in emission order, one
+    # batch per frame and then the final flush's
+    assert len(batches) == len(lattice_clip()) + 1
+    assert np.concatenate(batches).tolist() == events.tolist()
+    assert log.index(("flush",)) == len(log) - 2
+    frames = oracle_frames(config, header, log)
+    for k, (steps, boosts) in enumerate(frames):
+        fresh = {corner for _, added, _ in steps for corner in added}
+        if k == len(frames) - 1:
+            # no frame follows the flush, so its corners boost nothing
+            assert boosts == []
+            continue
+        # after frame k, each corner some event of that frame freshly
+        # inserted is boosted once, and nothing else is
+        assert sorted(boosts) == sorted((x, y, radius) for x, y in fresh)
+    assert any(boosts for _, boosts in frames)
     if mode == "exact":
-        before_flush = log[:log.index(("flush",))]
-        assert any(len(entry[2]) > 1 for entry in before_flush
-                   if entry[0] == "event")
+        assert any(len(added) > 1 for steps, _ in frames[:-1]
+                   for _, added, _ in steps)
 
 
 def test_persisting_corners_and_unrelated_events_boost_nothing(monkeypatch):
-    _, _, log = feature_loop_log(monkeypatch, "exact")
+    config, header, _, log = feature_loop_log(monkeypatch, "exact")
     corners = set()
     persisting = unrelated = 0
-    for entry, after in zip(log, log[1:] + [None]):
-        if entry[0] != "event":
-            continue
-        _, (x, y, _, _), added, removed = entry
-        if not added:
-            retested = {(x + dx, y + dy) for dx, dy in RING}
-            retested.add((x, y))
-            if (corners & retested) - set(removed):
-                persisting += 1
-            else:
-                unrelated += 1
-            assert after is None or after[0] != "boost"
-        corners = (corners | set(added)) - set(removed)
+    for steps, boosts in oracle_frames(config, header, log):
+        boosted = {(x, y) for x, y, _ in boosts}
+        fresh = {corner for _, added, _ in steps for corner in added}
+        for (x, y, _, _), added, removed in steps:
+            if not added:
+                retested = {(x + dx, y + dy) for dx, dy in RING}
+                retested.add((x, y))
+                kept = (corners & retested) - set(removed)
+                if kept:
+                    persisting += 1
+                    # retesting a corner that stays in the set boosts it
+                    # only if some event of the frame freshly inserts it
+                    assert not (kept - fresh) & boosted
+                else:
+                    unrelated += 1
+            corners = (corners | set(added)) - set(removed)
     assert persisting > 0 and unrelated > 0
 
 
@@ -335,3 +352,28 @@ def test_worker_count_env_override(monkeypatch):
     assert worker_count() == 3
     monkeypatch.delenv("EVC_THREADS")
     assert worker_count() >= 1
+
+
+PIPELINE_AND_PLAY = """
+import sys
+from evc import ExperimentConfig, run_pipeline, synth_clip
+from evc.cli import main
+config = ExperimentConfig(crf=3, feature_adaptation=True,
+                          detector_mode="exact", out_dir=sys.argv[1])
+result = run_pipeline(config, frames=synth_clip("walk", 24, 16, 12, seed=1))
+assert main(["play", result.paths["compressed"],
+             "--out", sys.argv[1] + "/play.y4m"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_and_play_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs about
+    # 2 MiB of resident memory; the batch steps do without it
+    done = subprocess.run(
+        [sys.executable, "-c", PIPELINE_AND_PLAY, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(harness.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"

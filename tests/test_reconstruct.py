@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evc import (
     EMPTY,
+    Detector,
     EVENT,
     PSNR_CAP,
     Reconstructor,
@@ -14,18 +15,31 @@ from evc import (
     reconstruct_at_boundaries,
     transcode,
 )
-from evc.events import event_rows
 from evc.reconstruct import replay_batches
+from fastdet_oracle import Reconstructor as OracleReconstructor
 
 
 def header(w=4, h=4, dt_ref=255):
     return StreamHeader(w, h, dt_ref=dt_ref, dt_max=dt_ref * 30, dt_s=dt_ref * 30)
 
 
+def batch(*rows):
+    return np.array(list(rows), EVENT)
+
+
+def values_one_by_one(recon, rows):
+    """Each event's displayed value, the events applied as batches of one."""
+    values = []
+    for x, y, d, t in rows:
+        recon.apply_batch(batch((x, y, d, t)))
+        values.append(int(recon.image[y, x]))
+    return values
+
+
 def test_absolute_timestamps_recover_intervals():
     recon = Reconstructor(header(1, 1))
     seq = [(0, 0, 5, 100), (0, 0, 5, 220), (0, 0, 5, 330)]
-    values = [recon.apply_event(*e) for e in seq]
+    values = values_one_by_one(recon, seq)
     # intervals 100, 120, 110 scaled by dt_ref
     assert values == [
         int(32 * 255 / 100 + 0.5),
@@ -39,8 +53,8 @@ def test_timestamp_corruption_stays_local():
     corrupt = [(0, 0, 5, 70)] + clean[1:]
     a = Reconstructor(header(1, 1))
     b = Reconstructor(header(1, 1))
-    va = [a.apply_event(*e) for e in clean]
-    vb = [b.apply_event(*e) for e in corrupt]
+    va = values_one_by_one(a, clean)
+    vb = values_one_by_one(b, corrupt)
     assert vb[0] > va[0]      # shortened first interval reads brighter
     assert vb[1] < va[1]      # stretched second interval reads darker
     assert vb[2] == va[2]     # third interval is untouched
@@ -48,22 +62,23 @@ def test_timestamp_corruption_stays_local():
 
 def test_out_of_order_rejected():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(0, 0, 5, 100)
+    recon.apply_batch(batch((0, 0, 5, 100)))
     with pytest.raises(ValueError):
-        recon.apply_event(0, 0, 5, 100)
+        recon.apply_batch(batch((0, 0, 5, 100)))
     with pytest.raises(ValueError):
-        recon.apply_event(0, 0, 5, 40)
+        recon.apply_batch(batch((0, 0, 5, 40)))
 
 
 def test_out_of_order_rejected_from_an_array():
     # The uint32 field would wrap 40 - 100 to a huge positive interval;
-    # the rows come out as Python ints, so the check still fires.
+    # the check still fires, whether the events come in one batch or two.
     events = np.array([(0, 0, 5, 100), (0, 0, 5, 40)], EVENT)
     recon = Reconstructor(header(1, 1))
-    rows = event_rows(events)
-    recon.apply_event(*next(rows))
+    recon.apply_batch(events[:1])
     with pytest.raises(ValueError, match="out-of-order"):
-        recon.apply_event(*next(rows))
+        recon.apply_batch(events[1:])
+    with pytest.raises(ValueError, match="t=40 after t=100"):
+        Reconstructor(header(1, 1)).apply_batch(events)
     # Replay sorts by t, so only a repeated tick can reach the check.
     repeated = np.array([(0, 0, 5, 100), (0, 0, 6, 100)], EVENT)
     with pytest.raises(ValueError, match="out-of-order"):
@@ -72,17 +87,17 @@ def test_out_of_order_rejected_from_an_array():
 
 def test_empty_event_darkens_pixel():
     recon = Reconstructor(header(1, 1))
-    recon.apply_event(0, 0, 6, 255)
+    recon.apply_batch(batch((0, 0, 6, 255)))
     assert recon.frame_at()[0, 0] > 0
-    recon.apply_event(0, 0, EMPTY, 900)
+    recon.apply_batch(batch((0, 0, EMPTY, 900)))
     assert recon.frame_at()[0, 0] == 0
 
 
 def test_pixels_hold_last_value():
     recon = Reconstructor(header(2, 1))
-    recon.apply_event(0, 0, 6, 255)
+    recon.apply_batch(batch((0, 0, 6, 255)))
     first = recon.frame_at().copy()
-    recon.apply_event(1, 0, 3, 500)
+    recon.apply_batch(batch((1, 0, 3, 500)))
     assert recon.frame_at()[0, 0] == first[0, 0]
 
 
@@ -176,3 +191,41 @@ def test_replay_batches_match_a_per_boundary_filter(dt_ref, n_frames, ticks):
     batches = list(replay_batches(events, dt_ref, n_frames))
     assert [b.tolist() for b in batches] == expected
     assert all(b.dtype == EVENT for b in batches)
+
+
+def oracle_error(hdr, rows):
+    """The message of the first event the per-event oracle refuses."""
+    oracle = OracleReconstructor(hdr)
+    try:
+        for row in rows:
+            oracle.apply_event(*row)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from((0, 1, 2, 3, 65535)),
+                               st.sampled_from((0, 1, 2, 4, 65535)),
+                               st.sampled_from((0, 5, 127, 128, 200, 254,
+                                                EMPTY)),
+                               st.integers(0, 12)),
+                     min_size=1, max_size=12))
+def test_batch_errors_name_the_first_event_the_oracle_refuses(rows):
+    # events outside a 3x3 frame, repeated or falling ticks and decimations
+    # 128..254, in any mix; the batch raises the oracle's message, for the
+    # first refused event, and leaves its state as it was
+    hdr = header(3, 3)
+    expected = oracle_error(hdr, rows)
+    for target in (Reconstructor(hdr), Detector(hdr, retest_neighbors=True)):
+        recon = getattr(target, "recon", target)
+        recon.apply_batch(batch((1, 1, 5, 3)))
+        image, clock = recon.image.copy(), recon.last_t.copy()
+        if expected is None:
+            target.apply_batch(np.array(rows, EVENT))
+            continue
+        with pytest.raises(ValueError) as err:
+            target.apply_batch(np.array(rows, EVENT))
+        assert str(err.value) == oracle_error(hdr, [(1, 1, 5, 3)] + rows)
+        assert np.array_equal(recon.image, image)
+        assert np.array_equal(recon.last_t, clock)
