@@ -9,10 +9,17 @@ decoder consumes a valid stream exactly to its last byte.
 Symbols come from adaptive frequency models in the manner of Witten,
 Neal & Cleary (CACM 1987): every coded symbol adds INCREMENT to its
 count, and all counts halve once the total passes HALVE_ABOVE, so
-recent statistics dominate.  Unsigned integers ride on top as an
-Elias-gamma code: the magnitude class ``k = bitlen(u + 1) - 1`` is one
-symbol of the model, and the k offset bits below the leading one go out
-as equiprobable bypass bits, up to 16 per coding step.
+recent statistics dominate.
+
+A coded sequence is a run of ``(group, value)`` items, each group with
+its own model, fresh for every sequence.  Group FLAG codes its value (0
+or 1) as one symbol of a two-symbol model.  Every other group codes an
+unsigned integer as an Elias-gamma code: the magnitude class
+``k = bitlen(u + 1) - 1`` is one symbol of the group's model, and the k
+offset bits below the leading one go out as equiprobable bypass bits,
+up to 16 per coding step.  ``encode`` takes the items packed as
+``value << GROUP_BITS | group`` and codes them in one loop; ``decoder``
+returns a reader that decodes one value of a given group per call.
 """
 
 from __future__ import annotations
@@ -27,167 +34,144 @@ INITIAL_COUNT = 1
 
 BYPASS_CHUNK = 16
 
+FLAG = 0
+GROUPS = 4
+GROUP_BITS = 2
+
 _TOP = 1 << 24
 _MASK = 0xFFFFFFFF
-# flush pushes the four bytes of low through the cache, one more than the
-# decoder's code register primes past the leading zero
-_FLUSH_SHIFTS = 5
+# the decoder's code register primes on the four bytes after the leading
+# zero, so a coded stream is never shorter than five bytes
+_PRIME = 5
 
 
-class AdaptiveModel:
-    """Symbol counts for an alphabet of ``size`` symbols."""
-
-    __slots__ = ("freq", "total")
-
-    def __init__(self, size):
-        self.freq = [INITIAL_COUNT] * size
-        self.total = INITIAL_COUNT * size
-
-    def update(self, s):
-        self.freq[s] += INCREMENT
-        self.total += INCREMENT
-        if self.total > HALVE_ABOVE:
-            self.freq = [(f + 1) >> 1 for f in self.freq]
-            self.total = sum(self.freq)
+def _models():
+    """Fresh (counts, totals) of every group's model."""
+    freqs = [[INITIAL_COUNT] * (2 if g == FLAG else MAX_PREFIX + 1)
+             for g in range(GROUPS)]
+    return freqs, [sum(freq) for freq in freqs]
 
 
-def uint_model():
-    """Model over the Elias-gamma classes of uint()."""
-    return AdaptiveModel(MAX_PREFIX + 1)
-
-
-class RangeEncoder:
-    """Codes symbols, uints and bypass bits; call finish() exactly once."""
-
-    __slots__ = ("low", "range", "_cache", "_pending", "_out")
-
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK
-        self._cache = 0
-        self._pending = 0
-        self._out = bytearray()
-
-    def _shift_low(self):
-        low = self.low
-        if low < 0xFF000000 or low > _MASK:
-            carry = low >> 32
-            self._out.append((self._cache + carry) & 0xFF)
-            if self._pending:
-                self._out += bytes(((0xFF + carry) & 0xFF,)) * self._pending
-                self._pending = 0
-            self._cache = (low >> 24) & 0xFF
+def encode(items):
+    """Code a sequence of packed ``value << GROUP_BITS | group`` items."""
+    freqs, totals = _models()
+    out = bytearray()
+    low, rng, cache, pending = 0, _MASK, 0, 0
+    group_mask = (1 << GROUP_BITS) - 1
+    for item in items:
+        g = item & group_mask
+        u = (item >> GROUP_BITS) + 1
+        if g == FLAG:
+            k, n = u - 1, 0
         else:
-            # top byte 0xFF: a later carry may still ripple through it
-            self._pending += 1
-        self.low = (low << 8) & _MASK
-
-    def _normalize(self, rng):
-        while rng < _TOP:
-            rng <<= 8
-            self._shift_low()
-        self.range = rng
-
-    def symbol(self, model, s):
-        freq = model.freq
-        r = self.range // model.total
-        self.low += r * sum(freq[:s])
-        self._normalize(r * freq[s])
-        model.update(s)
-
-    def bits(self, value, n):
-        """Write the low n bits of value, most significant first."""
-        while n:
+            n = k = u.bit_length() - 1
+            if k > MAX_PREFIX:
+                raise ValueError(
+                    f"{u - 1} exceeds the largest Elias-gamma class")
+        freq = freqs[g]
+        total = totals[g]
+        r = rng // total
+        if k:
+            low += r * sum(freq[:k])
+        rng = r * freq[k]
+        freq[k] += INCREMENT
+        total += INCREMENT
+        if total > HALVE_ABOVE:
+            freq[:] = [(f + 1) >> 1 for f in freq]
+            total = sum(freq)
+        totals[g] = total
+        # renormalise, then code the next chunk of offset bits, if any
+        while True:
+            while rng < _TOP:
+                rng <<= 8
+                if low < 0xFF000000 or low > _MASK:
+                    carry = low >> 32
+                    out.append((cache + carry) & 0xFF)
+                    if pending:
+                        out += bytes(((0xFF + carry) & 0xFF,)) * pending
+                        pending = 0
+                    cache = (low >> 24) & 0xFF
+                else:
+                    # top byte 0xFF: a later carry may still ripple through
+                    pending += 1
+                low = (low << 8) & _MASK
+            if not n:
+                break
             step = n if n < BYPASS_CHUNK else BYPASS_CHUNK
             n -= step
-            rng = self.range >> step
-            self.low += rng * ((value >> n) & ((1 << step) - 1))
-            self._normalize(rng)
-
-    def uint(self, model, u):
-        """Elias-gamma write of u >= 0: class symbol, then offset bits."""
-        k = (u + 1).bit_length() - 1
-        if k > MAX_PREFIX:
-            raise ValueError(f"{u} exceeds the largest Elias-gamma class")
-        self.symbol(model, k)
-        if k:
-            self.bits(u + 1, k)
-
-    def finish(self):
-        for _ in range(_FLUSH_SHIFTS):
-            self._shift_low()
-        return bytes(self._out)
+            rng >>= step
+            low += rng * ((u >> n) & ((1 << step) - 1))
+    # flush: the cached byte takes the last carry, then low's four bytes
+    carry = low >> 32
+    out.append((cache + carry) & 0xFF)
+    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+    out += (low & _MASK).to_bytes(4, "big")
+    return bytes(out)
 
 
-class RangeDecoder:
-    """Inverse of RangeEncoder; raises ValueError on undecodable input.
+def decoder(data):
+    """Reader over a coded sequence; returns ``(read, consumed)``.
 
-    A corrupt stream shows as a nonzero first byte, a symbol target
+    ``read(g)`` decodes the next value of group g, and ``consumed()``
+    counts the bytes read so far.  Undecodable input raises ValueError:
+    a corrupt stream shows as a nonzero first byte, a symbol target
     beyond the model's total, a bypass value wider than its bit count,
     or a read past the end.
     """
+    if len(data) < _PRIME:
+        raise ValueError("read past the end of the payload")
+    if data[0]:
+        raise ValueError("coded stream does not start with a zero byte")
+    freqs, totals = _models()
+    code = int.from_bytes(data[1:_PRIME], "big")
+    rng = _MASK
+    pos = _PRIME
+    end = len(data)
 
-    __slots__ = ("range", "code", "pos", "_data")
-
-    def __init__(self, data):
-        if len(data) < _FLUSH_SHIFTS:
-            raise ValueError("read past the end of the payload")
-        if data[0]:
-            raise ValueError("coded stream does not start with a zero byte")
-        self._data = data
-        self.code = int.from_bytes(data[1:_FLUSH_SHIFTS], "big")
-        self.range = _MASK
-        self.pos = _FLUSH_SHIFTS
-
-    def _normalize(self, code, rng):
-        data = self._data
-        while rng < _TOP:
-            pos = self.pos
-            if pos >= len(data):
-                raise ValueError("read past the end of the payload")
-            code = (code << 8) | data[pos]
-            self.pos = pos + 1
-            rng <<= 8
-        self.code = code
-        self.range = rng
-
-    def symbol(self, model):
-        freq = model.freq
-        total = model.total
-        r = self.range // total
-        code = self.code
+    def read(g):
+        nonlocal code, rng, pos
+        freq = freqs[g]
+        total = totals[g]
+        r = rng // total
         target = code // r
         if target >= total:
             raise ValueError("symbol target outside the model total")
-        s = 0
-        cum = 0
+        k = 0
         f = freq[0]
-        while cum + f <= target:
-            cum += f
-            s += 1
-            f = freq[s]
-        self._normalize(code - r * cum, r * f)
-        model.update(s)
-        return s
-
-    def bits(self, n):
-        value = 0
-        while n:
+        rest = target
+        while f <= rest:
+            rest -= f
+            k += 1
+            f = freq[k]
+        code -= r * (target - rest)
+        rng = r * f
+        freq[k] += INCREMENT
+        total += INCREMENT
+        if total > HALVE_ABOVE:
+            freq[:] = [(f + 1) >> 1 for f in freq]
+            total = sum(freq)
+        totals[g] = total
+        n = 0 if g == FLAG else k
+        value = 1
+        while True:
+            while rng < _TOP:
+                if pos >= end:
+                    raise ValueError("read past the end of the payload")
+                code = (code << 8) | data[pos]
+                pos += 1
+                rng <<= 8
+            if not n:
+                return k if g == FLAG else value - 1
             step = n if n < BYPASS_CHUNK else BYPASS_CHUNK
             n -= step
-            rng = self.range >> step
-            v = self.code // rng
+            rng >>= step
+            v = code // rng
             if v >> step:
                 raise ValueError("bypass bits outside the coded range")
             value = (value << step) | v
-            self._normalize(self.code - v * rng, rng)
-        return value
+            code -= v * rng
 
-    def uint(self, model):
-        k = self.symbol(model)
-        if not k:
-            return 0
-        return (1 << k) + self.bits(k) - 1
+    return read, lambda: pos
 
 
 def zigzag(v):

@@ -54,6 +54,14 @@ def _size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
 
 
+def _dt_adu(text: str) -> int:
+    """Parse an access-unit length: ticks that fit the unit prefix's u32."""
+    value = int(text)
+    if not 0 < value < 1 << 32:
+        raise argparse.ArgumentTypeError(f"{value} outside 1..{(1 << 32) - 1}")
+    return value
+
+
 def _read_any_stream(path: str):
     """Read an event stream, raw or compressed, by sniffing its header."""
     with open(path, "rb") as fp:
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("compress", help=".adder to .adderc")
     p.add_argument("input")
-    p.add_argument("--dt-adu", type=int, default=None,
+    p.add_argument("--dt-adu", type=_dt_adu, default=None,
                    help="ticks per access unit (default: the stream's dt_max)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compress)
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fps", type=float, default=30.0)
     _add_stream_flags(p, crf=False)
-    p.add_argument("--dt-adu", type=int, default=None)
+    p.add_argument("--dt-adu", type=_dt_adu, default=None)
     _add_detect_flags(p)
     p.add_argument("--out", default="bench",
                    help="directory for per-run artifacts and bench.csv")

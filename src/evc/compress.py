@@ -10,7 +10,11 @@ may be right-shifted as long as the reconstructed intensity stays inside
 the contrast tolerance.  Besides the cube-presence flag, three symbol
 groups carry the values, each with its own adaptive model: decimation
 residuals (sharing reserved SKIP and end-of-sequence codes), timestamp
-residuals, and shift amounts.
+residuals, and shift amounts.  An ADU in memory is its window's slice
+of the stream, sorted into coding order by one ``np.lexsort``;
+``encode_adu`` turns it into the unit's ``(group, value)`` sequence,
+which ``cabac.encode`` codes in one loop, and ``decode_adu`` reads the
+values back one call each through ``cabac.decoder``.
 
 Two structural rules keep the loss bound airtight: a shifted timestamp
 never overshoots the true one, and the encoder looks one event ahead so
@@ -22,18 +26,12 @@ strictly less than the tolerance.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cabac import (
-    AdaptiveModel,
-    RangeDecoder,
-    RangeEncoder,
-    uint_model,
-    unzigzag,
-    zigzag,
-)
+from .cabac import FLAG, GROUP_BITS, decoder, encode, unzigzag, zigzag
 from .events import (
     CODEC_COMPRESSED,
     D_MAX,
@@ -42,8 +40,6 @@ from .events import (
     HEADER_SIZE,
     StreamFormatError,
     crf_params,
-    event_array,
-    event_rows,
     read_header,
     write_header,
 )
@@ -61,6 +57,15 @@ _T_LIMIT = 1 << 32
 
 _ADU_PREFIX = struct.Struct("<II")
 
+# symbol groups of the coded sequence: the cube-presence flag, then one
+# Elias-gamma model each for decimation residuals (sharing SKIP and
+# end-of-sequence), timestamp residuals and shift amounts
+_D, _T, _S = 1, 2, 3
+_CUBE_EMPTY = 0 << GROUP_BITS | FLAG
+_CUBE_USED = 1 << GROUP_BITS | FLAG
+_SKIP = SKIP_U << GROUP_BITS | _D
+_EOS = EOS_U << GROUP_BITS | _D
+
 
 class DecodeError(StreamFormatError):
     """Raised when a compressed payload cannot be parsed."""
@@ -73,50 +78,20 @@ class DecodeError(StreamFormatError):
 
 
 @dataclass(slots=True)
-class CoderContexts:
-    """Adaptive models, reset at every ADU boundary.
-
-    A two-symbol model codes cube presence.  Each symbol group
-    (decimation residuals including SKIP and end-of-sequence, timestamp
-    residuals, shift amounts) has one model over the Elias-gamma classes
-    of its values, so every class, and with it every position of a
-    unary binarization, adapts on its own; the offset bits within a
-    class are coded at even odds.
-    """
-
-    cube: AdaptiveModel
-    d: AdaptiveModel
-    t: AdaptiveModel
-    s: AdaptiveModel
-
-    @classmethod
-    def fresh(cls):
-        return cls(cube=AdaptiveModel(2), d=uint_model(), t=uint_model(),
-                   s=uint_model())
-
-
-@dataclass(slots=True)
-class EventCube:
-    """16x16 spatial region: per-pixel ordered queues of ``(d, t)`` pairs,
-    keyed by the pixel's (row, column) within the cube."""
-
-    origin: tuple
-    queues: dict = field(default_factory=dict)
-    # encoder-side lookahead: the pixel's next event beyond this ADU
-    following: dict = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class Adu:
     """Independently decodable unit spanning a window of the tick grid.
 
-    ``cubes`` holds only the occupied cubes, keyed by their row-major
-    index in the cube grid.
+    ``events`` is the window's ``EVENT`` slice in coding order: by 16x16
+    cube (row-major in the cube grid), by row and column within the cube,
+    then by t.  ``following`` holds, in the same pixel order, the next
+    event beyond the window of each of those pixels that has one: the
+    encoder's lookahead for the pixel's last event.
     """
 
     start_t: int
     span: int
-    cubes: dict = field(default_factory=dict)
+    events: np.ndarray
+    following: np.ndarray
 
 
 def _cube_grid(header):
@@ -125,41 +100,41 @@ def _cube_grid(header):
             (header.height + CUBE - 1) // CUBE)
 
 
-def _window_index(t, span):
-    # the window is left-open: an event at exactly start_t + span still
-    # belongs to the unit, the first event beyond it opens the next
-    return (t - 1) // span if t > 0 else 0
-
-
 def build_adus(events, header, dt_adu=None):
     """Partition an ``EVENT`` array into ADUs on the dt_adu tick grid."""
-    span = int(dt_adu) if dt_adu else header.dt_max
-    if span <= 0:
-        raise ValueError("dt_adu must be positive")
+    span = header.dt_max if dt_adu is None else int(dt_adu)
+    if not 0 < span < _T_LIMIT:
+        raise ValueError(f"dt_adu {span} outside 1..{_T_LIMIT - 1}")
+    x, y, t = (events[f].astype(np.int64) for f in "xyt")
+    outside = np.flatnonzero((x >= header.width) | (y >= header.height))
+    if len(outside):
+        k = outside[0]
+        raise ValueError(f"event out of bounds at ({x[k]}, {y[k]})")
     cols, _ = _cube_grid(header)
+    # the window is left-open: an event at exactly start_t + span still
+    # belongs to the unit, the first event beyond it opens the next
+    window = np.maximum(t - 1, 0) // span
+    # a pixel's rank in coding order: cube, then row and column within it
+    rank = ((y // CUBE * cols + x // CUBE) * CUBE + y % CUBE) * CUBE + x % CUBE
+    order = np.lexsort((t, rank, window))
+    ordered, window, rank = events[order], window[order], rank[order]
 
-    ordered = events[np.argsort(events["t"], kind="stable")]
-    count = _window_index(int(events["t"].max(initial=0)), span) + 1
-    adus = [Adu(k * span, span) for k in range(count)]
+    # Each pixel's events in time order; where consecutive ones fall in
+    # different windows, the later is the earlier's lookahead.
+    by_pixel = np.argsort(rank, kind="stable")
+    last, nxt = by_pixel[:-1], by_pixel[1:]
+    crossing = (rank[last] == rank[nxt]) & (window[last] != window[nxt])
+    last, nxt = last[crossing], nxt[crossing]
+    lead = np.argsort(last)
+    following = ordered[nxt[lead]]
 
-    trail = {}
-    for x, y, d, t in event_rows(ordered):
-        if x >= header.width or y >= header.height:
-            raise ValueError(f"event out of bounds at ({x}, {y})")
-        cubes = adus[_window_index(t, span)].cubes
-        cy, ly = divmod(y, CUBE)
-        cx, lx = divmod(x, CUBE)
-        cube = cubes.get(cy * cols + cx)
-        if cube is None:
-            cube = cubes[cy * cols + cx] = EventCube((cx * CUBE, cy * CUBE))
-        key = (ly, lx)
-        cube.queues.setdefault(key, []).append((d, t))
-        # a pixel's key is the same in every ADU, so trail keeps its cube
-        prev = trail.get((x, y))
-        if prev is not None and prev is not cube:
-            prev.following[key] = (d, t)
-        trail[(x, y)] = cube
-    return adus
+    count = int(window.max(initial=0)) + 1
+    cuts = np.arange(count + 1)
+    at = np.searchsorted(window, cuts)
+    follow_at = np.searchsorted(window[last[lead]], cuts)
+    return [Adu(k * span, span, ordered[at[k]:at[k + 1]],
+                following[follow_at[k]:follow_at[k + 1]])
+            for k in range(count)]
 
 
 def t_prediction(prev_t_recon, prev_dt_recon, d_r):
@@ -241,80 +216,99 @@ def choose_shift(t_true, p_b, d, prev_t_recon, m_max, dt_ref=1,
                 t_lo = next_t - fhi
             if next_t - flo < t_hi:
                 t_hi = next_t - flo
-    if t_lo <= t_hi:
-        mag = -r if r < 0 else r
-        for s in range(SHIFT_CAP, 0, -1):
-            q = mag >> s
-            t_prime = p_b + (q << s) if r > 0 else p_b - (q << s)
-            if t_lo <= t_prime <= t_hi:
-                return s, (q if r > 0 else -q)
+    # The truncated reconstruction p_b +- ((|r| >> s) << s) moves
+    # monotonically from p_b towards t_true as s falls, so the admissible
+    # shifts form one interval of s: its top is the largest s whose
+    # truncated magnitude still reaches lo, provided that stays <= hi.
+    mag = -r if r < 0 else r
+    lo, hi = (t_lo - p_b, t_hi - p_b) if r > 0 else (p_b - t_hi, p_b - t_lo)
+    if lo <= 0:
+        s = SHIFT_CAP
+    elif mag >= lo:
+        # (mag >> s) << s >= lo while s is at most the top bit in which
+        # mag and lo - 1 differ
+        s = min((mag ^ (lo - 1)).bit_length() - 1, SHIFT_CAP)
+    else:
+        s = 0
+    if s and (mag >> s) << s <= hi:
+        return s, (mag >> s if r > 0 else -(mag >> s))
     return 0, r
-
-
-def _scan_keys(origin, width, height):
-    """(row, column) of each in-frame pixel of the cube at ``origin``."""
-    x0, y0 = origin
-    for ly in range(min(CUBE, height - y0)):
-        for lx in range(min(CUBE, width - x0)):
-            yield (ly, lx)
 
 
 def encode_adu(adu, header):
     """Serialize one ADU to a self-contained byte payload."""
     m_max = crf_params(header.crf).m_max
     dt_ref = header.dt_ref
-    enc = RangeEncoder()
-    ctx = CoderContexts.fresh()
-    occupied = []
+    events = adu.events
+    x, y = events["x"], events["y"]
+    moved = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    starts = np.flatnonzero(np.r_[len(x) > 0, moved]).tolist()
+    xs, ys = x[starts].tolist(), y[starts].tolist()
+    # items of a memoryview are Python ints, at 1 and 4 bytes per event
+    ds = memoryview(events["d"].astype(np.uint8))
+    ts = memoryview(events["t"].astype(np.uint32))
+    seq = array("Q")
+    put = seq.append
 
+    # Intra pass: a presence flag per cube and, over each occupied cube's
+    # in-frame pixels, SKIP or the pixel's first event as a residual
+    # chained from the previous first event.
     cols, rows = _cube_grid(header)
-    d_prev = 0
-    t_prev = adu.start_t
-    for index in range(cols * rows):
-        cube = adu.cubes.get(index)
-        if cube is None:
-            enc.symbol(ctx.cube, 0)
-            continue
-        enc.symbol(ctx.cube, 1)
-        for key in _scan_keys(cube.origin, header.width, header.height):
-            queue = cube.queues.get(key)
-            if not queue:
-                enc.uint(ctx.d, SKIP_U)
-                continue
-            first_d, first_t = queue[0]
-            enc.uint(ctx.d, zigzag(first_d - d_prev) + D_OFFSET)
-            enc.uint(ctx.t, zigzag(first_t - t_prev))
-            d_prev, t_prev = first_d, first_t
-            occupied.append((cube, key, queue))
+    cubes = [py // CUBE * cols + px // CUBE for px, py in zip(xs, ys)]
+    j, done = 0, 0
+    d_prev, t_prev = 0, adu.start_t
+    for cube in dict.fromkeys(cubes):
+        seq.extend([_CUBE_EMPTY] * (cube - done))
+        put(_CUBE_USED)
+        done = cube + 1
+        x0, y0 = cube % cols * CUBE, cube // cols * CUBE
+        for py in range(y0, min(y0 + CUBE, header.height)):
+            for px in range(x0, min(x0 + CUBE, header.width)):
+                if j == len(xs) or xs[j] != px or ys[j] != py:
+                    put(_SKIP)
+                    continue
+                d, t = ds[starts[j]], ts[starts[j]]
+                put((zigzag(d - d_prev) + D_OFFSET) << GROUP_BITS | _D)
+                put(zigzag(t - t_prev) << GROUP_BITS | _T)
+                d_prev, t_prev = d, t
+                j += 1
+    seq.extend([_CUBE_EMPTY] * (cols * rows - done))
 
-    for cube, key, queue in occupied:
-        prev_d, prev_t = queue[0]
+    # Inter pass: every pixel's later events against its reconstruction.
+    fx, fy, fd, ft = (adu.following[name].tolist() for name in "xydt")
+    k = 0
+    starts.append(len(ts))
+    for j in range(len(xs)):
+        lookahead = None
+        if k < len(fx) and fx[k] == xs[j] and fy[k] == ys[j]:
+            lookahead = (fd[k], ft[k])
+            k += 1
+        first, end = starts[j], starts[j + 1]
+        prev_d, prev_t = ds[first], ts[first]
         prev_t_true = prev_t
         prev_dt = dt_ref
-        last = len(queue) - 1
-        for i in range(1, len(queue)):
-            d, t = queue[i]
+        for i in range(first + 1, end):
+            d, t = ds[i], ts[i]
             d_r = d - prev_d
-            enc.uint(ctx.d, zigzag(d_r) + D_OFFSET)
+            put((zigzag(d_r) + D_OFFSET) << GROUP_BITS | _D)
             shift_by = 0 if (d == EMPTY or prev_d == EMPTY) else d_r
             p_b = t_prediction(prev_t, prev_dt, shift_by)
-            nxt = queue[i + 1] if i != last else cube.following.get(key)
+            nxt = (ds[i + 1], ts[i + 1]) if i + 1 < end else lookahead
             s, res = choose_shift(t, p_b, d, prev_t, m_max, dt_ref,
                                   dt_true=t - prev_t_true, following=nxt)
             t_recon = p_b + (res << s)
             if not prev_t < t_recon <= t:
-                x, y = cube.origin[0] + key[1], cube.origin[1] + key[0]
                 raise ValueError(
-                    f"event ({x}, {y}) at t={t} reconstructs at "
+                    f"event ({xs[j]}, {ys[j]}) at t={t} reconstructs at "
                     f"t={t_recon}, outside ({prev_t}, {t}]")
-            enc.uint(ctx.s, s)
-            enc.uint(ctx.t, zigzag(res))
+            put(s << GROUP_BITS | _S)
+            put(zigzag(res) << GROUP_BITS | _T)
             prev_dt = t_recon - prev_t
             prev_d, prev_t, prev_t_true = d, t_recon, t
-        enc.uint(ctx.d, SKIP_U)
+        put(_SKIP)
 
-    enc.uint(ctx.d, EOS_U)
-    return _ADU_PREFIX.pack(adu.start_t, adu.span) + enc.finish()
+    put(_EOS)
+    return _ADU_PREFIX.pack(adu.start_t, adu.span) + encode(seq)
 
 
 def decode_adu(payload, header, adu_index=0):
@@ -324,67 +318,79 @@ def decode_adu(payload, header, adu_index=0):
         raise DecodeError("payload shorter than the unit prefix", adu_index)
     start_t, _span = _ADU_PREFIX.unpack_from(payload)
     coded = payload[_ADU_PREFIX.size:]
-    ctx = CoderContexts.fresh()
     cols, rows = _cube_grid(header)
     dt_ref = header.dt_ref
 
     try:
-        dec = RangeDecoder(coded)
+        read, consumed = decoder(coded)
         pixels = []
         d_prev = 0
         t_prev = start_t
         for cy in range(rows):
             for cx in range(cols):
-                if not dec.symbol(ctx.cube):
+                if not read(FLAG):
                     continue
                 x0, y0 = cx * CUBE, cy * CUBE
-                for ly, lx in _scan_keys((x0, y0), header.width,
-                                         header.height):
-                    u = dec.uint(ctx.d)
-                    if u == SKIP_U:
-                        continue
-                    if u == EOS_U:
-                        raise DecodeError(
-                            "end of sequence inside the intra pass",
-                            adu_index)
-                    d = d_prev + unzigzag(u - D_OFFSET)
-                    if d < 0 or (d > D_MAX and d != EMPTY):
-                        raise DecodeError(
-                            f"decimation {d} outside the value range",
-                            adu_index)
-                    t = t_prev + unzigzag(dec.uint(ctx.t))
-                    if not 0 <= t < _T_LIMIT:
-                        raise DecodeError(
-                            f"timestamp {t} outside the tick range",
-                            adu_index)
-                    d_prev, t_prev = d, t
-                    pixels.append((x0 + lx, y0 + ly, d, t))
+                for y in range(y0, min(y0 + CUBE, header.height)):
+                    for x in range(x0, min(x0 + CUBE, header.width)):
+                        u = read(_D)
+                        if u == SKIP_U:
+                            continue
+                        if u == EOS_U:
+                            raise DecodeError(
+                                "end of sequence inside the intra pass",
+                                adu_index)
+                        d = d_prev + unzigzag(u - D_OFFSET)
+                        if d < 0 or (d > D_MAX and d != EMPTY):
+                            raise DecodeError(
+                                f"decimation {d} outside the value range",
+                                adu_index)
+                        t = t_prev + unzigzag(read(_T))
+                        if not 0 <= t < _T_LIMIT:
+                            raise DecodeError(
+                                f"timestamp {t} outside the tick range",
+                                adu_index)
+                        d_prev, t_prev = d, t
+                        pixels.append((x, y, d, t))
 
-        # Columns of the output: each pixel's first event, then its queue.
-        xs, ys, ds, ts = [], [], [], []
-        for x, y, prev_d, prev_t in pixels:
+        # Columns of the output: each pixel's first event, then its queue,
+        # with t_prediction and unzigzag written out in line.
+        ds, ts, counts = array("B"), array("I"), []
+        for _, _, prev_d, prev_t in pixels:
             start = len(ts)
             ds.append(prev_d)
             ts.append(prev_t)
             prev_dt = dt_ref
             while True:
-                u = dec.uint(ctx.d)
+                u = read(_D)
                 if u == SKIP_U:
                     break
                 if u == EOS_U:
                     raise DecodeError(
                         "end of sequence inside a pixel queue", adu_index)
-                d_r = unzigzag(u - D_OFFSET)
+                u -= D_OFFSET
+                d_r = -((u + 1) >> 1) if u & 1 else u >> 1
                 d = prev_d + d_r
                 if d < 0 or (d > D_MAX and d != EMPTY):
                     raise DecodeError(
                         f"decimation {d} outside the value range", adu_index)
-                s = dec.uint(ctx.s)
+                s = read(_S)
                 if s > SHIFT_CAP:
                     raise DecodeError(f"shift {s} beyond the cap", adu_index)
-                res = unzigzag(dec.uint(ctx.t))
-                shift_by = 0 if (d == EMPTY or prev_d == EMPTY) else d_r
-                t = t_prediction(prev_t, prev_dt, shift_by) + (res << s)
+                u = read(_T)
+                res = -((u + 1) >> 1) if u & 1 else u >> 1
+                if d == EMPTY or prev_d == EMPTY or not d_r:
+                    delta = prev_dt
+                elif d_r > 0:
+                    delta = prev_dt << (d_r if d_r < SHIFT_CAP else SHIFT_CAP)
+                else:
+                    delta = prev_dt >> (-d_r if d_r > -SHIFT_CAP
+                                        else SHIFT_CAP)
+                if delta < 1:
+                    delta = 1
+                elif delta > _PREDICT_CAP:
+                    delta = _PREDICT_CAP
+                t = prev_t + delta + (res << s)
                 if not prev_t < t < _T_LIMIT:
                     raise DecodeError(
                         f"timestamp {t} breaks pixel monotonicity", adu_index)
@@ -392,12 +398,11 @@ def decode_adu(payload, header, adu_index=0):
                 ts.append(t)
                 prev_dt = t - prev_t
                 prev_d, prev_t = d, t
-            xs += [x] * (len(ts) - start)
-            ys += [y] * (len(ts) - start)
+            counts.append(len(ts) - start)
 
-        if dec.uint(ctx.d) != EOS_U:
+        if read(_D) != EOS_U:
             raise DecodeError("missing end of sequence", adu_index)
-        if dec.pos != len(coded):
+        if consumed() != len(coded):
             raise DecodeError("bytes left over after the end of sequence",
                               adu_index)
     except ValueError as exc:
@@ -405,7 +410,12 @@ def decode_adu(payload, header, adu_index=0):
             raise
         raise DecodeError(str(exc), adu_index) from exc
 
-    return event_array(xs, ys, ds, ts)
+    # every value was range-checked as it was decoded
+    out = np.empty(len(ts), EVENT)
+    out["x"] = np.repeat([p[0] for p in pixels], counts)
+    out["y"] = np.repeat([p[1] for p in pixels], counts)
+    out["d"], out["t"] = ds, ts
+    return out
 
 
 def compress_events(events, header, dt_adu=None):

@@ -64,13 +64,6 @@ def event_array(x, y, d, t) -> np.ndarray:
     return out
 
 
-def event_rows(events):
-    """``(x, y, d, t)`` tuples of Python ints, whose arithmetic cannot
-    wrap the way that of fixed-width numpy scalars does."""
-    return zip(events["x"].tolist(), events["y"].tolist(),
-               events["d"].tolist(), events["t"].tolist())
-
-
 def display_value(d: int, dt: int, dt_ref: int) -> int:
     """The displayed 8-bit value of an event: round(2**d * dt_ref / dt),
     halves rounding up, clamped at 255; EMPTY shows 0.  Neither d nor dt

@@ -154,3 +154,24 @@ def test_play_refuses_a_stream_of_no_events(tmp_path, capsys):
     write_stream(str(stream), StreamHeader(4, 4), np.empty(0, EVENT))
     assert main(["play", str(stream), "--out", str(tmp_path / "s.gray")]) == 1
     assert "stream holds no events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt_adu", ["0", "-5", str(1 << 32)])
+@pytest.mark.parametrize("verb", ["compress", "bench"])
+def test_dt_adu_outside_32_bits_is_a_usage_error(tmp_path, capsys, verb,
+                                                  dt_adu):
+    stream = tmp_path / "s.adder"
+    write_stream(str(stream), StreamHeader(4, 4),
+                 np.array([(1, 2, 5, 600)], EVENT))
+    args = {"compress": [str(stream), "--out", str(tmp_path / "s.adderc")],
+            "bench": ["--size", "8x8", "--frames", "2",
+                      "--out", str(tmp_path / "bench")]}[verb]
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, *args, "--dt-adu", dt_adu])
+    assert exit_.value.code == 2
+    assert "--dt-adu" in capsys.readouterr().err
+    assert not any(p.suffix == ".adderc" for p in tmp_path.rglob("*"))
+    assert not (tmp_path / "bench").exists()
+    # the largest unit length still fits the ADU prefix
+    if verb == "compress":
+        assert main([verb, *args, "--dt-adu", str((1 << 32) - 1)]) == 0

@@ -1,10 +1,11 @@
 import io
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evc import (
@@ -15,6 +16,8 @@ from evc import (
     StreamHeader,
     crf_params,
     display_value,
+    synth_clip,
+    transcode,
 )
 from evc import compress
 from evc.events import HEADER_SIZE
@@ -112,6 +115,78 @@ def test_choose_shift_lookahead_guards_successor():
     assert t_held > t_free
 
 
+def choose_shift_by_search(t_true, p_b, d, prev_t_recon, m_max, dt_ref=1,
+                           dt_true=None, following=None):
+    """``choose_shift`` as a search over every shift from the cap down."""
+    r = t_true - p_b
+    if m_max == 0 or r == 0 or d == EMPTY:
+        return 0, r
+    if dt_true is None:
+        dt_true = t_true - prev_t_recon
+    lo, hi = compress._dt_window(d, dt_true, m_max, dt_ref)
+    t_lo = prev_t_recon + lo
+    t_hi = t_true if hi is None else min(t_true, prev_t_recon + hi)
+    if following is not None and following[0] != EMPTY:
+        next_d, next_t = following
+        flo, fhi = compress._dt_window(next_d, next_t - t_true, m_max, dt_ref)
+        if fhi is not None:
+            t_lo = max(t_lo, next_t - fhi)
+        t_hi = min(t_hi, next_t - flo)
+    mag = abs(r)
+    for s in range(compress.SHIFT_CAP, 0, -1):
+        q = mag >> s if r > 0 else -(mag >> s)
+        if t_lo <= p_b + (q << s) <= t_hi:
+            return s, q
+    return 0, r
+
+
+def _interval(d, value, dt_ref):
+    """Ticks over which 2**d units display as ``value``."""
+    return max(1, ((1 << d) * dt_ref) // value)
+
+
+@settings(max_examples=600, deadline=None)
+@given(prev_t=st.integers(0, 1 << 24),
+       d=st.sampled_from(list(range(21)) + [EMPTY]),
+       value=st.one_of(st.integers(1, 16), st.integers(1, 300)),
+       dt_ref=st.sampled_from((1, 3, 255, 1000)), m_max=st.integers(1, 40),
+       miss=st.one_of(st.floats(-0.05, 0.05), st.floats(-1, 1)),
+       slip=st.integers(0, 64),
+       following=st.one_of(st.none(), st.tuples(
+           st.sampled_from(list(range(21)) + [EMPTY]),
+           st.integers(1, 300))))
+@example(prev_t=0, d=8, value=1, dt_ref=1, m_max=10, miss=-0.0625, slip=0,
+         following=None)
+@example(prev_t=1000, d=6, value=16, dt_ref=255, m_max=30, miss=-0.2,
+         slip=0, following=(6, 163))
+def test_choose_shift_takes_the_top_of_the_admissible_shifts(
+        prev_t, d, value, dt_ref, m_max, miss, slip, following):
+    # a pixel showing ``value`` over its true interval (a marker's
+    # interval is that of d = 20), a prediction that misses t_true by up
+    # to one interval either way, a true interval that trails the
+    # reconstructed one by ``slip``, and maybe a successor (d, value) in
+    # the encoder's lookahead
+    gap = _interval(min(d, 20), value, dt_ref)
+    t_true = prev_t + gap
+    p_b = max(prev_t + 1, t_true + int(miss * gap))
+    if following is not None:
+        next_d, next_value = following
+        following = (next_d,
+                     t_true + _interval(min(next_d, 20), next_value, dt_ref))
+    args = (t_true, p_b, d, prev_t, m_max, dt_ref)
+    kwargs = dict(dt_true=gap + slip, following=following)
+    assert choose_shift(*args, **kwargs) == choose_shift_by_search(*args,
+                                                                   **kwargs)
+
+
+def test_the_shift_search_examples_hit_the_cap_and_the_lookahead():
+    assert choose_shift_by_search(256, 240, 8, 0, 10, dt_ref=1) == (31, 0)
+    free = choose_shift_by_search(2000, 1800, 6, 1000, 30, dt_ref=255)
+    held = choose_shift_by_search(2000, 1800, 6, 1000, 30, dt_ref=255,
+                                  following=(6, 2100))
+    assert free[0] > held[0] > 0
+
+
 def _intensity_close(d, dt_a, dt_b, m_max, dt_ref):
     """Shift admissibility written out: the displayed value must not move
     at all, and the underlying intensities must stay strictly within m_max
@@ -149,7 +224,10 @@ def test_adu_windows_are_left_open():
     events = events_of([(0, 0, 3, 2550), (0, 0, 3, 2551)])
     adus = build_adus(events, hdr, dt_adu=2550)
     assert len(adus) == 2
-    assert [len(a.cubes[0].queues[(0, 0)]) for a in adus] == [1, 1]
+    assert [a.events.tolist() for a in adus] == [[(0, 0, 3, 2550)],
+                                                 [(0, 0, 3, 2551)]]
+    assert adus[0].following.tolist() == [(0, 0, 3, 2551)]
+    assert len(adus[1].following) == 0
     assert adus[0].start_t == 0 and adus[1].start_t == 2550
 
 
@@ -162,13 +240,14 @@ def test_adu_count_matches_grid():
 
 def test_build_adus_keeps_only_occupied_cubes():
     hdr = header(4096, 4096)
-    assert build_adus(events_of([]), hdr)[0].cubes == {}
+    (empty,) = build_adus(events_of([]), hdr)
+    assert len(empty.events) == len(empty.following) == 0
     events = events_of([(40, 20, 3, 10), (40, 20, 3, 2600)])
     first, second = build_adus(events, hdr)
-    assert list(first.cubes) == list(second.cubes) == [256 + 2]
-    assert first.cubes[258].origin == (32, 16)
-    assert first.cubes[258].queues == {(4, 8): [(3, 10)]}
-    assert first.cubes[258].following == {(4, 8): (3, 2600)}
+    assert first.events.tolist() == [(40, 20, 3, 10)]
+    assert first.following.tolist() == [(40, 20, 3, 2600)]
+    assert second.events.tolist() == [(40, 20, 3, 2600)]
+    assert len(second.following) == 0
 
 
 def test_build_adus_rejects_out_of_bounds():
@@ -176,6 +255,16 @@ def test_build_adus_rejects_out_of_bounds():
         build_adus(events_of([(4, 0, 3, 5), (40, 0, 3, 10)]), header(32, 32))
     with pytest.raises(ValueError, match=r"\(0, 32\)"):
         build_adus(events_of([(0, 32, 3, 10)]), header(32, 32))
+
+
+@pytest.mark.parametrize("dt_adu", [0, -1, 1 << 32])
+def test_dt_adu_outside_32_bits_raises_value_error(dt_adu):
+    events = events_of([(0, 0, 3, 10)])
+    with pytest.raises(ValueError, match="dt_adu"):
+        compress_events(events, header(16, 16), dt_adu)
+    payloads = compress_events(events, header(16, 16), (1 << 32) - 1)
+    assert decompress_payloads(payloads, header(16, 16)).tolist() == [
+        (0, 0, 3, 10)]
 
 
 def test_empty_adu_roundtrip_is_tiny():
@@ -362,3 +451,25 @@ def test_fuzzed_payloads_raise_only_stream_format_error():
         assert time.perf_counter() - start < 2.0
     assert attempts >= 500
     assert raised >= attempts * 0.95
+
+
+def test_coding_one_adu_holds_a_few_bytes_per_event():
+    # a 30-frame unit of dense content: the symbol sequence, the columns
+    # the coder reads and the decoded columns must stay within a small
+    # multiple of the unit's own 9-byte events (the ratio is the same at
+    # 64x64, but tracing every allocation slows the coder some 30x)
+    hdr = header(16, 16, dt_max=30 * 255)
+    (adu,) = build_adus(transcode(synth_clip("walk", 16, 16, 30), hdr), hdr)
+    assert len(adu.events) > 10_000
+    tracemalloc.start()
+    try:
+        payload = encode_adu(adu, hdr)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        decoded = decode_adu(payload, hdr)
+        decode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, adu.events)
+    assert encode_peak < 5 * adu.events.nbytes
+    assert decode_peak < 5 * adu.events.nbytes

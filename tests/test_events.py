@@ -18,7 +18,6 @@ from evc.events import (
     display_value,
     display_values,
     event_array,
-    event_rows,
     read_header,
     write_header,
 )
@@ -111,7 +110,7 @@ def test_serialize_roundtrip_random(tmp_path_factory, records):
     assert n == len(blob)
     hdr2, back = ev.read_stream(path)
     assert hdr2 == hdr and back.dtype == EVENT
-    assert list(event_rows(back)) == records
+    assert back.tolist() == records
     assert not back.flags.writeable
 
 

@@ -216,7 +216,8 @@ def test_batch_errors_name_the_first_event_the_oracle_refuses(rows):
     # 128..254, in any mix; the batch raises the oracle's message, for the
     # first refused event, and leaves its state as it was
     hdr = header(3, 3)
-    expected = oracle_error(hdr, rows)
+    # both sides first take the event (1, 1, 5, 3)
+    expected = oracle_error(hdr, [(1, 1, 5, 3)] + rows)
     for target in (Reconstructor(hdr), Detector(hdr, retest_neighbors=True)):
         recon = getattr(target, "recon", target)
         recon.apply_batch(batch((1, 1, 5, 3)))
@@ -226,6 +227,6 @@ def test_batch_errors_name_the_first_event_the_oracle_refuses(rows):
             continue
         with pytest.raises(ValueError) as err:
             target.apply_batch(np.array(rows, EVENT))
-        assert str(err.value) == oracle_error(hdr, [(1, 1, 5, 3)] + rows)
+        assert str(err.value) == expected
         assert np.array_equal(recon.image, image)
         assert np.array_equal(recon.last_t, clock)
