@@ -19,10 +19,15 @@ unsigned integer as an Elias-gamma code: the magnitude class
 offset bits below the leading one go out as equiprobable bypass bits,
 up to 16 per coding step.  ``encode`` takes the items packed as
 ``value << GROUP_BITS | group`` and codes them in one loop; ``decoder``
-returns a reader that decodes one value of a given group per call.
+returns a reader that decodes one run of a group's values per call, in
+one loop over the run.
 """
 
 from __future__ import annotations
+
+from array import array
+
+import numpy as np
 
 # Elias-gamma classes beyond this are impossible for any value the codec
 # writes; a uint model's alphabet is the classes 0..MAX_PREFIX
@@ -35,7 +40,7 @@ INITIAL_COUNT = 1
 BYPASS_CHUNK = 16
 
 FLAG = 0
-GROUPS = 4
+GROUPS = 3
 GROUP_BITS = 2
 
 _TOP = 1 << 24
@@ -112,7 +117,9 @@ def encode(items):
 def decoder(data):
     """Reader over a coded sequence; returns ``(read, consumed)``.
 
-    ``read(g)`` decodes the next value of group g, and ``consumed()``
+    ``read(g, n, stop=None)`` decodes a run of group g's values into an
+    ``array("Q")``: n values, or with ``stop`` given, the values up to
+    and including the n-th one equal to ``stop``.  ``consumed()``
     counts the bytes read so far.  Undecodable input raises ValueError:
     a corrupt stream shows as a nonzero first byte, a symbol target
     beyond the model's total, a bypass value wider than its bit count,
@@ -123,61 +130,87 @@ def decoder(data):
     if data[0]:
         raise ValueError("coded stream does not start with a zero byte")
     freqs, totals = _models()
-    code = int.from_bytes(data[1:_PRIME], "big")
-    rng = _MASK
-    pos = _PRIME
+    # (code register, range, read position) between runs
+    state = [int.from_bytes(data[1:_PRIME], "big"), _MASK, _PRIME]
     end = len(data)
 
-    def read(g):
-        nonlocal code, rng, pos
-        freq = freqs[g]
-        total = totals[g]
-        r = rng // total
-        target = code // r
-        if target >= total:
-            raise ValueError("symbol target outside the model total")
-        k = 0
-        f = freq[0]
-        rest = target
-        while f <= rest:
-            rest -= f
-            k += 1
-            f = freq[k]
-        code -= r * (target - rest)
-        rng = r * f
-        freq[k] += INCREMENT
-        total += INCREMENT
-        if total > HALVE_ABOVE:
-            freq[:] = [(f + 1) >> 1 for f in freq]
-            total = sum(freq)
-        totals[g] = total
-        n = 0 if g == FLAG else k
-        value = 1
-        while True:
+    def read(g, n, stop=None):
+        out = array("Q")
+        put = out.append
+        freq, total = freqs[g], totals[g]
+        uint = g != FLAG
+        every = stop is None
+        # the coder state lives in locals for the run; after a ValueError
+        # the reader is not used again
+        code, rng, pos = state
+        while n:
+            r = rng // total
+            target = code // r
+            if target >= total:
+                raise ValueError("symbol target outside the model total")
+            k = 0
+            f = freq[0]
+            rest = target
+            while f <= rest:
+                rest -= f
+                k += 1
+                f = freq[k]
+            code -= r * (target - rest)
+            rng = r * f
+            freq[k] += INCREMENT
+            total += INCREMENT
+            if total > HALVE_ABOVE:
+                freq[:] = [(f + 1) >> 1 for f in freq]
+                total = sum(freq)
             while rng < _TOP:
                 if pos >= end:
                     raise ValueError("read past the end of the payload")
                 code = (code << 8) | data[pos]
                 pos += 1
                 rng <<= 8
-            if not n:
-                return k if g == FLAG else value - 1
-            step = n if n < BYPASS_CHUNK else BYPASS_CHUNK
-            n -= step
-            rng >>= step
-            v = code // rng
-            if v >> step:
-                raise ValueError("bypass bits outside the coded range")
-            value = (value << step) | v
-            code -= v * rng
+            value = k
+            if uint and k:
+                # the k offset bits below the leading one
+                value = 1
+                while k:
+                    step = k if k < BYPASS_CHUNK else BYPASS_CHUNK
+                    k -= step
+                    rng >>= step
+                    v = code // rng
+                    if v >> step:
+                        raise ValueError(
+                            "bypass bits outside the coded range")
+                    value = (value << step) | v
+                    code -= v * rng
+                    while rng < _TOP:
+                        if pos >= end:
+                            raise ValueError(
+                                "read past the end of the payload")
+                        code = (code << 8) | data[pos]
+                        pos += 1
+                        rng <<= 8
+                value -= 1
+            put(value)
+            if every or value == stop:
+                n -= 1
+        state[:] = code, rng, pos
+        totals[g] = total
+        return out
 
-    return read, lambda: pos
+    return read, lambda: state[2]
 
 
 def zigzag(v):
-    """Signed to unsigned: 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ..."""
-    return (v << 1) if v >= 0 else ((-v << 1) - 1)
+    """Signed to unsigned, in place on an integer array: 0, -1, 1, -2, 2 ...
+    -> 0, 1, 2, 3, 4 ..."""
+    negative = v < 0
+    v <<= 1
+    return np.invert(v, out=v, where=negative)
 
 
-def unzigzag(u):
-    return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
+def unzigzag(v):
+    """Inverse of ``zigzag``, in place on an int64 array."""
+    odd = np.empty(len(v), bool)
+    np.bitwise_and(v, 1, out=odd, casting="unsafe")
+    v >>= 1
+    return np.invert(v, out=v, where=odd)

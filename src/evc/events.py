@@ -27,11 +27,12 @@ D_MAX = 127
 MAGIC = b"AEVS"
 VERSION = 1
 
-# Source codec ids carried in the stream header.  Id 1 was the earlier
-# binary arithmetic coder, whose streams no longer decode; bumping the
+# Source codec ids carried in the stream header.  Ids 1 (a binary
+# arithmetic coder) and 2 (the range coder with lossy timestamp shifts)
+# belong to earlier codecs, whose streams no longer decode; bumping the
 # codec id rather than VERSION leaves raw streams byte-identical.
 CODEC_RAW = 0
-CODEC_COMPRESSED = 2
+CODEC_COMPRESSED = 3
 
 DEFAULT_DT_REF = 255
 

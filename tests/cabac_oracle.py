@@ -205,17 +205,23 @@ def encode_items(items):
     return enc.finish()
 
 
-def decode_groups(data, group_seq):
+def decode_runs(data, runs):
     """(values, error message or None, bytes consumed) of the oracle reading
-    one value of each group in ``group_seq``, stopping at the first
-    ValueError."""
+    ``runs`` of ``(group, n, stop)`` as ``evc.cabac.decoder``'s reader
+    does, one value at a time: the values of the runs read whole, up to
+    the first ValueError."""
     values = []
     try:
         dec = RangeDecoder(data)
         models = fresh_models()
-        for g in group_seq:
-            values.append(dec.symbol(models[g]) if g == FLAG
-                          else dec.uint(models[g]))
+        for g, n, stop in runs:
+            run = []
+            while n:
+                run.append(dec.symbol(models[g]) if g == FLAG
+                           else dec.uint(models[g]))
+                if stop is None or run[-1] == stop:
+                    n -= 1
+            values += run
     except ValueError as exc:
         return values, str(exc), None
     return values, None, dec.pos

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from cabac_oracle import (
     RangeEncoder,
     carrying_items,
-    decode_groups,
+    decode_runs,
     encode_items,
     fresh_models,
     uint_model,
@@ -31,31 +33,38 @@ def pack(group, value):
 
 
 def roundtrip(items):
-    """The flat loops' bytes for ``items``, checked to decode back exactly."""
+    """The flat loops' bytes for ``items``, checked to decode back exactly
+    when each run of one group is read in one call."""
     blob = encode(items)
     read, consumed = decoder(blob)
-    assert [read(item & 3) for item in items] == [i >> 2 for i in items]
+    values = []
+    for g, run in itertools.groupby(items, key=lambda item: item & 3):
+        values += read(g, len(list(run)))
+    assert values == [item >> GROUP_BITS for item in items]
     assert consumed() == len(blob)
     return blob
 
 
-def read_all(data, group_seq):
-    """(values, error message or None, bytes consumed) of the flat reader,
-    in the form of ``cabac_oracle.decode_groups``."""
+def read_runs(data, runs):
+    """(values, error message or None, bytes consumed) of the run reader
+    over ``runs`` of ``(group, n, stop)``, in the form of
+    ``cabac_oracle.decode_runs``."""
     values = []
     try:
         read, consumed = decoder(data)
-        for g in group_seq:
-            values.append(read(g))
+        for g, n, stop in runs:
+            values += read(g, n, stop)
     except ValueError as exc:
         return values, str(exc), None
     return values, None, consumed()
 
 
 def test_zigzag_roundtrip_and_order():
-    assert [zigzag(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
-    for v in range(-1000, 1000):
-        assert unzigzag(zigzag(v)) == v
+    assert zigzag(np.array([0, -1, 1, -2, 2])).tolist() == [0, 1, 2, 3, 4]
+    values = np.r_[np.arange(-1000, 1000), -(1 << 40), (1 << 40) - 1]
+    coded = zigzag(values.copy())
+    assert coded.min() >= 0
+    assert np.array_equal(unzigzag(coded), values)
 
 
 def test_bit_roundtrip_random():
@@ -87,7 +96,7 @@ def test_context_adaptation_moves_probability():
 
 
 def test_model_counts_halve_past_the_limit():
-    items = [pack(3, 3)] * (2 * HALVE_ABOVE // INCREMENT)
+    items = [pack(2, 3)] * (2 * HALVE_ABOVE // INCREMENT)
     model = uint_model()
     enc = RangeEncoder()
     peak = 0
@@ -143,7 +152,7 @@ def test_symbol_target_outside_total_raises():
     # symbol's slice of the model total
     read, _ = decoder(b"\x00\xff\xff\xff\xff")
     with pytest.raises(ValueError, match="outside the model total"):
-        read(1)
+        read(1, 1)
 
 
 def test_bypass_value_outside_range_raises():
@@ -153,8 +162,9 @@ def test_bypass_value_outside_range_raises():
     data = b"\x00\xff\xff\xd4\x70" + bytes(8)
     read, _ = decoder(data)
     with pytest.raises(ValueError, match="bypass bits outside"):
-        read(1)
-    assert decode_groups(data, [1])[1] == "bypass bits outside the coded range"
+        read(1, 1)
+    assert (decode_runs(data, [(1, 1, None)])[1]
+            == "bypass bits outside the coded range")
 
 
 def test_read_past_end_raises():
@@ -162,8 +172,7 @@ def test_read_past_end_raises():
     blob = encode(items)
     read, _ = decoder(blob[:-1])
     with pytest.raises(ValueError, match="past the end"):
-        for _ in items:
-            read(1)
+        read(1, len(items))
     with pytest.raises(ValueError, match="past the end"):
         decoder(blob[:4])
 
@@ -176,8 +185,7 @@ def test_empty_stream_decodes_zero_bits():
     # the stream holds nothing more: reading on until the range needs
     # another byte fails
     with pytest.raises(ValueError, match="past the end"):
-        for _ in range(8):
-            assert read(1) == 0
+        read(1, 8)
 
 
 def carried_pending(items, at_flush):
@@ -213,7 +221,7 @@ def test_carries_ripple_through_pending_bytes():
 
 
 def test_the_flush_carries_through_pending_bytes():
-    items = carrying_items(3, run=4, at_flush=True)
+    items = carrying_items(1, run=4, at_flush=True)
     carried, blob = carried_pending(items, at_flush=True)
     assert carried >= 4
     assert roundtrip(items) == blob
@@ -261,32 +269,46 @@ def _expand(group, top, length, seed):
 _TO_HALVING = HALVE_ABOVE // INCREMENT + 1
 
 
+def _run_read(group, values, by_stop):
+    """The ``(group, n, stop)`` read that takes back a run of ``values``:
+    by count, or up to the last occurrence of its final value."""
+    if by_stop:
+        return group, values.count(values[-1]), values[-1]
+    return group, len(values), None
+
+
 @settings(max_examples=40, deadline=None)
 @given(carry_group=st.integers(1, GROUPS - 1),
        carry_seed=st.integers(0, 1 << 16),
        runs=st.lists(_run, max_size=10),
        halving=_run, at=st.integers(0, 10),
+       by_stop=st.lists(st.booleans(), min_size=11, max_size=11),
        damage=st.sampled_from(["flip", "truncate", "first byte", "extend"]),
        where=st.floats(0, 1), mask=st.integers(1, 255))
 def test_flat_loops_match_the_per_symbol_oracle(
-        carry_group, carry_seed, runs, halving, at, damage, where, mask):
+        carry_group, carry_seed, runs, halving, at, by_stop, damage, where,
+        mask):
     # Every sequence opens, on fresh models, with values that carry through
     # a run of 0xFF bytes, and holds one run long enough to halve its
-    # model's counts; the other runs reach classes up to MAX_PREFIX.
+    # model's counts; the other runs reach classes up to MAX_PREFIX.  The
+    # reader takes each run in one call, by count or up to a stop value.
     group, top, _, seed = halving
     runs.insert(min(at, len(runs)), (group, top, _TO_HALVING + 20, seed))
     items = carrying_items(carry_group, run=2, seed=carry_seed)
-    for run in runs:
-        items += _expand(*run)
-    groups = [item & 3 for item in items]
+    reads = [(carry_group, len(items), None)]
+    for run, stop in zip(runs, by_stop):
+        values = _expand(*run)
+        items += values
+        reads.append(_run_read(run[0], [v >> GROUP_BITS for v in values],
+                               stop))
 
     blob = encode(items)
     assert blob == encode_items(items)
-    assert read_all(blob, groups) == ([i >> 2 for i in items], None,
+    assert read_runs(blob, reads) == ([i >> 2 for i in items], None,
                                       len(blob))
 
-    # A damaged stream decodes to the oracle's values up to the same
-    # error, or to its values and length if nothing is undecodable.
+    # A damaged stream reads to the oracle's values up to the same error,
+    # or to its values and length if nothing is undecodable.
     data = bytearray(blob)
     cut = int(where * (len(data) - 1))
     if damage == "flip":
@@ -297,5 +319,5 @@ def test_flat_loops_match_the_per_symbol_oracle(
         data[0] = mask
     else:
         data += bytes((mask,)) * 3
-    reads = groups + [mask % GROUPS] * 8
-    assert read_all(bytes(data), reads) == decode_groups(bytes(data), reads)
+    reads.append((mask % GROUPS, 8, None))
+    assert read_runs(bytes(data), reads) == decode_runs(bytes(data), reads)

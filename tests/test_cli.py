@@ -53,7 +53,7 @@ def pipeline_stream(tmp_path, pos=None, value=None):
     return result, stream
 
 
-@pytest.mark.parametrize("codec", [1, 7])
+@pytest.mark.parametrize("codec", [1, 2, 7])
 @pytest.mark.parametrize("verb", ["play", "decompress", "detect"])
 def test_unknown_codec_id_fails_cleanly(tmp_path, capsys, codec, verb):
     # byte 12 of the header is the source codec id
@@ -89,6 +89,24 @@ def test_oversized_header_fails_fast(tmp_path, capsys, verb):
     assert time.perf_counter() - start < 2.0
     assert "pixel limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compress_then_decompress_gives_back_the_raw_events(tmp_path):
+    clip = tmp_path / "clip.y4m"
+    write_y4m(clip, synth_clip("walk", 24, 16, 40, seed=7), fps=25.0)
+    raw, coded, back = (tmp_path / name
+                        for name in ("s.adder", "s.adderc", "back.adder"))
+    assert main(["transcode", str(clip), "--crf", "3", "--dt-max", "2550",
+                 "--out", str(raw)]) == 0
+    assert main(["compress", str(raw), "--out", str(coded)]) == 0
+    assert main(["decompress", str(coded), "--out", str(back)]) == 0
+    header, events = read_stream(str(raw))
+    header_back, decoded = read_stream(str(back))
+    assert header_back == header and header.crf == 3
+    # the decoder yields each unit pixel by pixel, the transcoder by time
+    key = ("y", "x", "t")
+    assert np.array_equal(np.sort(decoded, order=key),
+                          np.sort(events, order=key))
 
 
 def test_transcode_writes_the_pipelines_raw_stream(tmp_path):

@@ -1,9 +1,11 @@
-"""Codec 2 byte identity: the payloads of fixed streams are pinned by hash.
+"""Codec 3 byte identity: the payloads of fixed streams are pinned by hash.
 
 The streams are seeded, so their events never change; a coder or ADU
 change that alters a single payload byte fails here.  The hashes were
-taken from the per-symbol range coder that ``tests/cabac_oracle.py``
-keeps as the reference.
+taken from the per-event sequence of ``tests/compress_oracle.py`` coded
+by the per-symbol range coder of ``tests/cabac_oracle.py``.  Every
+payload is also held to the size the same unit took under codec 2, whose
+lossy timestamp shifts and shift symbols codec 3 dropped.
 """
 
 import hashlib
@@ -54,16 +56,26 @@ def header(width, height, crf):
 
 
 # (seed, width, height, windows, dt_adu, crf) -> sha256 of the payloads,
-# each prefixed by its length as in a compressed file
+# each prefixed by its length as in a compressed file; CRF no longer
+# enters the coding, so the first three agree
 PINS = {
     (1, 20, 20, 4, None, 0):
-        "3eb94a8a126cd5d05056ff623f91a4c0adb130797aa989e34063d4eda58cf6ab",
+        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
     (1, 20, 20, 4, None, 3):
-        "be554cd02b677bfd38b75f4365dcb72d28fa2ee4c24cb26cd9c9ebe26db79c5f",
+        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
     (1, 20, 20, 4, None, 9):
-        "cc96d46ad81267763139ac009043e6749e35f74a67f3f0b8663c6fefce930d02",
+        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
     (2, 37, 18, 3, 1000, 3):
-        "cb42e4ee6b193a0180f0cfed9b1c955ddd37aceae955fee5b9d8af39ff7749a9",
+        "e23a0543423b276755700478d84df547e0cfda81459c51ecf408b64f3268c383",
+}
+
+# the same units' payload sizes in bytes under codec 2
+CODEC2_SIZES = {
+    (1, 20, 20, 4, None, 0): [5298, 5223, 5258, 5263],
+    (1, 20, 20, 4, None, 3): [5725, 5650, 5687, 5694],
+    (1, 20, 20, 4, None, 9): [5738, 5666, 5709, 5724],
+    (2, 37, 18, 3, 1000, 3): [3817, 3891, 3805, 3843, 3830, 3867, 3799,
+                              2560],
 }
 
 
@@ -76,23 +88,24 @@ def payload_digest(payloads):
 
 
 @pytest.mark.parametrize("case", sorted(PINS, key=str))
-def test_codec2_payloads_are_pinned(case):
+def test_codec3_payloads_are_pinned(case):
     seed, width, height, windows, dt_adu, crf = case
     events = pinned_stream(seed, width, height, windows)
     hdr = header(width, height, crf)
     payloads = compress_events(events, hdr, dt_adu)
     assert payload_digest(payloads) == PINS[case]
+    assert len(payloads) == len(CODEC2_SIZES[case])
+    for payload, size in zip(payloads, CODEC2_SIZES[case]):
+        assert len(payload) <= size
 
-    # what the pin covers: several ADUs with lookahead events across
-    # them, markers, edge cubes, and at CRF above 0 shifted timestamps
+    # what the pin covers: several ADUs, pixels with events in more than
+    # one of them, markers and edge cubes, all decoded exactly
     assert len(payloads) >= 3
-    adus = build_adus(events, hdr, dt_adu)
-    assert all(len(adu.following) for adu in adus[:-1])
     assert (events["d"] == EMPTY).any()
     assert width % 16 and height % 16
-    decoded = np.concatenate([decode_adu(p, hdr, k)
-                              for k, p in enumerate(payloads)])
-    order = np.lexsort((decoded["t"], decoded["x"], decoded["y"]))
-    truth = np.sort(events, order=["y", "x", "t"])
-    moved = (decoded[order]["t"] != truth["t"]).sum()
-    assert (moved == 0) == (crf == 0)
+    adus = build_adus(events, hdr, dt_adu)
+    first, second = ({(x, y) for x, y, _, _ in adu.events.tolist()}
+                     for adu in adus[:2])
+    assert first & second
+    for k, (adu, payload) in enumerate(zip(adus, payloads)):
+        assert np.array_equal(decode_adu(payload, hdr, k), adu.events)

@@ -2,35 +2,37 @@ import io
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compress_oracle import pack, reference_sequence, t_prediction, zigzag
 from evc import (
     CODEC_COMPRESSED,
     EMPTY,
     EVENT,
     StreamFormatError,
     StreamHeader,
-    crf_params,
-    display_value,
     synth_clip,
     transcode,
 )
-from evc import compress
+from evc import cabac, compress
+from evc.cabac import FLAG
 from evc.events import HEADER_SIZE
 from evc.compress import (
+    D_OFFSET,
+    EOS_U,
+    SKIP_U,
     Adu,
     DecodeError,
     build_adus,
-    choose_shift,
     compress_events,
     decode_adu,
     encode_adu,
     read_compressed,
-    t_prediction,
     write_compressed,
 )
 
@@ -70,153 +72,24 @@ def random_stream(rng, w, h, max_t, mean_events=4):
     return events_of(events)
 
 
+def increments(prev_dt, shift):
+    """``compress._increments`` over Python lists."""
+    return compress._increments(np.array(prev_dt, np.int64),
+                                np.array(shift, np.int16)).tolist()
+
+
 def test_prediction_examples():
     assert t_prediction(1000, 100, 1) == 1200
     assert t_prediction(1000, 100, 0) == 1100
     assert t_prediction(1000, 100, -2) == 1025
+    assert increments([100, 100, 100], [1, 0, -2]) == [200, 100, 25]
 
 
 def test_prediction_never_stalls_or_explodes():
     assert t_prediction(50, 1, -30) == 51          # floored at one tick
     assert t_prediction(0, 1 << 20, 31) == 1 << 31  # capped increment
-
-
-def test_choose_shift_zero_residual_and_lossless():
-    assert choose_shift(1000, 1000, 5, 900, 8, dt_ref=255) == (0, 0)
-    assert choose_shift(1000, 940, 5, 900, 0, dt_ref=255) == (0, 60)
-
-
-def test_choose_shift_brute_force_example():
-    # frozen from an exhaustive scan over s: t'=240 passes the loose
-    # per-tick tolerance, so the maximal shift wins outright
-    assert choose_shift(256, 240, 8, 0, 10, dt_ref=1) == (31, 0)
-    # under display-unit scaling the same setup only admits the exact
-    # reconstruction, reached at s=4 where the residual survives intact
-    assert choose_shift(256, 240, 8, 0, 10, dt_ref=255) == (4, 1)
-
-
-def test_choose_shift_falls_back_to_exact_residual():
-    # every nonzero shift overshoots t_true here, so the search
-    # degenerates to the exact residual at shift zero
-    s, res = choose_shift(259, 500, 4, 255, 200, dt_ref=255)
-    assert s == 0 and res == -241
-    assert 500 + res == 259
-
-
-def test_choose_shift_lookahead_guards_successor():
-    # alone, the coarse shift is admissible; with a successor close by,
-    # the drifted interval would break its tolerance at shift zero
-    free = choose_shift(2000, 1800, 6, 1000, 30, dt_ref=255)
-    held = choose_shift(2000, 1800, 6, 1000, 30, dt_ref=255,
-                        following=(6, 2100))
-    assert free[0] > held[0]
-    t_free = 1800 + (free[1] << free[0])
-    t_held = 1800 + (held[1] << held[0])
-    assert t_held > t_free
-
-
-def choose_shift_by_search(t_true, p_b, d, prev_t_recon, m_max, dt_ref=1,
-                           dt_true=None, following=None):
-    """``choose_shift`` as a search over every shift from the cap down."""
-    r = t_true - p_b
-    if m_max == 0 or r == 0 or d == EMPTY:
-        return 0, r
-    if dt_true is None:
-        dt_true = t_true - prev_t_recon
-    lo, hi = compress._dt_window(d, dt_true, m_max, dt_ref)
-    t_lo = prev_t_recon + lo
-    t_hi = t_true if hi is None else min(t_true, prev_t_recon + hi)
-    if following is not None and following[0] != EMPTY:
-        next_d, next_t = following
-        flo, fhi = compress._dt_window(next_d, next_t - t_true, m_max, dt_ref)
-        if fhi is not None:
-            t_lo = max(t_lo, next_t - fhi)
-        t_hi = min(t_hi, next_t - flo)
-    mag = abs(r)
-    for s in range(compress.SHIFT_CAP, 0, -1):
-        q = mag >> s if r > 0 else -(mag >> s)
-        if t_lo <= p_b + (q << s) <= t_hi:
-            return s, q
-    return 0, r
-
-
-def _interval(d, value, dt_ref):
-    """Ticks over which 2**d units display as ``value``."""
-    return max(1, ((1 << d) * dt_ref) // value)
-
-
-@settings(max_examples=600, deadline=None)
-@given(prev_t=st.integers(0, 1 << 24),
-       d=st.sampled_from(list(range(21)) + [EMPTY]),
-       value=st.one_of(st.integers(1, 16), st.integers(1, 300)),
-       dt_ref=st.sampled_from((1, 3, 255, 1000)), m_max=st.integers(1, 40),
-       miss=st.one_of(st.floats(-0.05, 0.05), st.floats(-1, 1)),
-       slip=st.integers(0, 64),
-       following=st.one_of(st.none(), st.tuples(
-           st.sampled_from(list(range(21)) + [EMPTY]),
-           st.integers(1, 300))))
-@example(prev_t=0, d=8, value=1, dt_ref=1, m_max=10, miss=-0.0625, slip=0,
-         following=None)
-@example(prev_t=1000, d=6, value=16, dt_ref=255, m_max=30, miss=-0.2,
-         slip=0, following=(6, 163))
-def test_choose_shift_takes_the_top_of_the_admissible_shifts(
-        prev_t, d, value, dt_ref, m_max, miss, slip, following):
-    # a pixel showing ``value`` over its true interval (a marker's
-    # interval is that of d = 20), a prediction that misses t_true by up
-    # to one interval either way, a true interval that trails the
-    # reconstructed one by ``slip``, and maybe a successor (d, value) in
-    # the encoder's lookahead
-    gap = _interval(min(d, 20), value, dt_ref)
-    t_true = prev_t + gap
-    p_b = max(prev_t + 1, t_true + int(miss * gap))
-    if following is not None:
-        next_d, next_value = following
-        following = (next_d,
-                     t_true + _interval(min(next_d, 20), next_value, dt_ref))
-    args = (t_true, p_b, d, prev_t, m_max, dt_ref)
-    kwargs = dict(dt_true=gap + slip, following=following)
-    assert choose_shift(*args, **kwargs) == choose_shift_by_search(*args,
-                                                                   **kwargs)
-
-
-def test_the_shift_search_examples_hit_the_cap_and_the_lookahead():
-    assert choose_shift_by_search(256, 240, 8, 0, 10, dt_ref=1) == (31, 0)
-    free = choose_shift_by_search(2000, 1800, 6, 1000, 30, dt_ref=255)
-    held = choose_shift_by_search(2000, 1800, 6, 1000, 30, dt_ref=255,
-                                  following=(6, 2100))
-    assert free[0] > held[0] > 0
-
-
-def _intensity_close(d, dt_a, dt_b, m_max, dt_ref):
-    """Shift admissibility written out: the displayed value must not move
-    at all, and the underlying intensities must stay strictly within m_max
-    of each other (the latter also covers the clamped regime, where two
-    displays can agree at 255 while the raw intensities drift apart).
-    """
-    if d == EMPTY:
-        return True
-    if display_value(d, dt_a, dt_ref) != display_value(d, dt_b, dt_ref):
-        return False
-    return ((1 << d) * dt_ref * abs(dt_a - dt_b)) < m_max * dt_a * dt_b
-
-
-@settings(max_examples=400, deadline=None)
-@given(d=st.integers(0, 127), dt_true=st.integers(1, 1 << 20),
-       m_max=st.integers(1, 40),
-       dt_ref=st.sampled_from((1, 2, 3, 255, 256, 1000)),
-       dt=st.integers(1, 1 << 24))
-def test_dt_window_admits_exactly_what_the_oracle_accepts(d, dt_true, m_max,
-                                                          dt_ref, dt):
-    lo, hi = compress._dt_window(d, dt_true, m_max, dt_ref)
-    assert lo <= dt_true and (hi is None or dt_true <= hi)
-    probes = {dt, dt_true, lo - 1, lo, lo + 1}
-    if hi is not None:
-        probes |= {hi - 1, hi, hi + 1}
-    for probe in probes:
-        if probe >= 1:
-            inside = lo <= probe and (hi is None or probe <= hi)
-            assert inside == _intensity_close(d, dt_true, probe, m_max,
-                                              dt_ref), probe
+    assert increments([1, 1 << 20, (1 << 32) - 1], [-30, 31, 31]) == [
+        1, 1 << 31, 1 << 31]
 
 
 def test_adu_windows_are_left_open():
@@ -226,8 +99,6 @@ def test_adu_windows_are_left_open():
     assert len(adus) == 2
     assert [a.events.tolist() for a in adus] == [[(0, 0, 3, 2550)],
                                                  [(0, 0, 3, 2551)]]
-    assert adus[0].following.tolist() == [(0, 0, 3, 2551)]
-    assert len(adus[1].following) == 0
     assert adus[0].start_t == 0 and adus[1].start_t == 2550
 
 
@@ -241,13 +112,11 @@ def test_adu_count_matches_grid():
 def test_build_adus_keeps_only_occupied_cubes():
     hdr = header(4096, 4096)
     (empty,) = build_adus(events_of([]), hdr)
-    assert len(empty.events) == len(empty.following) == 0
+    assert len(empty.events) == 0
     events = events_of([(40, 20, 3, 10), (40, 20, 3, 2600)])
     first, second = build_adus(events, hdr)
     assert first.events.tolist() == [(40, 20, 3, 10)]
-    assert first.following.tolist() == [(40, 20, 3, 2600)]
     assert second.events.tolist() == [(40, 20, 3, 2600)]
-    assert len(second.following) == 0
 
 
 def test_build_adus_rejects_out_of_bounds():
@@ -284,49 +153,26 @@ def test_lossless_roundtrip_random_streams():
     assert key_sorted(decoded) == key_sorted(events)
 
 
-def test_constant_rate_pixel_is_exact_even_lossy():
-    hdr = header(16, 16, crf=9)
+def test_constant_rate_pixel_is_exact_at_every_crf():
     events = events_of([(3, 2, 6, 255 * k) for k in range(1, 30)])
-    decoded = decompress_payloads(compress_events(events, hdr), hdr)
-    assert key_sorted(decoded) == key_sorted(events)
+    for crf in (0, 3, 6, 9):
+        hdr = header(16, 16, crf=crf)
+        decoded = decompress_payloads(compress_events(events, hdr), hdr)
+        assert decoded.tolist() == events.tolist()
 
 
-def test_lossy_roundtrip_preserves_counts_and_bound():
+def test_roundtrip_is_exact_at_every_crf():
+    # the header's CRF steers the transcoder only: the coder gives back
+    # every event, and the payloads do not depend on it
     rng = random.Random(77)
-    hdr = header(32, 24, crf=6)
-    m_max = crf_params(hdr.crf).m_max
     events = random_stream(rng, 32, 24, 3 * 2550)
-    decoded = decompress_payloads(compress_events(events, hdr), hdr)
-    assert len(decoded) == len(events)
-
-    span = hdr.dt_max
-    truth = {}
-    for x, y, d, t in sorted(events.tolist(), key=lambda e: e[3]):
-        truth.setdefault((x, y), []).append((d, t))
-    got = {}
-    for x, y, d, t in decoded.tolist():
-        got.setdefault((x, y), []).append((d, t))
-
-    checked = 0
-    for pixel, true_seq in truth.items():
-        rec_seq = sorted(got[pixel], key=lambda e: e[1])
-        assert [d for d, _ in rec_seq] == [d for d, _ in true_seq]
-        prev_true = prev_rec = None
-        window = None
-        for (d, t_true), (_, t_rec) in zip(true_seq, rec_seq):
-            k = (t_true - 1) // span if t_true > 0 else 0
-            is_first = k != window
-            window = k
-            if is_first:
-                assert t_rec == t_true  # intra events are lossless
-            elif d != EMPTY:
-                true_i = (1 << d) * hdr.dt_ref / (t_true - prev_true)
-                rec_i = (1 << d) * hdr.dt_ref / (t_rec - prev_rec)
-                assert abs(rec_i - true_i) < m_max
-                checked += 1
-            assert t_rec <= t_true
-            prev_true, prev_rec = t_true, t_rec
-    assert checked > 200
+    coded = {}
+    for crf in (0, 3, 6, 9):
+        hdr = header(32, 24, crf=crf)
+        coded[crf] = compress_events(events, hdr)
+        decoded = decompress_payloads(coded[crf], hdr)
+        assert key_sorted(decoded) == key_sorted(events)
+    assert coded[0] == coded[3] == coded[6] == coded[9]
 
 
 def test_adus_decode_independently():
@@ -395,14 +241,16 @@ def test_single_event_pixel_needs_only_intra():
     assert decoded.tolist() == [(1, 1, 7, 500)]
 
 
-def test_bad_shift_raises_instead_of_asserting(monkeypatch):
-    rng = random.Random(21)
-    hdr = header(32, 24, crf=3)
-    adu = build_adus(random_stream(rng, 32, 24, 2550), hdr)[0]
-    # a shift that lands one tick past the true timestamp
-    monkeypatch.setattr(compress, "choose_shift",
-                        lambda t_true, p_b, *a, **k: (0, t_true - p_b + 1))
-    with pytest.raises(ValueError, match="outside"):
+def test_repeated_tick_raises_naming_the_pixel():
+    hdr = header(32, 24)
+    events = events_of([(1, 1, 3, 100), (5, 2, 3, 300), (5, 2, 4, 300),
+                        (5, 2, 3, 900)])
+    (adu,) = build_adus(events, hdr)
+    with pytest.raises(ValueError, match=r"pixel \(5, 2\): tick 300"):
+        encode_adu(adu, hdr)
+    # as does an ADU assembled out of order by hand
+    adu = Adu(0, 2550, events_of([(5, 2, 3, 900), (5, 2, 3, 300)]))
+    with pytest.raises(ValueError, match=r"pixel \(5, 2\): tick 300"):
         encode_adu(adu, hdr)
 
 
@@ -473,3 +321,107 @@ def test_coding_one_adu_holds_a_few_bytes_per_event():
     assert np.array_equal(decoded, adu.events)
     assert encode_peak < 5 * adu.events.nbytes
     assert decode_peak < 5 * adu.events.nbytes
+
+
+@st.composite
+def streams(draw):
+    """(width, height, dt_adu, events) of a random stream: partial edge
+    cubes, gap markers, d jumps of up to 127 either way, single-event
+    pixels, and windows with no events at all."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    dt_adu = draw(st.sampled_from((50, 700, 2550, (1 << 32) - 1)))
+    pixels = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    decimations = st.one_of(st.sampled_from((0, 127, EMPTY)),
+                            st.integers(0, 127))
+    # at most 320 windows, and at dt_adu 2**32 - 1 gaps of up to 2**31
+    gaps = st.one_of(st.integers(1, 3000),
+                     st.integers(1, min(40 * dt_adu, 1 << 31)))
+    rows = []
+    for x, y in draw(st.lists(pixels, unique=True, max_size=12)):
+        t = 0
+        for d, gap in draw(st.lists(st.tuples(decimations, gaps),
+                                    min_size=1, max_size=8)):
+            t += gap
+            if t >= 1 << 32:
+                break
+            rows.append((x, y, d, t))
+    return width, height, dt_adu, rows
+
+
+# prev_dt of 2**31 and of nearly 2**32 ahead of a d step of +127, where
+# prev_dt << 31 comes near the top of int64; and prev_dt past 2**31 ahead
+# of steps of 0 and -1, where the prediction is capped and where it is not
+_LAST = (1 << 32) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=streams())
+@example(case=(16, 16, _LAST, [(3, 4, 0, 1), (3, 4, 0, (1 << 31) + 1),
+                               (3, 4, 127, _LAST)]))
+@example(case=(20, 20, _LAST, [(17, 18, 0, 1), (17, 18, 0, _LAST - 2),
+                               (17, 18, 127, _LAST)]))
+@example(case=(16, 16, _LAST, [(3, 4, 5, 1), (3, 4, 5, (1 << 31) + 6),
+                               (3, 4, 5, (1 << 31) + 100)]))
+@example(case=(16, 16, _LAST, [(3, 4, 5, 1), (3, 4, 5, (1 << 31) + 6),
+                               (3, 4, 4, (1 << 31) + 100)]))
+@example(case=(16, 16, 50, []))
+def test_sequence_matches_the_per_event_reference(case):
+    width, height, dt_adu, rows = case
+    hdr = header(width, height)
+    for adu in build_adus(events_of(rows), hdr, dt_adu):
+        items = []
+
+        def spy(seq):
+            items.extend(seq)
+            return cabac.encode(seq)
+
+        with mock.patch.object(compress, "encode", spy):
+            payload = encode_adu(adu, hdr)
+        assert items == reference_sequence(adu, hdr)
+        decoded = decode_adu(payload, hdr)
+        assert decoded.dtype == EVENT and np.array_equal(decoded, adu.events)
+
+
+def _one_pixel_unit(intra_d=(zigzag(3) + D_OFFSET,), queue=(), ends=(EOS_U,),
+                    ts=(zigzag(100),)):
+    """Items of a 16x16 unit whose only pixel is (0, 0), laid out as codec
+    3 lays them out, each part replaceable by damaged values."""
+    d_ = compress._D
+    return ([pack(FLAG, 1)] + [pack(d_, u) for u in intra_d]
+            + [pack(d_, SKIP_U)] * (256 - len(intra_d))
+            + [pack(d_, u) for u in queue] + [pack(d_, SKIP_U)]
+            + [pack(d_, u) for u in ends]
+            + [pack(compress._T, u) for u in ts])
+
+
+@pytest.mark.parametrize("items, message", [
+    (_one_pixel_unit(intra_d=(EOS_U,)),
+     "end of sequence inside the intra pass"),
+    (_one_pixel_unit(intra_d=(zigzag(128) + D_OFFSET,)),
+     "decimation 128 outside the value range"),
+    (_one_pixel_unit(queue=(zigzag(-4) + D_OFFSET,),
+                     ts=(zigzag(100), 0)),
+     "decimation -1 outside the value range"),
+    (_one_pixel_unit(intra_d=(zigzag(1 << 39) + D_OFFSET,)),
+     "decimation 256 outside the value range"),
+    (_one_pixel_unit(ts=(zigzag(-1),)),
+     "timestamp -1 outside the tick range"),
+    (_one_pixel_unit(ts=(zigzag(-(1 << 39)),)),
+     "timestamp -4294967296 outside the tick range"),
+    (_one_pixel_unit(queue=(EOS_U,), ts=(zigzag(100), 0)),
+     "end of sequence inside a pixel queue"),
+    (_one_pixel_unit(ends=(SKIP_U,)), "missing end of sequence"),
+    # the prediction continues dt_ref = 255 from t = 100
+    (_one_pixel_unit(queue=(D_OFFSET,), ts=(zigzag(100), zigzag(-255))),
+     "timestamp 100 breaks pixel monotonicity"),
+    (_one_pixel_unit(ts=(zigzag(100), 0)),
+     "bytes left over after the end of sequence"),
+], ids=["intra-eos", "intra-d", "inter-d", "huge-d", "intra-t", "huge-t",
+        "queue-eos", "no-eos", "inter-t", "left-over"])
+def test_each_decode_error_names_its_case(items, message):
+    hdr = header(16, 16)
+    payload = compress._ADU_PREFIX.pack(0, 2550) + cabac.encode(items)
+    with pytest.raises(DecodeError, match=f"ADU 4: {message}"):
+        decode_adu(payload, hdr, adu_index=4)
+    with pytest.raises(DecodeError, match="shorter than the unit prefix"):
+        decode_adu(payload[:7], hdr)
