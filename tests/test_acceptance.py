@@ -80,7 +80,9 @@ def test_crf0_is_bit_lossless(tmp_path):
                 == Path(result.paths["recon_raw"]).read_bytes())
 
 
-def test_coding_is_lossless_at_every_crf(tmp_path):
+def test_lossy_coding_keeps_every_displayed_value(tmp_path):
+    # CRF is lossy in the transcoder; the coder after it keeps every event,
+    # so the compressed stream displays exactly what the raw stream does
     with gate("compression is lossless at every CRF"):
         frames = synth_clip("walk", 24, 16, 40, seed=3)
         for crf in (0, 3, 6, 9):

@@ -153,7 +153,9 @@ def test_lossless_roundtrip_random_streams():
     assert key_sorted(decoded) == key_sorted(events)
 
 
-def test_constant_rate_pixel_is_exact_at_every_crf():
+def test_constant_rate_pixel_is_exact_even_lossy():
+    # CRF 3, 6 and 9 are lossy in the transcoder only; the coder keeps
+    # every tick of a steady pixel at each of them, as at CRF 0
     events = events_of([(3, 2, 6, 255 * k) for k in range(1, 30)])
     for crf in (0, 3, 6, 9):
         hdr = header(16, 16, crf=crf)
@@ -161,9 +163,10 @@ def test_constant_rate_pixel_is_exact_at_every_crf():
         assert decoded.tolist() == events.tolist()
 
 
-def test_roundtrip_is_exact_at_every_crf():
-    # the header's CRF steers the transcoder only: the coder gives back
-    # every event, and the payloads do not depend on it
+def test_lossy_roundtrip_preserves_counts_and_bound():
+    # the header's CRF steers the transcoder only: at every CRF the coder
+    # gives back each event, so counts are kept and the timestamp error
+    # bound is zero, and the payloads do not depend on the CRF
     rng = random.Random(77)
     events = random_stream(rng, 32, 24, 3 * 2550)
     coded = {}
