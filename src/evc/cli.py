@@ -11,7 +11,7 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 from .compress import read_compressed, write_compressed
@@ -25,7 +25,7 @@ from .events import (
     read_stream,
     write_stream,
 )
-from .fastdet import DEFAULT_THRESHOLD, Detector
+from .fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
 from .harness import (
     CLIP_KINDS,
     ExperimentConfig,
@@ -40,7 +40,7 @@ from .harness import (
     write_raw,
     write_y4m,
 )
-from .reconstruct import reconstruct_at_boundaries, replay_batches
+from .reconstruct import reconstruct_at_boundaries
 
 BENCH_CRFS = (0, 3, 6, 9)
 
@@ -132,13 +132,13 @@ def cmd_detect(args) -> int:
     detector = Detector(header, threshold=args.fast_threshold,
                         retest_neighbors=args.mode == "exact")
     n_frames = _frame_count(events, header)
-    batches = replay_batches(events, header.dt_ref, n_frames)
+    images = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.features.csv"
     with open(out, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(("frame", "x", "y"))
-        for k, batch in enumerate(islice(batches, n_frames)):
-            detector.apply_batch(batch)
+        for k, _ in enumerate(detect_at_boundaries(detector, events, images,
+                                                   header.dt_ref)):
             for x, y in sorted(detector.features):
                 writer.writerow((k, x, y))
     pixels = header.width * header.height

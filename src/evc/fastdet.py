@@ -1,35 +1,35 @@
-"""Asynchronous FAST corner detection over a running reconstructed image.
+"""Asynchronous FAST corner detection at frame boundaries.
 
 A corner here is a pixel whose radius-3 Bresenham circle contains at least
 ``DEFAULT_STREAK`` (9) circularly contiguous pixels that are all brighter
 than the center plus a threshold, or all darker than the center minus it.
 The synchronous ``detect_frame`` scans a whole image with the scalar
-``is_feature``; the ``Detector`` instead maintains the corner set
-incrementally over its reconstructor's running image, retesting only the
-pixels an incoming event can have affected.  In the default single-pixel
-mode only the event's own pixel is retested (cheap, possibly stale
-elsewhere); in exact mode the 16 surrounding ring positions are retested
-too, which keeps the incremental set identical to a full-frame scan after
-every event.
+``is_feature``.  The ``Detector`` instead keeps the corner set of a
+sequence of images, the image at each frame boundary, and retests only
+the pixels that received new events since the previous boundary: in the
+default single-pixel (paper) mode those pixels themselves, in exact mode
+also every pixel whose ring passes through one of them, which keeps the
+set equal to ``detect_frame`` of the boundary image.
 
-Semantics are per event, work is per batch.  ``Detector.apply_batch``
-takes all the events up to a frame boundary in one numpy step.  It pairs
-each event with each pixel it retests, reads each pair's ring as the image
-stood right after that event, runs the arc test on all pairs at once, and
-chains the findings on each pixel in event order.  So the corner set and
-the test count end exactly as a per-event replay leaves them, and the
-corners returned are those some event freshly inserted.  With feature
-adaptation on, ``harness.transcode_clip`` turns each of them into a
-sensitivity boost in the transcoder, closing the loop between detection
-and event generation.
+``Detector.update`` tests each distinct candidate of a frame once, in one
+numpy step: a 4-compass screen, then the full arc test (``ring_corners``)
+where two compass points are bright or two dark.  It returns the corners
+it freshly inserted.  In the transcode loop the image is the transcoder's
+run-opening values, the candidates the pixels whose runs opened in the
+frame, and ``harness.transcode_clip`` turns the fresh corners into a
+sensitivity boost, closing the loop between detection and event
+generation.  Offline, ``detect_at_boundaries`` runs a detector over a
+stream's reconstructed boundary images.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .events import StreamHeader
-from .reconstruct import Reconstructor, group_by_pixel
+from .reconstruct import replay_batches
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
 RING = (
@@ -97,12 +97,6 @@ def detect_frame(image, threshold: int) -> set[tuple[int, int]]:
     return found
 
 
-# Events per detection step.  A step holds (pairs x 17) temporaries, and a
-# batch such as the final flush can hold thousands of events; fewer steps
-# cost fewer numpy calls.
-CHUNK = 256
-
-
 def ring_corners(center: np.ndarray, ring: np.ndarray,
                  threshold: int) -> np.ndarray:
     """``is_feature`` over gathered values: whether each row of ``ring``
@@ -125,35 +119,30 @@ def _has_arc(flags: np.ndarray) -> np.ndarray:
 
 
 class Detector:
-    """Incremental FAST detector fed by batches of events.
+    """Incremental FAST detector over a sequence of boundary images.
 
-    Applies each batch to its reconstructor and retests, on the
-    reconstructor's running image, the pixels whose corner status the
-    batch's events can change.  ``corners`` marks the current corner set
-    on the pixel grid; ``test_count`` counts corner tests so callers can
-    measure detection work against stream size.
+    Each ``update`` takes the image at a frame boundary and the pixels
+    changed since the previous one, and retests only the pixels whose
+    corner status those changes can affect.  ``corners`` marks the
+    current corner set on the pixel grid; ``test_count`` counts corner
+    tests so callers can measure detection work against stream size.
     """
 
-    __slots__ = ("recon", "width", "height", "threshold", "retest_neighbors",
-                 "corners", "test_count", "_dx", "_dy", "_ring", "_slot")
+    __slots__ = ("width", "height", "threshold", "corners", "test_count",
+                 "_retested", "_ring")
 
     def __init__(self, header: StreamHeader, threshold: int = DEFAULT_THRESHOLD,
                  retest_neighbors: bool = False):
-        self.recon = Reconstructor(header)
         self.width = header.width
         self.height = header.height
         self.threshold = threshold
-        self.retest_neighbors = retest_neighbors
         self.corners = np.zeros((self.height, self.width), bool)
         self.test_count = 0
-        # the pixels an event retests: its own, then in exact mode the 16
+        # a changed pixel's candidates: itself, then in exact mode the 16
         # whose ring passes through it, which are its own ring offsets
-        retested = ((0, 0),) + RING if retest_neighbors else ((0, 0),)
-        self._dx, self._dy = np.array(retested, np.int64).T
+        self._retested = ((0, 0),) + RING if retest_neighbors else ((0, 0),)
         self._ring = np.array([dx + dy * self.width for dx, dy in RING],
                               np.int64)
-        # each pixel's rank among the pixels a step touches, else -1
-        self._slot = np.full(self.width * self.height, -1, np.int32)
 
     @property
     def features(self) -> set[tuple[int, int]]:
@@ -161,91 +150,61 @@ class Detector:
         ys, xs = np.nonzero(self.corners)
         return set(zip(xs.tolist(), ys.tolist()))
 
-    def apply_batch(self, events: np.ndarray) -> set[tuple[int, int]]:
-        """Apply an ``EVENT`` array and retest the pixels it can affect.
+    def update(self, image, pixels) -> np.ndarray:
+        """Retest the candidates of the changed ``pixels`` on ``image``.
 
-        The outcome is that of applying the events one at a time and,
-        after each, testing its pixel (and in exact mode the 16 pixels
-        whose ring passes through it) on the image as it then stands:
-        ``corners`` and ``test_count`` end as that sequence leaves them.
-        Returns the corners that some event of the batch freshly inserted,
-        that is, found while not in the set just before.
+        ``image`` holds the frame's values (height x width, or flat in
+        row-major order) and ``pixels`` the row-major indices of the
+        pixels that changed since the previous call, repeats allowed.  The
+        candidates are those pixels, and in exact mode every pixel whose
+        ring passes through one of them; each candidate inside the 3-pixel
+        border is tested once and counted in ``test_count``.  So in exact
+        mode, when ``pixels`` covers every change, ``corners`` ends equal
+        to ``detect_frame(image)``.  Returns the row-major indices of the
+        corners this call freshly inserted, in ascending order.
         """
-        if not len(events):
-            return set()
-        pixel, value = self.recon.advance(events)
-        added = []
-        for lo in range(0, len(pixel), CHUNK):
-            added.append(self._step(pixel[lo:lo + CHUNK],
-                                    value[lo:lo + CHUNK]))
-            self.recon.paint(pixel[lo:lo + CHUNK], value[lo:lo + CHUNK])
-        added = np.concatenate(added)
-        return set(zip((added % self.width).tolist(),
-                       (added // self.width).tolist()))
-
-    def _step(self, pixel: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Test every (event, candidate) pair of one chunk, whose events
-        the image does not hold yet; returns the freshly inserted corners'
-        pixel indices."""
-        n = len(pixel)
-        width = self.width
-        image = self.recon.image.reshape(-1)
-        # each pixel the chunk touches, with its first and last event
-        order, sorted_pixel, first, last = group_by_pixel(pixel)
-        touched = sorted_pixel[first]
-        first_event, last_event = order[first], order[last]
-        final = value[last_event]
-        # (pixel's rank, event) keys of the events, in ascending order
-        key = (np.cumsum(first) - 1) * n + order
-        slot = self._slot
-        slot[touched] = np.arange(len(touched))
-
-        def at(where, j):
-            # pixels ``where`` as the image stands right after event ``j``:
-            # a touched pixel's final value once its last event is past,
-            # its start value before its first, else the value of its
-            # latest event, found by a search
-            g = slot[where]
-            j = np.broadcast_to(j, where.shape)
-            moved = g >= 0
-            out = np.where(moved & (last_event[g] <= j), final[g], image[where])
-            open_ = moved & (first_event[g] <= j) & (last_event[g] > j)
-            if open_.any():
-                pos = np.searchsorted(key, g[open_] * n + j[open_],
-                                      side="right") - 1
-                out[open_] = value[order[pos]]
-            return out
-
-        # the (event, candidate) pairs, in application order
-        x, y = pixel % width, pixel // width
-        qx = x[:, None] + self._dx
-        qy = y[:, None] + self._dy
-        inside = ((qx >= 3) & (qx < width - 3)
-                  & (qy >= 3) & (qy < self.height - 3))
-        j, k = np.nonzero(inside)
-        self.test_count += len(j)
-        q = qy[j, k] * width + qx[j, k]
+        width, height = self.width, self.height
+        if not len(pixels) or width < 7 or height < 7:
+            return np.empty(0, np.int64)
+        changed = np.zeros((height, width), bool)
+        changed.reshape(-1)[pixels] = True
+        # an interior pixel is a candidate when one of its retested
+        # offsets is a changed pixel; those offsets stay inside the frame
+        candidate = np.zeros((height - 6, width - 6), bool)
+        for dx, dy in self._retested:
+            candidate |= changed[3 + dy:height - 3 + dy, 3 + dx:width - 3 + dx]
+        ys, xs = np.nonzero(candidate)
+        q = (ys + 3) * width + xs + 3
+        self.test_count += len(q)
 
         # any 9-long arc covers two of the four compass points, so test the
         # full ring only where two compass points are bright or two dark
-        center = at(q, j).astype(np.int64)[:, None]
-        compass = at(q[:, None] + self._ring[::4], j[:, None])
+        image = np.asarray(image).reshape(-1)
+        center = image[q].astype(np.int64)
+        compass = image[q[:, None] + self._ring[::4]]
         maybe = np.flatnonzero(
-            ((compass > center + self.threshold).sum(1) >= 2)
-            | ((compass < center - self.threshold).sum(1) >= 2))
+            ((compass > center[:, None] + self.threshold).sum(1) >= 2)
+            | ((compass < center[:, None] - self.threshold).sum(1) >= 2))
         found = np.zeros(len(q), bool)
         found[maybe] = ring_corners(
-            center[maybe, 0],
-            at(q[maybe, None] + self._ring, j[maybe, None]), self.threshold)
-
-        # each pair's membership before it: the previous pair's finding on
-        # the same pixel, else the corner set before the chunk
-        order, q, first, last = group_by_pixel(q)
-        found = found[order]
+            center[maybe], image[q[maybe, None] + self._ring], self.threshold)
         corners = self.corners.reshape(-1)
-        before = np.empty(len(q), bool)
-        before[1:] = found[:-1]
-        before[first] = corners[q[first]]
-        corners[q[last]] = found[last]
-        slot[touched] = -1
-        return q[found & ~before]
+        fresh = q[found & ~corners[q]]
+        corners[q] = found
+        return fresh
+
+
+def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
+                         dt_ref: int) -> Iterator[np.ndarray]:
+    """Run ``detector`` offline over a stream's boundary images.
+
+    ``images[k]`` is the image reconstructed from ``events`` at boundary
+    k, and the candidates of step k are the distinct pixels of the events
+    of frame k (as ``replay_batches`` cuts them).  Yields each step's
+    freshly inserted corners.  The events after the last boundary are not
+    detected: no image shows them.
+    """
+    batches = replay_batches(events, dt_ref, len(images))
+    for image, batch in zip(images, batches):
+        pixels = batch["y"].astype(np.int64) * detector.width + batch["x"]
+        yield detector.update(image, pixels)

@@ -38,8 +38,8 @@ from .events import (
     crf_params,
     write_stream,
 )
-from .fastdet import DEFAULT_THRESHOLD, Detector
-from .reconstruct import mse, psnr, reconstruct_at_boundaries, replay_batches
+from .fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
+from .reconstruct import mse, psnr, reconstruct_at_boundaries
 from .transcode import Transcoder
 
 CLIP_KINDS = ("static", "step", "moving_box", "noise", "walk")
@@ -323,15 +323,14 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     """Transcode the frames, the detector steering sensitivity from inside
     the loop when feature adaptation is on.
 
-    After each frame, the detector takes that frame's events as one batch
-    in emission order, and every corner some event of the batch freshly
-    inserts into its set pins the pixels within ``feature_radius`` of it
-    to their base threshold for the frames that follow.  Within a frame a
-    boost assigns the same values however often it repeats, so each such
-    corner is boosted once.  Only fresh insertions re-arm the boost: a
-    corner that persists across many events does not, and removals
-    trigger nothing.  The final flush's events go to the detector only, as
-    no frame follows them.
+    After each frame, the detector takes the transcoder's run-opening
+    values ``i0`` as its image, and the pixels whose runs opened in the
+    frame (the pixels that got new events) as the changed ones.  Every
+    corner it freshly inserts pins the pixels within ``feature_radius`` of
+    it to their base threshold for the frames that follow, all of a
+    frame's corners in one step.  A corner that persists does not re-arm
+    the boost, and removals trigger nothing.  The final flush opens no
+    run, so the detector does not see it.
 
     Returns (events, per-frame event counts, detector counts): an event
     counts on the frame that emitted it, the final flush on the last one.
@@ -343,46 +342,36 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     detector = None
     if config.feature_adaptation:
         detector = _detector(config, header)
-    n_frames = len(frames)
-    chunks = []
-    tests, features = [0] * n_frames, [0] * n_frames
-    seen = 0
-    for k, frame in enumerate(frames):
-        emitted = transcoder.integrate_frame(frame)
-        chunks.append(emitted)
+    chunks, tests, features = [], [], []
+    for frame in frames:
+        chunks.append(transcoder.integrate_frame(frame))
         if detector is not None:
-            for x, y in detector.apply_batch(emitted):
-                transcoder.set_sensitivity(x, y, params.feature_radius)
-            tests[k] = detector.test_count - seen
             seen = detector.test_count
-            features[k] = int(detector.corners.sum())
+            fresh = detector.update(transcoder.i0, transcoder.opening)
+            if fresh.size:
+                y, x = np.divmod(fresh, header.width)
+                transcoder.set_sensitivity(x, y, params.feature_radius)
+            tests.append(detector.test_count - seen)
+            features.append(int(detector.corners.sum()))
     tail = transcoder.flush_all()
     events = np.concatenate(chunks + [tail])
     frame_events = [len(c) for c in chunks]
     frame_events[-1] += len(tail)
-    if detector is None:
-        return events, frame_events, None
-    detector.apply_batch(tail)
-    tests[-1] += detector.test_count - seen
-    features[-1] = int(detector.corners.sum())
-    return events, frame_events, (tests, features)
+    counts = None if detector is None else (tests, features)
+    return events, frame_events, counts
 
 
 def _replay_detector(config: ExperimentConfig, header: StreamHeader,
-                     events, n_frames: int):
-    """Per-frame detector tests and corner-set sizes from replaying the
-    events up to each frame boundary; the events after the last boundary
-    count on the last frame."""
+                     events, images):
+    """Per-frame detector tests and corner-set sizes over the boundary
+    images ``images``, reconstructed from ``events``."""
     detector = _detector(config, header)
-    tests, features = [0] * n_frames, [0] * n_frames
+    tests, features = [], []
     seen = 0
-    for k, batch in enumerate(replay_batches(events, header.dt_ref,
-                                             n_frames)):
-        detector.apply_batch(batch)
-        row = min(k, n_frames - 1)
-        tests[row] += detector.test_count - seen
+    for _ in detect_at_boundaries(detector, events, images, header.dt_ref):
+        tests.append(detector.test_count - seen)
         seen = detector.test_count
-        features[row] = int(detector.corners.sum())
+        features.append(int(detector.corners.sum()))
     return tests, features
 
 
@@ -394,7 +383,8 @@ def run_pipeline(config: ExperimentConfig, frames=None,
     from ``config.input``.  The same config and input always produce
     byte-identical artifacts.  With feature adaptation on, the detector
     rides inside the transcode loop and steers pixel sensitivity; with it
-    off, detection runs as a separate pass so the work metrics still fill.
+    off, it runs over the raw stream's boundary reconstructions, so the
+    work metrics still fill.
     """
     with _stage("ingest"):
         frames, header = ingest(config, frames, fps)
@@ -435,7 +425,7 @@ def run_pipeline(config: ExperimentConfig, frames=None,
 
     with _stage("detect"):
         if counts is None:
-            counts = _replay_detector(config, header, events, n_frames)
+            counts = _replay_detector(config, header, events, recon_raw)
         tests, features = counts
 
     with _stage("metrics"):

@@ -13,18 +13,6 @@ from .events import EMPTY, D_MAX, StreamHeader, display_values
 PSNR_CAP = 60.0
 
 
-def group_by_pixel(pixel: np.ndarray):
-    """A stable sort of a batch by pixel index: the order, the sorted
-    indices, and masks of each pixel's first and last entry among them."""
-    order = np.argsort(pixel, kind="stable")
-    sorted_pixel = pixel[order]
-    first = np.ones(len(order), bool)
-    first[1:] = sorted_pixel[1:] != sorted_pixel[:-1]
-    last = np.ones(len(order), bool)
-    last[:-1] = first[1:]
-    return order, sorted_pixel, first, last
-
-
 class Reconstructor:
     """Holds the last expressed value per pixel and updates it per batch.
 
@@ -45,25 +33,26 @@ class Reconstructor:
 
     def apply_batch(self, events: np.ndarray) -> None:
         """Apply an ``EVENT`` array in order, with the result of applying
-        its events one at a time."""
-        if len(events):
-            self.paint(*self.advance(events))
+        its events one at a time.
 
-    def advance(self, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Check a batch and move each pixel's clock to its last event.
-
-        Returns each event's row-major pixel index and displayed value,
-        leaving the image to ``paint``.  A batch that holds an event
-        outside the image, out of order for its pixel, or with a
-        decimation out of range raises ValueError naming the first such
-        event, and changes nothing.
+        A batch that holds an event outside the image, out of order for
+        its pixel, or with a decimation out of range raises ValueError
+        naming the first such event, and changes nothing.
         """
+        if not len(events):
+            return
         x, y, d, t = (events[name].astype(np.int64) for name in "xydt")
         inside = (x < self.width) & (y < self.height)
         pixel = np.where(inside, y * self.width + x, 0)
         # each event's interval runs from its pixel's previous event, in
-        # the batch when there is one, else from the pixel's clock
-        order, sorted_pixel, first, last = group_by_pixel(pixel)
+        # the batch when there is one, else from the pixel's clock; a
+        # stable sort by pixel puts each pixel's events together in order
+        order = np.argsort(pixel, kind="stable")
+        sorted_pixel = pixel[order]
+        first = np.ones(len(order), bool)
+        first[1:] = sorted_pixel[1:] != sorted_pixel[:-1]
+        last = np.ones(len(order), bool)
+        last[:-1] = first[1:]
         clock = self.last_t.reshape(-1)
         before = np.empty(len(order), np.int64)
         before[order[1:]] = t[order[:-1]]
@@ -79,14 +68,11 @@ class Reconstructor:
                 raise ValueError(f"out-of-order event for pixel ({x}, {y}): "
                                  f"t={t} after t={before}")
             raise ValueError(f"decimation out of range: {d}")
-        clock[sorted_pixel[last]] = t[order[last]]
-        return pixel, display_values(d, dt, self.dt_ref).astype(np.uint8)
-
-    def paint(self, pixel: np.ndarray, value: np.ndarray) -> None:
-        """Set pixels to values, the last value of a repeated pixel
-        winning."""
-        order, sorted_pixel, _, last = group_by_pixel(pixel)
-        self.image.reshape(-1)[sorted_pixel[last]] = value[order[last]]
+        # each pixel ends at its last event's tick and displayed value
+        final, sorted_pixel = order[last], sorted_pixel[last]
+        clock[sorted_pixel] = t[final]
+        self.image.reshape(-1)[sorted_pixel] = display_values(
+            d[final], dt[final], self.dt_ref)
 
     def frame_at(self) -> np.ndarray:
         """Snapshot of the running image."""

@@ -76,12 +76,15 @@ class Transcoder:
     queue is ``has_first``/``first_t``, the crossing ``count`` after the
     first, the ``last_tick`` of the latest crossing and ``levels``, the
     tick of each counter bit (grown in width as counts need more bits).
+    ``opening`` holds the row-major indices of the pixels whose runs the
+    last frame opened, that is, the pixels whose ``i0`` it set.
 
     A frame, the events of the runs it ends included, is a few vector
-    steps over all pixels.  A frame's events come in row-major pixel order; each pixel gives its closing events (the queue in order,
-    or a dark run's closing marker), then the marker opening its new run
-    if it needs one.  A caller may call set_sensitivity between frames to
-    steer later ones.
+    steps over all pixels.  A frame's events come in row-major pixel
+    order; each pixel gives its closing events (the queue in order, or a
+    dark run's closing marker), then the marker opening its new run if it
+    needs one.  A caller may call set_sensitivity between frames to steer
+    later ones.
     """
 
     def __init__(self, header: StreamHeader, params: ParamSet | None = None):
@@ -99,6 +102,7 @@ class Transcoder:
         self.m_tgt = np.full(n, self.params.m_max, np.int64)
         self.override_until = np.full(n, -1, np.int64)
         self.levels = np.zeros((n, 8), np.int64)
+        self.opening = np.empty(0, np.int64)
 
     def integrate_frame(self, frame) -> np.ndarray:
         """Advance every pixel by one frame (dt_ref ticks) of ``frame``,
@@ -126,7 +130,7 @@ class Transcoder:
         self.stable[grows] = 0
         self.m_cur[grows & (self.m_cur < self.m_tgt)] += 1
 
-        opening = np.flatnonzero(~stays)
+        opening = self.opening = np.flatnonzero(~stays)
         if opening.size:
             self._open(opening, v[opening], start)
         self._integrate(v, start)
@@ -230,21 +234,36 @@ class Transcoder:
         self.opened[idx] = False
         return emitted
 
-    def set_sensitivity(self, x: int, y: int, radius: int,
+    def set_sensitivity(self, x, y, radius: int,
                         duration: int | None = None) -> None:
-        """Pin pixels within a Chebyshev radius to their base threshold."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            log.warning("sensitivity center (%d, %d) outside %dx%d grid; ignored",
-                        x, y, self.width, self.height)
+        """Pin the pixels within a Chebyshev ``radius`` of each center
+        (``x``, ``y``) to their base threshold for ``duration`` ticks
+        (default ``2 * dt_max``).  ``x`` and ``y`` are ints or equal-length
+        integer arrays; one call over many centers equals one call per
+        center.  A center outside the grid is ignored, with a warning."""
+        x, y = (np.atleast_1d(np.asarray(c, np.int64)) for c in (x, y))
+        inside = (0 <= x) & (x < self.width) & (0 <= y) & (y < self.height)
+        for cx, cy in zip(x[~inside].tolist(), y[~inside].tolist()):
+            log.warning("sensitivity center (%d, %d) outside %dx%d grid; "
+                        "ignored", cx, cy, self.width, self.height)
+        if not inside.any():
             return
         if duration is None:
             duration = 2 * self.header.dt_max
-        box = (slice(max(0, y - radius), y + radius + 1),
-               slice(max(0, x - radius), x + radius + 1))
-        shape = (self.height, self.width)
-        self.m_cur.reshape(shape)[box] = self.params.m_base
-        self.m_tgt.reshape(shape)[box] = self.params.m_base
-        self.override_until.reshape(shape)[box] = self.now + duration
+        # the centers' mask, dilated one axis at a time: a pixel is pinned
+        # when a center lies within ``radius`` of it along both axes
+        pinned = np.zeros((self.height, self.width), bool)
+        pinned[y[inside], x[inside]] = True
+        for _ in range(2):
+            grown = pinned.copy()
+            for step in range(1, radius + 1):
+                grown[step:] |= pinned[:-step]
+                grown[:-step] |= pinned[step:]
+            pinned = grown.T
+        pinned = pinned.reshape(-1)
+        self.m_cur[pinned] = self.params.m_base
+        self.m_tgt[pinned] = self.params.m_base
+        self.override_until[pinned] = self.now + duration
 
 
 def transcode(frames, header: StreamHeader,

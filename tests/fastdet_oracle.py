@@ -1,10 +1,11 @@
-"""Scalar reference for ``evc.reconstruct.Reconstructor`` and
-``evc.fastdet.Detector``.
+"""Scalar references for ``evc.reconstruct.Reconstructor`` and the
+candidates of ``evc.fastdet.Detector.update``.
 
-``Reconstructor.apply_event`` and ``Detector.on_event`` apply one event at
-a time, the semantics the batch steps replace; they are kept as the oracle
-the batch steps must equal after every batch.  ``Detector`` tests corners
-with the scalar ``evc.fastdet.is_feature``.
+``Reconstructor.apply_event`` applies one event at a time, the semantics
+the batch step replaces; it is kept as the oracle the batch step must
+equal after every batch.  ``candidates`` lists the pixels a detector step
+retests, which the tests then test with the scalar
+``evc.fastdet.is_feature``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from evc.events import EMPTY, D_MAX, StreamHeader, display_value
-from evc.fastdet import DEFAULT_THRESHOLD, RING, is_feature
+from evc.fastdet import RING
 
 
 class Reconstructor:
@@ -56,59 +57,17 @@ class Reconstructor:
                                                             self.width)
 
 
-class Detector:
-    """Incremental FAST detector fed by an event stream.
-
-    Applies each event to its reconstructor and retests, on the
-    reconstructor's running image, the pixels whose corner status the
-    event can change.  ``features`` holds the current corner set;
-    ``test_count`` counts ``is_feature`` evaluations so callers can measure
-    detection work against stream size.
-    """
-
-    __slots__ = ("recon", "width", "height", "threshold", "retest_neighbors",
-                 "features", "test_count")
-
-    def __init__(self, header: StreamHeader, threshold: int = DEFAULT_THRESHOLD,
-                 retest_neighbors: bool = False):
-        self.recon = Reconstructor(header)
-        self.width = header.width
-        self.height = header.height
-        self.threshold = threshold
-        self.retest_neighbors = retest_neighbors
-        self.features: set[tuple[int, int]] = set()
-        self.test_count = 0
-
-    def on_event(self, x: int, y: int, d: int, t: int
-                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Apply one event and retest affected pixels.
-
-        Returns the feature delta as (added, removed) coordinate lists.  In
-        single-pixel mode only the event's pixel is retested; in exact mode
-        every pixel whose ring passes through it is retested as well, which
-        is what makes the incremental set track the full-frame scan even
-        when the changed pixel itself sits too close to the border to test.
-        """
-        self.recon.apply_event(x, y, d, t)
-        x_hi, y_hi = self.width - 3, self.height - 3
-        candidates: list[tuple[int, int]] = []
-        if 3 <= x < x_hi and 3 <= y < y_hi:
-            candidates.append((x, y))
-        if self.retest_neighbors:
-            for dx, dy in RING:
-                qx, qy = x + dx, y + dy
-                if 3 <= qx < x_hi and 3 <= qy < y_hi:
-                    candidates.append((qx, qy))
-        image = self.recon.image
-        added: list[tuple[int, int]] = []
-        removed: list[tuple[int, int]] = []
-        for q in candidates:
-            self.test_count += 1
-            if is_feature(image, q[0], q[1], self.threshold):
-                if q not in self.features:
-                    self.features.add(q)
-                    added.append(q)
-            elif q in self.features:
-                self.features.discard(q)
-                removed.append(q)
-        return added, removed
+def candidates(pixels, width: int, height: int, exact: bool
+               ) -> set[tuple[int, int]]:
+    """The (x, y) pixels a detector step retests for the changed row-major
+    ``pixels``: each of them, and in exact mode each pixel whose ring
+    passes through one, kept where they lie inside the 3-pixel border."""
+    offsets = ((0, 0),) + RING if exact else ((0, 0),)
+    found = set()
+    for p in set(np.asarray(pixels).tolist()):
+        y, x = divmod(p, width)
+        for dx, dy in offsets:
+            qx, qy = x + dx, y + dy
+            if 3 <= qx < width - 3 and 3 <= qy < height - 3:
+                found.add((qx, qy))
+    return found

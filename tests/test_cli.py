@@ -14,6 +14,7 @@ from evc import (
     build_adus,
     detect_frame,
     encode_adu,
+    load_raw,
     read_compressed,
     read_stream,
     reconstruct_at_boundaries,
@@ -150,6 +151,27 @@ def test_exact_detect_rows_match_a_full_frame_scan(tmp_path, kind):
     for k, image in enumerate(frames):
         assert found.get(k, set()) == detect_frame(image, DEFAULT_THRESHOLD)
     assert any(found.values())
+
+
+def test_exact_detect_gives_the_pipelines_feature_counts(tmp_path):
+    # `evc detect` and the features-off detect stage share one offline
+    # path: the CLI reconstructs the boundary images the pipeline reuses
+    config = ExperimentConfig(input="clip.y4m", crf=3, detector_mode="exact",
+                              out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=synth_clip("moving_box", 32, 24, 10))
+    out = tmp_path / "features.csv"
+    assert main(["detect", result.paths["raw"], "--mode", "exact",
+                 "--out", str(out)]) == 0
+    found = {}
+    with open(out, newline="") as fp:
+        for row in csv.DictReader(fp):
+            found.setdefault(int(row["frame"]), set()).add(
+                (int(row["x"]), int(row["y"])))
+    n_frames = len(result.rows)
+    assert [len(found.get(k, ())) for k in range(n_frames)] == [
+        row.features for row in result.rows]
+    last = load_raw(result.paths["recon_raw"])[-1]
+    assert found[n_frames - 1] == detect_frame(last, DEFAULT_THRESHOLD) != set()
 
 
 @pytest.mark.parametrize("rows", [

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evc import EMPTY, EVENT, StreamHeader
+from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
 from evc.fastdet import (
-    CHUNK,
     RING,
     Detector,
+    detect_at_boundaries,
     detect_frame,
     is_feature,
     ring_corners,
 )
-from fastdet_oracle import Detector as OracleDetector
+from fastdet_oracle import candidates
 
 
 def header(w, h, crf=0):
@@ -121,143 +121,182 @@ def random_stream(w, h, n, rng):
 
 
 def test_exact_mode_tracks_full_frame_detection():
+    # offline, on the boundary images of a random stream
+    hdr = StreamHeader(24, 20, dt_ref=50, dt_max=1500, dt_s=1500)
     for seed in range(4):
         rng = random.Random(900 + seed)
-        det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
-        stream = np.array(random_stream(24, 20, 2000, rng), EVENT)
-        for i in range(0, 2000, 500):
-            det.apply_batch(stream[i:i + 500])
-            assert det.features == detect_frame(det.recon.image, 10), (
-                f"seed {seed}, prefix {i + 500}")
+        events = np.array(random_stream(24, 20, 2000, rng), EVENT)
+        n_frames = int(events["t"].max()) // hdr.dt_ref
+        images = reconstruct_at_boundaries(events, hdr, n_frames)
+        det = Detector(hdr, threshold=10, retest_neighbors=True)
+        steps = detect_at_boundaries(det, events, images, hdr.dt_ref)
+        for k, _ in enumerate(steps):
+            assert det.features == detect_frame(images[k], 10), (
+                f"seed {seed}, frame {k}")
+        assert k == n_frames - 1 > 10
+
+
+def pixels_of(stream, width):
+    return np.array([y * width + x for x, y, _, _ in stream], np.int64)
 
 
 def test_single_pixel_mode_tests_once_per_interior_event():
+    # the per-event form tested each interior event's pixel; a frame step
+    # tests each distinct interior pixel once, however many events it got
     rng = random.Random(31)
-    det = Detector(header(24, 20), threshold=10)
-    stream = random_stream(24, 20, 1500, rng)
-    det.apply_batch(np.array(stream, EVENT))
-    interior = sum(3 <= x < 21 and 3 <= y < 17 for x, y, _, _ in stream)
-    assert det.test_count == interior
+    for n in (20, 1500):
+        det = Detector(header(24, 20), threshold=10)
+        stream = random_stream(24, 20, n, rng)
+        det.update(np.zeros((20, 24), np.uint8), pixels_of(stream, 24))
+        interior = [(x, y) for x, y, _, _ in stream
+                    if 3 <= x < 21 and 3 <= y < 17]
+        assert det.test_count == len(set(interior))
+    assert len(set(interior)) < len(interior)
 
 
 def test_exact_mode_work_is_bounded_per_event():
+    # at most 17 tests per event, and at most one per interior pixel
     rng = random.Random(32)
-    det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
-    n = 1500
-    det.apply_batch(np.array(random_stream(24, 20, n, rng), EVENT))
-    assert det.test_count <= 17 * n
+    for n in (1, 5, 40, 1500):
+        det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
+        pixels = pixels_of(random_stream(24, 20, n, rng), 24)
+        det.update(np.zeros((20, 24), np.uint8), pixels)
+        assert det.test_count <= min(17 * n, 18 * 14)
+    assert det.test_count == 18 * 14
 
 
 def test_border_event_in_single_pixel_mode_is_free():
     det = Detector(header(16, 16), threshold=10)
-    assert det.apply_batch(np.array([(0, 0, 7, 100)], EVENT)) == set()
+    assert det.update(np.zeros((16, 16), np.uint8), [0]).tolist() == []
     assert det.test_count == 0
 
 
+def bright_ring():
+    """A 16x16 image with a bright circle around a dark (8, 8), and the
+    row-major indices of the circle."""
+    image = np.zeros((16, 16), np.uint8)
+    ring = [(8 + dy) * 16 + 8 + dx for dx, dy in RING]
+    image.reshape(-1)[ring] = 255
+    return image, ring
+
+
 def test_on_event_reports_feature_insertion_and_removal():
-    det = OracleDetector(header(16, 16), threshold=10, retest_neighbors=True)
-    t = 0
-    # hold-last-value reconstruction: one event per ring pixel makes a
-    # bright circle around a dark center
-    for dx, dy in RING:
-        t += 1
-        det.on_event(8 + dx, 8 + dy, 10, t)  # displays as 255
-    # neighbor retesting picked the dark center up while the ring built
+    det = Detector(header(16, 16), threshold=10, retest_neighbors=True)
+    image, ring = bright_ring()
+    # the circle's pixels changed, and retesting the pixels whose ring
+    # passes through them picked the dark center up
+    assert 8 * 16 + 8 in det.update(image, ring)
     assert (8, 8) in det.features
-    # brightening the center to match the ring dissolves the corner
-    added, removed = det.on_event(8, 8, 10, t + 1)
-    assert added == [] and removed == [(8, 8)]
+    # brightening the center to match the ring dissolves the corner, which
+    # leaves the set and is not reported
+    image[8, 8] = 255
+    assert 8 * 16 + 8 not in det.update(image, [8 * 16 + 8])
+    assert (8, 8) not in det.features
     # going dark again re-inserts it
-    added, removed = det.on_event(8, 8, EMPTY, t + 2)
-    assert added == [(8, 8)] and removed == []
+    image[8, 8] = 0
+    assert 8 * 16 + 8 in det.update(image, [8 * 16 + 8])
+    assert det.features == detect_frame(image, 10)
 
 
 def test_apply_batch_reports_corners_freshly_inserted_within_it():
+    # ``update`` returns the corners found while not in the set before it
     det = Detector(header(16, 16), threshold=10, retest_neighbors=True)
-    ring = np.array([(8 + dx, 8 + dy, 10, t)
-                     for t, (dx, dy) in enumerate(RING, start=1)], EVENT)
-    assert (8, 8) in det.apply_batch(ring)
-    # a corner that is removed and re-inserted within one batch counts as
-    # freshly inserted, though the set is the same before and after
-    again = np.array([(8, 8, 10, 17), (8, 8, EMPTY, 18)], EVENT)
-    assert det.apply_batch(again) == {(8, 8)}
-    assert (8, 8) in det.features
-    # one that only persists does not
-    assert det.apply_batch(np.array([(8, 8, EMPTY, 19)], EVENT)) == set()
-    # one that is removed is not reported
-    assert det.apply_batch(np.array([(8, 8, 10, 20)], EVENT)) == set()
-    assert (8, 8) not in det.features
+    image, ring = bright_ring()
+    fresh = det.update(image, ring)
+    assert fresh.tolist() == sorted(y * 16 + x for x, y in det.features)
+    # retesting corners that stay in the set reports none of them
+    assert det.update(image, ring).tolist() == []
+    assert det.update(image, np.arange(256)).tolist() == []
+    # one that is removed is not reported either
+    image[8, 8] = 255
+    assert det.update(image, [8 * 16 + 8]).tolist() == []
 
 
-# Displayed values: EMPTY shows 0, d = 127 shows 255, and d = 0 over a long
-# interval rounds to 0; the rest spread over the range.
-DECIMATIONS = (0, 0, 127, EMPTY, EMPTY, 3, 5, 7, 8, 9, 10, 12)
-
-
-def oracle_stream(rng, width, height, n_batches, time_order):
-    """Batches of events on a few pixels of the frame, each pixel's ticks
-    increasing; a batch is in generation order, or sorted by tick."""
-    pool = rng.integers(0, width * height, rng.integers(1, 24))
-    clock = np.zeros(width * height, np.int64)
-    batches = []
-    for _ in range(n_batches):
-        n = int(rng.choice((0, 1, 5, 40, CHUNK + 70)))
-        pixel = rng.choice(pool, n)
-        t = np.empty(n, np.int64)
-        for i, p in enumerate(pixel):
-            clock[p] += rng.choice((1, 2, 255, 256, 700, 5000))
-            t[i] = clock[p]
-        d = rng.choice(DECIMATIONS, n)
-        batch = np.empty(n, EVENT)
-        batch["x"], batch["y"] = pixel % width, pixel // width
-        batch["d"], batch["t"] = d, t
-        if time_order:
-            batch = batch[np.argsort(t, kind="stable")]
-        batches.append(batch)
-    return batches
+def boundary_steps(rng, width, height, n_steps):
+    """Boundary images rich in 0 and 255, each with the changed pixels a
+    step gets: none, some border pixels, the whole frame, or a random
+    draw with repeats.  Only listed pixels change, though a listed pixel
+    may keep its value.  Yields (kind, image, pixels), the image as uint8
+    rows or, like the transcoder's run values, as a flat int64 array."""
+    palette = np.array((0, 255, 0, 255, 100, 120, 140))
+    n = width * height
+    ys, xs = np.divmod(np.arange(n), width)
+    border = np.flatnonzero((xs < 3) | (ys < 3) | (xs >= width - 3)
+                            | (ys >= height - 3))
+    image = np.zeros(n, np.uint8)
+    for _ in range(n_steps):
+        kind = rng.choice(("empty", "border", "whole", "some", "some"))
+        if kind == "empty":
+            pixels = np.empty(0, np.int64)
+        elif kind == "border":
+            pixels = rng.choice(border, rng.integers(1, len(border) + 1))
+        elif kind == "whole":
+            pixels = np.arange(n)
+        else:
+            pixels = rng.integers(0, n, rng.integers(1, 2 * n + 1))
+        k = len(pixels)
+        image = image.copy()
+        image[pixels] = np.where(rng.random(k) < 0.6, rng.choice(palette, k),
+                                 rng.integers(0, 256, k))
+        if rng.random() < 0.5:
+            yield kind, image.reshape(height, width), pixels
+        else:
+            yield kind, image.astype(np.int64), pixels
 
 
 @settings(max_examples=150, deadline=None)
 @given(width=st.integers(1, 14), height=st.integers(1, 14),
-       exact=st.booleans(), time_order=st.booleans(),
-       threshold=st.sampled_from((0, 10, 40)), seed=st.integers(0, 2**32 - 1))
+       exact=st.booleans(), threshold=st.sampled_from((0, 10, 40)),
+       seed=st.integers(0, 2**32 - 1))
 def test_apply_batch_equals_the_per_event_oracle(width, height, exact,
-                                                 time_order, threshold, seed):
+                                                 threshold, seed):
+    # the frame step against the scalar test of its candidates: each
+    # candidate's membership becomes ``is_feature`` of it, every other
+    # pixel's stays, and the step returns exactly the fresh insertions
     rng = np.random.default_rng(seed)
-    hdr = header(width, height)
-    det = Detector(hdr, threshold, retest_neighbors=exact)
-    oracle = OracleDetector(hdr, threshold, retest_neighbors=exact)
-    for batch in oracle_stream(rng, width, height, 4, time_order):
-        fresh = set()
-        for event in batch.tolist():
-            fresh.update(oracle.on_event(*event)[0])
-        assert det.apply_batch(batch) == fresh
-        assert det.test_count == oracle.test_count
-        assert det.features == oracle.features
-        assert np.array_equal(det.recon.image, oracle.recon.frame_at())
+    det = Detector(header(width, height), threshold, retest_neighbors=exact)
+    corners = set()
+    for _, image, pixels in boundary_steps(rng, width, height, 5):
+        rows = image.reshape(height, width)
+        tested = candidates(pixels, width, height, exact)
+        found = {q for q in tested if is_feature(rows, *q, threshold)}
+        expected = (corners - tested) | found
+        seen = det.test_count
+        fresh = det.update(image, pixels)
+        assert det.features == expected
+        assert det.test_count - seen == len(tested)
+        assert fresh.tolist() == sorted(y * width + x
+                                        for x, y in expected - corners)
+        if exact:
+            assert det.features == detect_frame(rows, threshold)
+        corners = expected
 
 
 def test_oracle_stream_reaches_the_cases_the_property_names():
-    # batches past one chunk, repeated pixels, both display extremes and
-    # fresh corners, in both modes
-    rng = np.random.default_rng(7)
+    # empty, border-only, whole-frame and repeating candidate sets, both
+    # image forms and display extremes, frames with and without an
+    # interior, and fresh insertions and removals in both modes
     seen = set()
-    for exact in (False, True):
-        det = OracleDetector(header(14, 14), 10, retest_neighbors=exact)
-        for batch in oracle_stream(rng, 14, 14, 40, False):
-            if len(batch) > CHUNK:
-                seen.add("long")
-            if len(set(zip(batch["x"].tolist(), batch["y"].tolist()))) \
-                    < len(batch):
-                seen.add("repeats")
-            for event in batch.tolist():
-                added, _ = det.on_event(*event)
-                value = det.recon.image[event[1]][event[0]]
-                seen.update({0: {"black"}, 255: {"white"}}.get(value, ()))
-                if added:
-                    seen.add(f"corner {exact}")
-    assert seen == {"long", "repeats", "black", "white", "corner False",
-                    "corner True"}
+    for width, height in ((14, 14), (9, 5)):
+        rng = np.random.default_rng(7)
+        for exact in (False, True):
+            det = Detector(header(width, height), 10, retest_neighbors=exact)
+            for kind, image, pixels in boundary_steps(rng, width, height, 40):
+                seen.add(kind)
+                seen.add(image.ndim)
+                if len(pixels) > len(set(pixels.tolist())):
+                    seen.add("repeats")
+                seen.update({"black", "white"} & {
+                    {0: "black", 255: "white"}.get(v) for v in
+                    image.reshape(-1)[pixels].tolist()})
+                before = det.corners.copy()
+                if len(det.update(image, pixels)):
+                    seen.add(f"fresh {exact} {height}")
+                if (before & ~det.corners).any():
+                    seen.add(f"removal {exact}")
+    assert seen == {"empty", "border", "whole", "some", 1, 2, "repeats",
+                    "black", "white", "fresh False 14", "fresh True 14",
+                    "removal False", "removal True"}
 
 
 @settings(max_examples=200, deadline=None)

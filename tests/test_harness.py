@@ -26,9 +26,9 @@ from evc import (
     write_y4m,
 )
 from evc import harness
-from evc.fastdet import RING
+from evc.fastdet import DEFAULT_THRESHOLD, detect_frame, is_feature
 from evc.reconstruct import PSNR_CAP
-from fastdet_oracle import Detector as OracleDetector
+from fastdet_oracle import candidates
 
 
 def small_clip(n=6, w=20, h=14, seed=1):
@@ -208,9 +208,9 @@ def test_feature_adaptation_raises_bitrate_and_psnr(tmp_path):
 
 def lattice_clip():
     """A 16x16 field stepping 128 -> 64 -> 128, with dark holes on a
-    2-pixel lattice.  Power-of-two values end each run on a frame boundary,
-    so no interval marker darkens the detector's image after a run closes,
-    and one event can complete several corners at once."""
+    2-pixel lattice.  Every hole is a corner from the first frame on, the
+    field's steps retest the holes while they persist, and one frame
+    inserts many corners at once."""
     frames = []
     for value in (128, 128, 64, 64, 128, 128):
         frame = np.full((16, 16), value, np.uint8)
@@ -219,23 +219,30 @@ def lattice_clip():
     return frames
 
 
-def feature_loop_log(monkeypatch, mode):
-    """Run ``transcode_clip`` with feature adaptation on over the lattice
-    clip, recording in order each batch the detector gets, each
-    ``set_sensitivity`` call, and the start of the final flush.
+def feature_loop_log(monkeypatch, mode, clip=None, crf=3):
+    """Run ``transcode_clip`` with feature adaptation on over ``clip`` (the
+    lattice clip by default), recording in order each detector step (a
+    copy of its image as rows, its changed pixels, the corner set before
+    and after it, and the corners it returned), each ``set_sensitivity``
+    call, and the start of the final flush.
 
-    Returns (config, header, emitted events, log).
+    Returns (config, emitted events, log).
     """
     log = []
 
     class RecordingDetector(harness.Detector):
-        def apply_batch(self, events):
-            log.append(("batch", events.copy()))
-            return super().apply_batch(events)
+        def update(self, image, pixels):
+            before = self.features
+            fresh = super().update(image, pixels)
+            rows = np.array(image).reshape(self.height, self.width)
+            log.append(("update", rows, np.array(pixels), before,
+                        self.features, fresh.tolist()))
+            return fresh
 
     class RecordingTranscoder(harness.Transcoder):
         def set_sensitivity(self, x, y, radius, duration=None):
-            log.append(("boost", x, y, radius))
+            log.append(("boost", np.atleast_1d(x).tolist(),
+                        np.atleast_1d(y).tolist(), radius))
             super().set_sensitivity(x, y, radius, duration)
 
         def flush_all(self):
@@ -244,25 +251,20 @@ def feature_loop_log(monkeypatch, mode):
 
     monkeypatch.setattr(harness, "Detector", RecordingDetector)
     monkeypatch.setattr(harness, "Transcoder", RecordingTranscoder)
-    config = ExperimentConfig(crf=3, feature_adaptation=True,
+    config = ExperimentConfig(crf=crf, feature_adaptation=True,
                               detector_mode=mode)
-    frames, header = harness.ingest(config, lattice_clip())
+    frames, header = harness.ingest(config, lattice_clip() if clip is None
+                                    else clip)
     events, _, _ = harness.transcode_clip(config, header, frames)
-    return config, header, events, log
+    return config, events, log
 
 
-def oracle_frames(config, header, log):
-    """Replay the logged batches event by event through the per-event
-    oracle: per batch, the list of (event, added, removed) of its events,
-    and the boosts the loop made after it."""
-    oracle = OracleDetector(header, threshold=config.fast_threshold,
-                            retest_neighbors=config.detector_mode == "exact")
+def loop_frames(log):
+    """The logged steps, one per frame, each with the boosts after it."""
     frames = []
     for entry in log:
-        if entry[0] == "batch":
-            steps = [(event, *oracle.on_event(*event))
-                     for event in entry[1].tolist()]
-            frames.append((steps, []))
+        if entry[0] == "update":
+            frames.append((entry[1:], []))
         elif entry[0] == "boost":
             frames[-1][1].append(entry[1:])
     return frames
@@ -270,51 +272,78 @@ def oracle_frames(config, header, log):
 
 @pytest.mark.parametrize("mode", ["paper", "exact"])
 def test_feature_loop_boosts_each_fresh_corner_once(monkeypatch, mode):
-    config, header, events, log = feature_loop_log(monkeypatch, mode)
+    config, events, log = feature_loop_log(monkeypatch, mode)
     radius = crf_params(config.crf).feature_radius
-    batches = [entry[1] for entry in log if entry[0] == "batch"]
-    # the detector sees every emitted event once, in emission order, one
-    # batch per frame and then the final flush's
-    assert len(batches) == len(lattice_clip()) + 1
-    assert np.concatenate(batches).tolist() == events.tolist()
-    assert log.index(("flush",)) == len(log) - 2
-    frames = oracle_frames(config, header, log)
-    for k, (steps, boosts) in enumerate(frames):
-        fresh = {corner for _, added, _ in steps for corner in added}
-        if k == len(frames) - 1:
-            # no frame follows the flush, so its corners boost nothing
+    # one detector step per frame, none for the final flush, which opens
+    # no run
+    frames = loop_frames(log)
+    assert len(frames) == len(lattice_clip())
+    assert log[-1] == ("flush",)
+    # the changed pixels are those whose runs opened: every pixel on the
+    # first frame, then the field's 240 at each of its steps
+    assert [len(step[1]) for step, _ in frames] == [256, 0, 240, 0, 240, 0]
+    for (image, pixels, before, after, fresh), boosts in frames:
+        # the step's corners are the scalar test of its candidates
+        retested = candidates(pixels, 16, 16, mode == "exact")
+        found = {q for q in retested
+                 if is_feature(image, *q, config.fast_threshold)}
+        assert after == (before - retested) | found
+        # its fresh corners are those it inserted, each boosted once, in
+        # one call after the frame
+        assert sorted(fresh) == sorted(y * 16 + x for x, y in after - before)
+        if fresh:
+            assert boosts == [([f % 16 for f in fresh],
+                               [f // 16 for f in fresh], radius)]
+        else:
             assert boosts == []
-            continue
-        # after frame k, each corner some event of that frame freshly
-        # inserted is boosted once, and nothing else is
-        assert sorted(boosts) == sorted((x, y, radius) for x, y in fresh)
     assert any(boosts for _, boosts in frames)
     if mode == "exact":
-        assert any(len(added) > 1 for steps, _ in frames[:-1]
-                   for _, added, _ in steps)
+        assert any(len(step[4]) > 1 for step, _ in frames)
 
 
 def test_persisting_corners_and_unrelated_events_boost_nothing(monkeypatch):
-    config, header, _, log = feature_loop_log(monkeypatch, "exact")
-    corners = set()
+    _, _, log = feature_loop_log(monkeypatch, "exact")
     persisting = unrelated = 0
-    for steps, boosts in oracle_frames(config, header, log):
-        boosted = {(x, y) for x, y, _ in boosts}
-        fresh = {corner for _, added, _ in steps for corner in added}
-        for (x, y, _, _), added, removed in steps:
-            if not added:
-                retested = {(x + dx, y + dy) for dx, dy in RING}
-                retested.add((x, y))
-                kept = (corners & retested) - set(removed)
-                if kept:
-                    persisting += 1
-                    # retesting a corner that stays in the set boosts it
-                    # only if some event of the frame freshly inserts it
-                    assert not (kept - fresh) & boosted
-                else:
-                    unrelated += 1
-            corners = (corners | set(added)) - set(removed)
+    for (_, pixels, before, after, _), boosts in loop_frames(log):
+        boosted = {(x, y) for xs, ys, _ in boosts for x, y in zip(xs, ys)}
+        retested = candidates(pixels, 16, 16, True)
+        # a retested corner that stays in the set is not boosted, and
+        # neither is a retested pixel that is no corner
+        persisting += len(retested & before & after)
+        unrelated += len(retested - after)
+        assert not (retested & before) & boosted
+        assert not (retested - after) & boosted
     assert persisting > 0 and unrelated > 0
+
+
+def test_in_loop_image_follows_the_run_opening_values(monkeypatch):
+    # an 8x8 block steps 0 -> 200 -> 100 -> 200, drifting within CRF 3's
+    # threshold between the steps; after each frame the detector's image
+    # reads the value that opened each pixel's run, where the emitted
+    # events' display left it at 0
+    clip = []
+    for value in (0, 200, 202, 100, 100, 200, 198):
+        frame = np.zeros((16, 16), np.uint8)
+        frame[4:12, 4:12] = value
+        clip.append(frame)
+    _, _, log = feature_loop_log(monkeypatch, "exact", clip)
+    images = [step[0] for step, _ in loop_frames(log)]
+    assert [int(image[10, 10]) for image in images] == [0, 200, 200, 100,
+                                                        100, 200, 200]
+    assert all((image[4:12, 4:12] == image[10, 10]).all() for image in images)
+    assert not any(image[:4].any() or image[12:].any() for image in images)
+
+
+@pytest.mark.parametrize("kind", ["walk", "moving_box"])
+def test_exact_loop_corners_equal_a_full_scan_of_the_run_values(monkeypatch,
+                                                                 kind):
+    _, _, log = feature_loop_log(monkeypatch, "exact",
+                                 synth_clip(kind, 24, 20, 12, seed=3), crf=6)
+    frames = loop_frames(log)
+    assert len(frames) == 12
+    for (image, _, _, after, _), _ in frames:
+        assert after == detect_frame(image, DEFAULT_THRESHOLD)
+    assert any(after for (_, _, _, after, _), _ in frames)
 
 
 def test_ticks_past_32_bits_fail_the_run(tmp_path):

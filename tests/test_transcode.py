@@ -235,6 +235,51 @@ def test_set_sensitivity_respects_radius_and_bounds():
     coder.set_sensitivity(99, 99, 3)  # out of bounds: no-op with a warning
 
 
+def boxed(coder, centers, radius, duration):
+    """The pinned thresholds and override ends after one box assignment
+    per center, the scalar rule of ``set_sensitivity``."""
+    shape = (coder.height, coder.width)
+    m_cur, m_tgt, until = (a.reshape(shape).copy() for a in
+                           (coder.m_cur, coder.m_tgt, coder.override_until))
+    if duration is None:
+        duration = 2 * coder.header.dt_max
+    for x, y in centers:
+        if 0 <= x < coder.width and 0 <= y < coder.height:
+            box = (slice(max(0, y - radius), y + radius + 1),
+                   slice(max(0, x - radius), x + radius + 1))
+            m_cur[box] = m_tgt[box] = coder.params.m_base
+            until[box] = coder.now + duration
+    return m_cur.ravel(), m_tgt.ravel(), until.ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 9), height=st.integers(1, 9),
+       centers=st.lists(st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
+                        max_size=12),
+       radius=st.integers(0, 3), duration=st.none() | st.integers(0, 3000),
+       warmup=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_one_boost_over_many_centers_equals_one_call_per_center(
+        width, height, centers, radius, duration, warmup, seed):
+    # centers inside, on and beyond the borders, repeated or none; the
+    # thresholds have grown unevenly over a few frames before the boost
+    rng = np.random.default_rng(seed)
+    hdr = header(width, height, crf=9)
+    one, many = Transcoder(hdr), Transcoder(hdr)
+    for _ in range(warmup):
+        frame = rng.choice((50, 52, 90), (height, width))
+        one.integrate_frame(frame)
+        many.integrate_frame(frame)
+    want = boxed(one, centers, radius, duration)
+    for x, y in centers:
+        one.set_sensitivity(x, y, radius, duration)
+    xs = np.array([x for x, _ in centers], np.int64)
+    ys = np.array([y for _, y in centers], np.int64)
+    many.set_sensitivity(xs, ys, radius, duration)
+    for coder in (one, many):
+        got = (coder.m_cur, coder.m_tgt, coder.override_until)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_sensitivity_override_expires():
     params = ParamSet(1, 8, 1, 0)
     px = PixelIntegrator(params, 255)
