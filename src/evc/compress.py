@@ -1,35 +1,36 @@
-"""Event-stream compression with adaptive range coding.
+"""Event-stream compression: a source model coded with LZMA.
 
 The stream is cut into application data units (ADUs) on a fixed tick
-grid, each coded independently from fresh models so a reader can drop
-into any unit.  Within an ADU, events group into 16x16 pixel cubes.  An
-intra pass codes the first event of every pixel as a residual chain
-threaded across cubes; an inter pass codes each later event against the
-pixel's previous one, its timestamp as the residual from a prediction
-that continues the previous interval scaled by the decimation step.
-Every value is coded exactly, so a unit decodes to its own events at
-every CRF: the loss CRF buys happens in the transcoder alone.
+grid, each coded independently so a reader can drop into any unit.
+Within an ADU, events group into 16x16 pixel cubes.  An intra pass codes
+the first event of every pixel as a residual chain threaded across
+cubes; an inter pass codes each later event against the pixel's previous
+one, its timestamp as the residual from a prediction that continues the
+previous interval scaled by the decimation step.  Every value is coded
+exactly, so a unit decodes to its own events at every CRF: the loss CRF
+buys happens in the transcoder alone.
 
-A unit's symbols go out group-major, each group with its own adaptive
-model: every cube-presence flag, then every decimation symbol (the intra
-slots, each pixel's inter residuals closed by SKIP, then
-end-of-sequence), then every timestamp residual.  An ADU in memory is
-its window's slice of the stream, sorted into coding order by one
-``np.lexsort``.  ``encode_adu`` builds the unit's packed ``(group,
-value)`` sequence with numpy and ``cabac.encode`` codes it in one loop;
-``decode_adu`` reads the groups back in runs through ``cabac.decoder``,
-then rebuilds d by a segmented cumulative sum and t by one numpy step
-per event rank across the unit's pixels.
+A unit's values go out group-major: every cube-presence flag, then every
+decimation value (the intra slots, each pixel's inter residuals closed by
+SKIP, then end-of-sequence), then every timestamp residual.  An ADU in
+memory is its window's slice of the stream, sorted into coding order by
+one ``np.lexsort``.  ``encode_adu`` builds the unit's value sequence with
+numpy, writes it as unsigned LEB128 varints and compresses those with
+raw LZMA1 (the stdlib's ``lzma``: an adaptive binary range coder with
+context-modelled literals and LZ matches).  ``decode_adu`` inflates the
+varints, splits the sequence into its groups, then rebuilds d by a
+segmented cumulative sum and t by segmented cumulative sums that restart
+only where the prediction is not the previous interval itself.
 """
 
 from __future__ import annotations
 
+import lzma
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cabac import FLAG, GROUP_BITS, decoder, encode, unzigzag, zigzag
 from .events import (
     CODEC_COMPRESSED,
     D_MAX,
@@ -43,7 +44,7 @@ from .events import (
 
 CUBE = 16
 
-# alphabet layout shared by intra and inter passes in the d context group
+# alphabet layout shared by intra and inter passes in the d group
 SKIP_U = 0
 EOS_U = 1
 D_OFFSET = 2
@@ -56,10 +57,14 @@ _D_STEP = EMPTY + 1
 
 _ADU_PREFIX = struct.Struct("<II")
 
-# symbol groups besides the cube-presence flag: one Elias-gamma model each
-# for decimation residuals (sharing SKIP and end-of-sequence) and
-# timestamp residuals
-_D, _T = 1, 2
+# The entropy stage is part of the format: raw LZMA1 with a 4 KiB
+# dictionary, one literal context bit and no position bits.  The small
+# dictionary keeps the encoder's fixed workspace near 1.3 MiB.
+_FILTERS = ({"id": lzma.FILTER_LZMA1, "dict_size": 4096, "lc": 1, "lp": 0,
+             "pb": 0},)
+# a varint carries 7 bits a byte, so 9 bytes hold any value below 2**63
+_VARINT_BYTES = 9
+_CHUNK = 2048
 
 
 class DecodeError(StreamFormatError):
@@ -150,6 +155,143 @@ def _increments(prev_dt, shift):
     return np.clip(delta, 1, _PREDICT_CAP, out=delta)
 
 
+def zigzag(v):
+    """Signed to unsigned, in place on an integer array: 0, -1, 1, -2, 2 ...
+    -> 0, 1, 2, 3, 4 ..."""
+    negative = v < 0
+    v <<= 1
+    return np.invert(v, out=v, where=negative)
+
+
+def unzigzag(v):
+    """Inverse of ``zigzag``, in place on an int64 array."""
+    odd = np.empty(len(v), bool)
+    np.bitwise_and(v, 1, out=odd, casting="unsafe")
+    v >>= 1
+    return np.invert(v, out=v, where=odd)
+
+
+def _varints(values):
+    """Unsigned LEB128 bytes of a uint64 array of values below 2**63: seven
+    bits a byte, low bits first, the top bit set on every byte but a
+    value's last."""
+    size = np.ones(len(values), np.uint8)
+    for k in range(1, _VARINT_BYTES):
+        size += values >= 1 << 7 * k
+    rank = np.arange(size.max(initial=1))
+    planes = values[:, None] >> (7 * rank).astype(np.uint64)
+    planes = planes.astype(np.uint8) & 0x7F
+    planes[rank < size[:, None] - 1] |= 0x80
+    return planes[rank < size[:, None]]
+
+
+def _compress(values):
+    """The values' varints, compressed with raw LZMA.  The varints go to the
+    coder _CHUNK values at a time, which bounds their workspace whatever
+    the unit's size; the coder's output does not depend on the chunking."""
+    coder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=_FILTERS)
+    parts = [coder.compress(_varints(values[at:at + _CHUNK]))
+             for at in range(0, len(values), _CHUNK)]
+    return b"".join(parts) + coder.flush()
+
+
+def _values(body):
+    """The uint64 values of LEB128 bytes, one numpy step per byte rank; the
+    steps work on byte masks, which keeps the workspace a few bytes a
+    value."""
+    data = np.frombuffer(body, np.uint8)
+    if len(data) and data[-1] >= 0x80:
+        raise ValueError("truncated varint")
+    end = data < 0x80
+    more = ~end
+    values = data[end].astype(np.uint64)
+    # reach[p]: byte p ends a varint that has a byte k places before it
+    reach = end.copy()
+    low = np.empty(len(values), np.uint8)
+    for k in range(1, _VARINT_BYTES + 1):
+        reach[:k] = False
+        reach[k:] &= more[:-k]
+        if not reach.any():
+            return values
+        if k == _VARINT_BYTES:
+            raise ValueError("varint wider than 63 bits")
+        rank = reach[end]
+        low[rank] = data[:-k][reach[k:]] & 0x7F
+        np.left_shift(values, 7, out=values, where=rank)
+        np.bitwise_or(values, low, out=values, where=rank)
+
+
+def _restart_cumsum(x, at, heads):
+    """Cumulative sum of x in place, restarted at each index of ``at``
+    (ascending, from 0) from the matching entry of ``heads`` in place of
+    x's own value there."""
+    if not len(at):
+        return
+    x[at] = 0
+    ends = np.add.reduceat(x, at)
+    ends += heads
+    x[at] = heads
+    x[at[1:]] -= ends[:-1]
+    np.cumsum(x, out=x)
+
+
+def _timestamps(inter, t_first, first, shift, dt_ref):
+    """Each event's tick, from each pixel's first tick and the residuals of
+    the later events in coding order (``inter``).
+
+    Where a step's prediction is the previous interval itself (shift 0,
+    interval up to _PREDICT_CAP), intervals are a running sum of the
+    residuals.  So intervals are cumulative sums restarted only at the
+    other steps, the breaks, each from ``_increments`` of the interval
+    before it: one numpy step per rank of a pixel's breaks.  A capped
+    interval shows only once the intervals before it are known, so the
+    pass repeats with each pixel's first capped step made a break; a
+    valid unit needs at most two more passes, as at most one interval of
+    a pixel passes 2**31, beside dt_ref.
+    """
+    n = len(first)
+    later = ~first
+    starts = np.flatnonzero(first)
+    breaks = later & (shift != 0)
+    dt = np.empty(n, np.int64)
+    while True:
+        dt[first] = dt_ref
+        dt[later] = inter
+        at = np.flatnonzero(first | breaks)
+        heads = dt[at]
+        dt[at] = 0
+        runs = np.add.reduceat(dt, at)
+        # the r-th break of every pixel that has r breaks, longest first
+        lead = np.flatnonzero(first[at])
+        counts = np.diff(lead, append=len(at))
+        order = np.argsort(-counts, kind="stable")
+        lead = lead[order]
+        live = np.searchsorted(-counts[order], -np.arange(1, counts.max()))
+        for r, m in enumerate(live.tolist(), 1):
+            s = lead[:m] + r
+            heads[s] += _increments(heads[s - 1] + runs[s - 1], shift[at[s]])
+        _restart_cumsum(dt, at, heads)
+
+        # the first issue of each pixel: a capped step taken as plain, or
+        # a tick that does not follow its previous one within range
+        capped = np.zeros(n, bool)
+        np.greater(dt[:-1], _PREDICT_CAP, out=capped[1:])
+        capped &= later & ~breaks
+        wrong = later & (dt <= 0)
+        _restart_cumsum(dt, starts, t_first)
+        wrong |= dt >= _T_LIMIT
+        issue = np.flatnonzero(capped | wrong)
+        if not len(issue):
+            return dt
+        pixel = np.searchsorted(starts, issue, side="right")
+        issue = issue[np.diff(pixel, prepend=0) > 0]
+        bad = issue[~capped[issue]]
+        if len(bad):
+            raise ValueError(f"timestamp {dt[bad[0]]} breaks pixel "
+                             "monotonicity")
+        breaks[issue] = True
+
+
 def encode_adu(adu, header):
     """Serialize one ADU to a self-contained byte payload."""
     events = adu.events
@@ -201,10 +343,7 @@ def encode_adu(adu, header):
     dt[:pixels] = zigzag(np.diff(t[starts].astype(np.int64),
                                  prepend=adu.start_t))
 
-    seq <<= GROUP_BITS
-    d_group |= _D
-    t_group |= _T
-    return _ADU_PREFIX.pack(adu.start_t, adu.span) + encode(memoryview(seq))
+    return _ADU_PREFIX.pack(adu.start_t, adu.span) + _compress(seq)
 
 
 def decode_adu(payload, header, adu_index=0):
@@ -213,14 +352,33 @@ def decode_adu(payload, header, adu_index=0):
     if len(payload) < _ADU_PREFIX.size:
         raise DecodeError("payload shorter than the unit prefix", adu_index)
     start_t, _span = _ADU_PREFIX.unpack_from(payload)
-    coded = payload[_ADU_PREFIX.size:]
     cols, rows = _cube_grid(header)
+    inflate = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=_FILTERS)
     try:
-        read, consumed = decoder(coded)
-        used = np.flatnonzero(np.frombuffer(read(FLAG, cols * rows),
-                                            np.uint64))
+        body = inflate.decompress(payload[_ADU_PREFIX.size:])
+        if not inflate.eof:
+            raise DecodeError("read past the end of the payload", adu_index)
+        if inflate.unused_data:
+            raise DecodeError("bytes left over after the end of sequence",
+                              adu_index)
+        values = _values(body)
+        del body
+        pos = 0
+
+        def take(count):
+            nonlocal pos
+            if len(values) - pos < count:
+                raise DecodeError("read past the end of the payload",
+                                  adu_index)
+            pos += count
+            return values[pos - count:pos]
+
+        flags = take(cols * rows)
+        if flags.max(initial=0) > 1:
+            raise DecodeError(f"cube flag {flags.max()} above 1", adu_index)
+        used = np.flatnonzero(flags)
         x0, y0, width, slot_at = _cube_slots(used, header)
-        slots = np.frombuffer(read(_D, int(slot_at[-1])), np.uint64)
+        slots = take(int(slot_at[-1]))
         if (slots == EOS_U).any():
             raise DecodeError("end of sequence inside the intra pass",
                               adu_index)
@@ -231,18 +389,27 @@ def decode_adu(payload, header, adu_index=0):
         # clipped or not.
         d_intra = unzigzag(slots[slot].astype(np.int64) - D_OFFSET)
         np.clip(d_intra, -_D_STEP, _D_STEP, out=d_intra)
-        del slots
         at = np.searchsorted(slot_at, slot, side="right") - 1
         local = slot - slot_at[at]
         xs, ys = x0[at] + local % width[at], y0[at] + local // width[at]
 
         # Each pixel's queue of d residuals closed by SKIP: event i of the
-        # unit, unless it opens its pixel, has its residual at i - 1.
-        queues = np.frombuffer(read(_D, pixels, SKIP_U), np.uint64)
+        # unit, unless it opens its pixel, has its residual at i - 1.  The
+        # queues end at the pixels-th SKIP, which a valid unit puts in the
+        # first half of what is left: then come EOS and one t residual
+        # per event.
+        rest = values[pos:]
+        skips = np.flatnonzero(rest[:len(rest) // 2] == SKIP_U)
+        if len(skips) < pixels:
+            skips = np.flatnonzero(rest == SKIP_U)
+        del rest
+        if len(skips) < pixels:
+            raise DecodeError("read past the end of the payload", adu_index)
+        queues = take(int(skips[pixels - 1]) + 1 if pixels else 0)
         if (queues == EOS_U).any():
             raise DecodeError("end of sequence inside a pixel queue",
                               adu_index)
-        if read(_D, 1)[0] != EOS_U:
+        if take(1)[0] != EOS_U:
             raise DecodeError("missing end of sequence", adu_index)
         n = len(queues)
         ends = np.flatnonzero(queues == SKIP_U)
@@ -251,19 +418,12 @@ def decode_adu(payload, header, adu_index=0):
         first = np.zeros(n, bool)
         first[starts] = True
 
-        # A segmented cumulative sum: each pixel's first entry holds its
-        # intra d less everything summed before it.
+        # A segmented cumulative sum from each pixel's intra d.
         d = np.zeros(n, np.int64)
         d[1:] = queues[:-1]
-        del queues
         d -= D_OFFSET
         np.clip(unzigzag(d), -_D_STEP, _D_STEP, out=d)
-        d[first] = 0
-        if pixels:
-            carried = np.add.reduceat(d, starts)
-            d_intra[1:] -= carried[:-1]
-            d[starts] = d_intra
-        np.cumsum(d, out=d)
+        _restart_cumsum(d, starts, np.cumsum(d_intra, out=d_intra))
         bad = np.flatnonzero((d < 0) | ((d > D_MAX) & (d != EMPTY)))
         if len(bad):
             raise DecodeError(f"decimation {d[bad[0]]} outside the value "
@@ -274,11 +434,14 @@ def decode_adu(payload, header, adu_index=0):
         out["d"] = d
         del d
 
-        residuals = np.frombuffer(read(_T, n), np.uint64)
-        if consumed() != len(coded):
+        residuals = take(n).astype(np.int64)
+        if pos != len(values):
             raise DecodeError("bytes left over after the end of sequence",
                               adu_index)
-        t_first = unzigzag(residuals[:pixels].astype(np.int64))
+        # the t residuals are all the t stage needs of the sequence
+        del values, flags, slots, queues
+        unzigzag(residuals)
+        t_first = residuals[:pixels]
         np.clip(t_first, -_T_LIMIT, _T_LIMIT, out=t_first)
         t_first[:1] += start_t
         np.cumsum(t_first, out=t_first)
@@ -286,32 +449,10 @@ def decode_adu(payload, header, adu_index=0):
         if len(bad):
             raise DecodeError(f"timestamp {t_first[bad[0]]} outside the "
                               "tick range", adu_index)
-        t = out["t"]
-        t[starts] = t_first
-
-        # One step per event rank r across the pixels that have an r-th
-        # event, the longest queues first: pixel j's r-th event sits at
-        # starts[j] + r and its t residual at pixels + starts[j] - j + r - 1.
-        shift = _shifts(out["d"], first)
-        order = np.argsort(-counts, kind="stable")
-        ranked = counts[order]
-        at_event = starts[order]
-        at_residual = pixels - 1 + at_event - order
-        prev_t = t_first[order]
-        prev_dt = np.full(pixels, header.dt_ref, np.int64)
-        live = np.searchsorted(-ranked, -np.arange(1, ranked.max(initial=1)))
-        for r, m in enumerate(live.tolist(), 1):
-            event = at_event[:m] + r
-            now = prev_t[:m] + _increments(prev_dt[:m], shift[event])
-            now += unzigzag(residuals[at_residual[:m] + r].astype(np.int64))
-            bad = np.flatnonzero((now <= prev_t[:m]) | (now >= _T_LIMIT))
-            if len(bad):
-                raise DecodeError(f"timestamp {now[bad[0]]} breaks pixel "
-                                  "monotonicity", adu_index)
-            t[event] = now
-            np.subtract(now, prev_t[:m], out=prev_dt[:m])
-            prev_t[:m] = now
-    except ValueError as exc:
+        if n:
+            out["t"] = _timestamps(residuals[pixels:], t_first, first,
+                                   _shifts(out["d"], first), header.dt_ref)
+    except (ValueError, lzma.LZMAError) as exc:
         if isinstance(exc, DecodeError):
             raise
         raise DecodeError(str(exc), adu_index) from exc

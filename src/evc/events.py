@@ -28,11 +28,12 @@ MAGIC = b"AEVS"
 VERSION = 1
 
 # Source codec ids carried in the stream header.  Ids 1 (a binary
-# arithmetic coder) and 2 (the range coder with lossy timestamp shifts)
-# belong to earlier codecs, whose streams no longer decode; bumping the
-# codec id rather than VERSION leaves raw streams byte-identical.
+# arithmetic coder), 2 (the range coder with lossy timestamp shifts) and 3
+# (that range coder on exact residuals) belong to earlier codecs, whose
+# streams no longer decode; bumping the codec id rather than VERSION
+# leaves raw streams byte-identical.
 CODEC_RAW = 0
-CODEC_COMPRESSED = 3
+CODEC_COMPRESSED = 4
 
 DEFAULT_DT_REF = 255
 

@@ -1,25 +1,22 @@
-"""Per-event reference for ``evc.compress.encode_adu``'s symbol sequence.
+"""Per-event reference for ``evc.compress.encode_adu``'s value sequence.
 
 ``reference_sequence`` walks an ADU's events one at a time, as the codec
 did before its sequence was built with numpy: an intra pass over the
 cube grid, then each pixel's queue against its previous event with the
-scalar ``t_prediction``.  It sorts the items it makes into codec 3's
-group-major order, and is the oracle ``encode_adu`` must equal item for
-item.
+scalar ``t_prediction``.  It sorts the values it makes into the codec's
+group-major order, and ``leb128`` writes them one at a time: the body
+``encode_adu`` hands to LZMA must equal that byte for byte.
 """
 
 from __future__ import annotations
 
-from evc.cabac import FLAG, GROUP_BITS
 from evc.compress import (
     CUBE,
     D_OFFSET,
     EOS_U,
     SHIFT_CAP,
     SKIP_U,
-    _D,
     _PREDICT_CAP,
-    _T,
 )
 from evc.events import EMPTY
 
@@ -42,13 +39,21 @@ def t_prediction(prev_t, prev_dt, d_r):
     return prev_t + delta
 
 
-def pack(group, value):
-    return value << GROUP_BITS | group
+def leb128(values):
+    """Unsigned LEB128: seven bits a byte, low bits first, the top bit set
+    on every byte but a value's last."""
+    out = bytearray()
+    for value in values:
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
 
 
 def reference_sequence(adu, header):
-    """The unit's packed ``(group, value)`` items: every cube flag, every d
-    symbol, then every t residual."""
+    """The unit's values: every cube flag, every d symbol, then every t
+    residual."""
     queues = {}
     for x, y, d, t in adu.events.tolist():
         queues.setdefault((x, y), []).append((d, t))
@@ -66,16 +71,16 @@ def reference_sequence(adu, header):
                       for x in range(cx * CUBE, min((cx + 1) * CUBE,
                                                     header.width))]
             used = any(pixel in queues for pixel in pixels)
-            flags.append(pack(FLAG, int(used)))
+            flags.append(int(used))
             if not used:
                 continue
             for pixel in pixels:
                 if pixel not in queues:
-                    ds.append(pack(_D, SKIP_U))
+                    ds.append(SKIP_U)
                     continue
                 d, t = queues[pixel][0]
-                ds.append(pack(_D, zigzag(d - d_prev) + D_OFFSET))
-                ts.append(pack(_T, zigzag(t - t_prev)))
+                ds.append(zigzag(d - d_prev) + D_OFFSET)
+                ts.append(zigzag(t - t_prev))
                 d_prev, t_prev = d, t
 
     # inter pass: each pixel's later events against its previous one
@@ -87,12 +92,11 @@ def reference_sequence(adu, header):
                 raise ValueError(f"pixel ({x}, {y}): tick {t} does not "
                                  f"follow its previous event's {prev_t}")
             d_r = d - prev_d
-            ds.append(pack(_D, zigzag(d_r) + D_OFFSET))
+            ds.append(zigzag(d_r) + D_OFFSET)
             shift = 0 if EMPTY in (d, prev_d) else d_r
-            ts.append(pack(_T, zigzag(t - t_prediction(prev_t, prev_dt,
-                                                       shift))))
+            ts.append(zigzag(t - t_prediction(prev_t, prev_dt, shift)))
             prev_dt = t - prev_t
             prev_d, prev_t = d, t
-        ds.append(pack(_D, SKIP_U))
-    ds.append(pack(_D, EOS_U))
+        ds.append(SKIP_U)
+    ds.append(EOS_U)
     return flags + ds + ts

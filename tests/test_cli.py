@@ -54,7 +54,7 @@ def pipeline_stream(tmp_path, pos=None, value=None):
     return result, stream
 
 
-@pytest.mark.parametrize("codec", [1, 2, 7])
+@pytest.mark.parametrize("codec", [1, 2, 3, 7])
 @pytest.mark.parametrize("verb", ["play", "decompress", "detect"])
 def test_unknown_codec_id_fails_cleanly(tmp_path, capsys, codec, verb):
     # byte 12 of the header is the source codec id

@@ -1,14 +1,17 @@
-"""Codec 3 byte identity: the payloads of fixed streams are pinned by hash.
+"""Codec 4 byte identity: the bodies of fixed streams are pinned by hash.
 
-The streams are seeded, so their events never change; a coder or ADU
-change that alters a single payload byte fails here.  The hashes were
-taken from the per-event sequence of ``tests/compress_oracle.py`` coded
-by the per-symbol range coder of ``tests/cabac_oracle.py``.  Every
-payload is also held to the size the same unit took under codec 2, whose
-lossy timestamp shifts and shift symbols codec 3 dropped.
+The streams are seeded, so their events never change; a source-model or
+ADU change that alters a single value fails here.  What is pinned is each
+unit's LEB128 body, which the format defines, and not the LZMA bytes
+around it, which depend on liblzma's encoder.  The hashes were taken from
+the per-event sequence of ``tests/compress_oracle.py`` written by its
+scalar ``leb128``.  Every payload is also held to the size the same unit
+took under codec 2, whose lossy timestamp shifts and shift symbols codec 3
+dropped, and under codec 3, whose adaptive range coder codec 4 replaced.
 """
 
 import hashlib
+import lzma
 import random
 import struct
 
@@ -23,7 +26,7 @@ from evc import (
     compress_events,
     decode_adu,
 )
-
+from evc import compress
 DT_REF = 255
 DT_MAX = 2550
 
@@ -55,18 +58,18 @@ def header(width, height, crf):
                         dt_s=DT_REF * 30, crf=crf)
 
 
-# (seed, width, height, windows, dt_adu, crf) -> sha256 of the payloads,
-# each prefixed by its length as in a compressed file; CRF no longer
-# enters the coding, so the first three agree
+# (seed, width, height, windows, dt_adu, crf) -> sha256 of the units'
+# LEB128 bodies, each prefixed by its length; CRF does not enter the
+# coding, so the first three agree
 PINS = {
     (1, 20, 20, 4, None, 0):
-        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
+        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
     (1, 20, 20, 4, None, 3):
-        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
+        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
     (1, 20, 20, 4, None, 9):
-        "52e52377bf941923afc8f980b1b609766922bcf181fb89410571261b173bfb50",
+        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
     (2, 37, 18, 3, 1000, 3):
-        "e23a0543423b276755700478d84df547e0cfda81459c51ecf408b64f3268c383",
+        "e8f5e407b3dadcf2bcb83cdc03f4e48b8d354c1ae19d95bdfca82fa37afadd2e",
 }
 
 # the same units' payload sizes in bytes under codec 2
@@ -78,22 +81,33 @@ CODEC2_SIZES = {
                               2560],
 }
 
+# and under codec 3, where CRF no longer entered the coding
+CODEC3_SIZES = {
+    (1, 20, 20, 4, None, 0): [5295, 5220, 5255, 5259],
+    (1, 20, 20, 4, None, 3): [5295, 5220, 5255, 5259],
+    (1, 20, 20, 4, None, 9): [5295, 5220, 5255, 5259],
+    (2, 37, 18, 3, 1000, 3): [3583, 3647, 3565, 3616, 3596, 3639, 3566,
+                              2424],
+}
 
-def payload_digest(payloads):
+
+def body_digest(payloads):
     digest = hashlib.sha256()
     for payload in payloads:
-        digest.update(struct.pack("<I", len(payload)))
-        digest.update(payload)
+        body = lzma.decompress(payload[compress._ADU_PREFIX.size:],
+                               lzma.FORMAT_RAW, filters=compress._FILTERS)
+        digest.update(struct.pack("<I", len(body)))
+        digest.update(body)
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(PINS, key=str))
-def test_codec3_payloads_are_pinned(case):
+def test_codec4_bodies_are_pinned(case):
     seed, width, height, windows, dt_adu, crf = case
     events = pinned_stream(seed, width, height, windows)
     hdr = header(width, height, crf)
     payloads = compress_events(events, hdr, dt_adu)
-    assert payload_digest(payloads) == PINS[case]
+    assert body_digest(payloads) == PINS[case]
 
     # what the pin covers: several ADUs, pixels with events in more than
     # one of them, markers and edge cubes, all decoded exactly
@@ -111,10 +125,21 @@ def test_codec3_payloads_are_pinned(case):
 @pytest.mark.parametrize("case", sorted(CODEC2_SIZES, key=str))
 def test_codec2_payloads_are_pinned(case):
     # the codec-2 sizes stay pinned as a ceiling: no unit of these streams
-    # may take more bytes under codec 3 than it took under codec 2
+    # may take more bytes now than it took under codec 2
     seed, width, height, windows, dt_adu, crf = case
     events = pinned_stream(seed, width, height, windows)
     payloads = compress_events(events, header(width, height, crf), dt_adu)
     assert len(payloads) == len(CODEC2_SIZES[case])
     for payload, size in zip(payloads, CODEC2_SIZES[case]):
+        assert len(payload) <= size
+
+
+@pytest.mark.parametrize("case", sorted(CODEC3_SIZES, key=str))
+def test_codec3_payloads_are_pinned(case):
+    # likewise the codec-3 sizes: no unit may grow under codec 4
+    seed, width, height, windows, dt_adu, crf = case
+    events = pinned_stream(seed, width, height, windows)
+    payloads = compress_events(events, header(width, height, crf), dt_adu)
+    assert len(payloads) == len(CODEC3_SIZES[case])
+    for payload, size in zip(payloads, CODEC3_SIZES[case]):
         assert len(payload) <= size

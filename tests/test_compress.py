@@ -1,15 +1,15 @@
 import io
+import lzma
 import random
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compress_oracle import pack, reference_sequence, t_prediction, zigzag
+from compress_oracle import leb128, reference_sequence, t_prediction, zigzag
 from evc import (
     CODEC_COMPRESSED,
     EMPTY,
@@ -19,8 +19,7 @@ from evc import (
     synth_clip,
     transcode,
 )
-from evc import cabac, compress
-from evc.cabac import FLAG
+from evc import compress
 from evc.events import HEADER_SIZE
 from evc.compress import (
     D_OFFSET,
@@ -76,6 +75,33 @@ def increments(prev_dt, shift):
     """``compress._increments`` over Python lists."""
     return compress._increments(np.array(prev_dt, np.int64),
                                 np.array(shift, np.int16)).tolist()
+
+
+def body_of(payload):
+    """The LEB128 body of an ADU payload, inflated past its unit prefix."""
+    return lzma.decompress(payload[compress._ADU_PREFIX.size:],
+                           lzma.FORMAT_RAW, filters=compress._FILTERS)
+
+
+def test_zigzag_roundtrip_and_order():
+    assert compress.zigzag(np.array([0, -1, 1, -2, 2])).tolist() == [
+        0, 1, 2, 3, 4]
+    values = np.r_[np.arange(-1000, 1000), -(1 << 40), (1 << 40) - 1]
+    coded = compress.zigzag(values.copy())
+    assert coded.min() >= 0
+    assert np.array_equal(compress.unzigzag(coded), values)
+
+
+def test_varints_match_the_scalar_writer():
+    # every byte width from 1 to 9, at and either side of each boundary
+    edges = [1 << 7 * k for k in range(1, 9)]
+    values = sorted({0, 1, (1 << 63) - 1}
+                    | {e + o for e in edges for o in (-1, 0, 1)})
+    rng = random.Random(8)
+    values += [rng.randrange(1 << rng.randrange(1, 64)) for _ in range(500)]
+    body = compress._varints(np.array(values, np.uint64)).tobytes()
+    assert body == leb128(values)
+    assert compress._values(body).tolist() == values
 
 
 def test_prediction_examples():
@@ -263,8 +289,6 @@ def test_valid_payloads_are_consumed_exactly():
         hdr = header(32, 24, crf=crf)
         payloads = compress_events(random_stream(rng, 32, 24, 3 * 2550), hdr)
         for k, payload in enumerate(payloads):
-            # the range coder's stream opens with a zero byte
-            assert payload[8] == 0
             decode_adu(payload, hdr, k)
             with pytest.raises(DecodeError, match="left over"):
                 decode_adu(payload + b"\x00", hdr, k)
@@ -305,25 +329,38 @@ def test_fuzzed_payloads_raise_only_stream_format_error():
 
 
 def test_coding_one_adu_holds_a_few_bytes_per_event():
-    # a 30-frame unit of dense content: the symbol sequence, the columns
-    # the coder reads and the decoded columns must stay within a small
-    # multiple of the unit's own 9-byte events (the ratio is the same at
-    # 64x64, but tracing every allocation slows the coder some 30x)
+    # a 30-frame unit of dense content: the value sequence, its varints
+    # and the decoded columns must stay within a small multiple of the
+    # unit's own 9-byte events (the ratio is the same at 64x64, but
+    # tracing every allocation slows the coder down).  liblzma's fixed
+    # workspace, which tracemalloc sees through PyMem_RawMalloc, does not
+    # grow with the unit: it is measured on an empty unit, bounded on its
+    # own, and left out of the per-event bound.
     hdr = header(16, 16, dt_max=30 * 255)
     (adu,) = build_adus(transcode(synth_clip("walk", 16, 16, 30), hdr), hdr)
     assert len(adu.events) > 10_000
-    tracemalloc.start()
-    try:
-        payload = encode_adu(adu, hdr)
+    empty = Adu(0, adu.span, events_of([]))
+
+    def peaks(unit):
+        """Peak bytes held while encoding the unit, then while decoding it."""
+        tracemalloc.reset_peak()
+        payload = encode_adu(unit, hdr)
         encode_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         decoded = decode_adu(payload, hdr)
         decode_peak = tracemalloc.get_traced_memory()[1]
+        assert np.array_equal(decoded, unit.events)
+        return encode_peak, decode_peak
+
+    tracemalloc.start()
+    try:
+        fixed = peaks(empty)
+        peak = peaks(adu)
     finally:
         tracemalloc.stop()
-    assert np.array_equal(decoded, adu.events)
-    assert encode_peak < 5 * adu.events.nbytes
-    assert decode_peak < 5 * adu.events.nbytes
+    for fixed_part, total in zip(fixed, peak):
+        assert fixed_part <= 1.5 * (1 << 20)
+        assert total - fixed_part < 5 * adu.events.nbytes
 
 
 @st.composite
@@ -372,59 +409,150 @@ def test_sequence_matches_the_per_event_reference(case):
     width, height, dt_adu, rows = case
     hdr = header(width, height)
     for adu in build_adus(events_of(rows), hdr, dt_adu):
-        items = []
-
-        def spy(seq):
-            items.extend(seq)
-            return cabac.encode(seq)
-
-        with mock.patch.object(compress, "encode", spy):
-            payload = encode_adu(adu, hdr)
-        assert items == reference_sequence(adu, hdr)
+        payload = encode_adu(adu, hdr)
+        assert body_of(payload) == leb128(reference_sequence(adu, hdr))
         decoded = decode_adu(payload, hdr)
         assert decoded.dtype == EVENT and np.array_equal(decoded, adu.events)
 
 
+def scalar_ticks(t_first, residuals, shifts, dt_ref):
+    """Each pixel's ticks decoded one event at a time with the scalar
+    ``t_prediction``; ValueError at the first tick out of order or range."""
+    ticks = []
+    for t, res, shift in zip(t_first, residuals, shifts):
+        prev_dt = dt_ref
+        ticks.append(t)
+        for r, s in zip(res, shift):
+            now = t_prediction(t, prev_dt, s) + r
+            if not t < now < 1 << 32:
+                raise ValueError(now)
+            prev_dt, t = now - t, now
+            ticks.append(t)
+    return ticks
+
+
+_GAPS = st.one_of(st.integers(1, 1000), st.integers(1, 1 << 31),
+                  st.integers((1 << 31) + 1, (1 << 32) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt_ref=st.sampled_from((1, 255, (1 << 31) + 5, (1 << 32) - 1)),
+       pixels=st.lists(st.lists(st.tuples(
+           _GAPS, st.one_of(st.just(0), st.integers(-31, 31))),
+           min_size=1, max_size=10), min_size=1, max_size=4),
+       damage=st.one_of(st.none(), st.tuples(
+           st.integers(0, 40), st.integers(-(1 << 40), 1 << 40))))
+@example(dt_ref=255, pixels=[[(1, 0), ((1 << 31) + 6, 0), (94, 0)]],
+         damage=None)
+@example(dt_ref=(1 << 31) + 5, pixels=[[(1, 0), (100, 0), (7, 3)]],
+         damage=None)
+@example(dt_ref=255, pixels=[[(5, 0), (100, 0)]], damage=(0, 1 << 40))
+@example(dt_ref=255, pixels=[[(5, 0), (100, 0)]], damage=(0, -100))
+def test_tick_rebuild_matches_the_scalar_decoder(dt_ref, pixels, damage):
+    # ticks of one or more pixels, with intervals past 2**31 where the
+    # prediction caps and dt_ref past it too, and at times one damaged
+    # residual: the segmented sums give the scalar ticks, or fail as it does
+    t_first, residuals, shifts = [], [], []
+    for steps in pixels:
+        ticks = np.cumsum([gap for gap, _ in steps])
+        ticks = ticks[ticks < 1 << 32].tolist()
+        shift = [s for _, s in steps[1:len(ticks)]]
+        res, prev_dt = [], dt_ref
+        for prev, now, s in zip(ticks, ticks[1:], shift):
+            res.append(now - t_prediction(prev, prev_dt, s))
+            prev_dt = now - prev
+        t_first.append(ticks[0])
+        residuals.append(res)
+        shifts.append(shift)
+    flat = [r for res in residuals for r in res]
+    if damage and flat:
+        k, delta = damage
+        flat[k % len(flat)] += delta
+        at = 0
+        for res in residuals:
+            res[:] = flat[at:at + len(res)]
+            at += len(res)
+    first = np.concatenate([[True] + [False] * len(s) for s in shifts])
+    shift = np.concatenate([[0] + s for s in shifts]).astype(np.int16)
+    try:
+        expected = scalar_ticks(t_first, residuals, shifts, dt_ref)
+    except ValueError:
+        expected = None
+    try:
+        got = compress._timestamps(np.array(flat, np.int64),
+                                   np.array(t_first, np.int64), first,
+                                   shift, dt_ref).tolist()
+    except ValueError as exc:
+        assert "breaks pixel monotonicity" in str(exc)
+        got = None
+    assert got == expected
+
+
 def _one_pixel_unit(intra_d=(zigzag(3) + D_OFFSET,), queue=(), ends=(EOS_U,),
                     ts=(zigzag(100),)):
-    """Items of a 16x16 unit whose only pixel is (0, 0), laid out as codec
-    3 lays them out, each part replaceable by damaged values."""
-    d_ = compress._D
-    return ([pack(FLAG, 1)] + [pack(d_, u) for u in intra_d]
-            + [pack(d_, SKIP_U)] * (256 - len(intra_d))
-            + [pack(d_, u) for u in queue] + [pack(d_, SKIP_U)]
-            + [pack(d_, u) for u in ends]
-            + [pack(compress._T, u) for u in ts])
+    """Values of a 16x16 unit whose only pixel is (0, 0), laid out as the
+    codec lays them out, each part replaceable by damaged values."""
+    return ([1] + list(intra_d) + [SKIP_U] * (256 - len(intra_d))
+            + list(queue) + [SKIP_U] + list(ends) + list(ts))
 
 
-@pytest.mark.parametrize("items, message", [
-    (_one_pixel_unit(intra_d=(EOS_U,)),
+def _coded(values, tail=b""):
+    """An ADU payload whose body is ``values`` as LEB128, then ``tail``."""
+    return compress._ADU_PREFIX.pack(0, 2550) + lzma.compress(
+        leb128(values) + tail, lzma.FORMAT_RAW, filters=compress._FILTERS)
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_coded(_one_pixel_unit(intra_d=(EOS_U,))),
      "end of sequence inside the intra pass"),
-    (_one_pixel_unit(intra_d=(zigzag(128) + D_OFFSET,)),
+    (_coded(_one_pixel_unit(intra_d=(zigzag(128) + D_OFFSET,))),
      "decimation 128 outside the value range"),
-    (_one_pixel_unit(queue=(zigzag(-4) + D_OFFSET,),
-                     ts=(zigzag(100), 0)),
+    (_coded(_one_pixel_unit(queue=(zigzag(-4) + D_OFFSET,),
+                            ts=(zigzag(100), 0))),
      "decimation -1 outside the value range"),
-    (_one_pixel_unit(intra_d=(zigzag(1 << 39) + D_OFFSET,)),
+    (_coded(_one_pixel_unit(intra_d=(zigzag(1 << 39) + D_OFFSET,))),
      "decimation 256 outside the value range"),
-    (_one_pixel_unit(ts=(zigzag(-1),)),
+    (_coded(_one_pixel_unit(ts=(zigzag(-1),))),
      "timestamp -1 outside the tick range"),
-    (_one_pixel_unit(ts=(zigzag(-(1 << 39)),)),
+    (_coded(_one_pixel_unit(ts=(zigzag(-(1 << 39)),))),
      "timestamp -4294967296 outside the tick range"),
-    (_one_pixel_unit(queue=(EOS_U,), ts=(zigzag(100), 0)),
+    (_coded(_one_pixel_unit(queue=(EOS_U,), ts=(zigzag(100), 0))),
      "end of sequence inside a pixel queue"),
-    (_one_pixel_unit(ends=(SKIP_U,)), "missing end of sequence"),
+    (_coded(_one_pixel_unit(ends=(SKIP_U,))), "missing end of sequence"),
     # the prediction continues dt_ref = 255 from t = 100
-    (_one_pixel_unit(queue=(D_OFFSET,), ts=(zigzag(100), zigzag(-255))),
+    (_coded(_one_pixel_unit(queue=(D_OFFSET,),
+                            ts=(zigzag(100), zigzag(-255)))),
      "timestamp 100 breaks pixel monotonicity"),
-    (_one_pixel_unit(ts=(zigzag(100), 0)),
+    (_coded(_one_pixel_unit(ts=(zigzag(100), 0))),
      "bytes left over after the end of sequence"),
+    (_coded(_one_pixel_unit(ts=())), "read past the end of the payload"),
+    (_coded([2] + _one_pixel_unit()[1:]), "cube flag 2 above 1"),
+    (_coded(_one_pixel_unit(), b"\x80" * 9 + b"\x01"),
+     "varint wider than 63 bits"),
+    (_coded(_one_pixel_unit(), b"\x80"), "truncated varint"),
+    (compress._ADU_PREFIX.pack(0, 2550) + b"\x01" * 16,
+     "Corrupt input data"),
 ], ids=["intra-eos", "intra-d", "inter-d", "huge-d", "intra-t", "huge-t",
-        "queue-eos", "no-eos", "inter-t", "left-over"])
-def test_each_decode_error_names_its_case(items, message):
+        "queue-eos", "no-eos", "inter-t", "left-over", "no-t", "flag",
+        "wide-varint", "cut-varint", "lzma"])
+def test_each_decode_error_names_its_case(payload, message):
     hdr = header(16, 16)
-    payload = compress._ADU_PREFIX.pack(0, 2550) + cabac.encode(items)
     with pytest.raises(DecodeError, match=f"ADU 4: {message}"):
         decode_adu(payload, hdr, adu_index=4)
     with pytest.raises(DecodeError, match="shorter than the unit prefix"):
         decode_adu(payload[:7], hdr)
+
+
+def test_a_deep_pixel_decodes_in_one_pass():
+    # 20,000 events of one pixel in one unit: runs of unshifted steps are
+    # cumulative sums, so decoding takes no step per event rank
+    rng = random.Random(20)
+    t = np.cumsum([1] + [rng.randrange(200, 300) for _ in range(19_999)])
+    events = np.zeros(len(t), EVENT)
+    events["d"], events["t"] = 6, t
+    hdr = header(1, 1)
+    (payload,) = compress_events(events, hdr, (1 << 32) - 1)
+    start = time.perf_counter()
+    decoded = decode_adu(payload, hdr)
+    assert time.perf_counter() - start < 0.2
+    assert np.array_equal(decoded, events)
