@@ -100,3 +100,21 @@ def reference_sequence(adu, header):
         ds.append(SKIP_U)
     ds.append(EOS_U)
     return flags + ds + ts
+
+
+def read_leb128(body):
+    """The values of unsigned LEB128 bytes, one byte at a time: "truncated
+    varint" if the last byte leaves a value open, else "varint wider than
+    63 bits" at the first value past nine bytes."""
+    if body and body[-1] >= 0x80:
+        raise ValueError("truncated varint")
+    values, value, width = [], 0, 0
+    for byte in body:
+        value |= (byte & 0x7F) << 7 * width
+        width += 1
+        if width > 9:
+            raise ValueError("varint wider than 63 bits")
+        if byte < 0x80:
+            values.append(value)
+            value, width = 0, 0
+    return values

@@ -83,15 +83,6 @@ def body_of(payload):
                            lzma.FORMAT_RAW, filters=compress._FILTERS)
 
 
-def test_zigzag_roundtrip_and_order():
-    assert compress.zigzag(np.array([0, -1, 1, -2, 2])).tolist() == [
-        0, 1, 2, 3, 4]
-    values = np.r_[np.arange(-1000, 1000), -(1 << 40), (1 << 40) - 1]
-    coded = compress.zigzag(values.copy())
-    assert coded.min() >= 0
-    assert np.array_equal(compress.unzigzag(coded), values)
-
-
 def test_varints_match_the_scalar_writer():
     # every byte width from 1 to 9, at and either side of each boundary
     edges = [1 << 7 * k for k in range(1, 9)]
