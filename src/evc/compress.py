@@ -395,14 +395,9 @@ def decode_adu(payload, header, adu_index=0):
 
         # Each pixel's queue of d residuals closed by SKIP: event i of the
         # unit, unless it opens its pixel, has its residual at i - 1.  The
-        # queues end at the pixels-th SKIP, which a valid unit puts in the
-        # first half of what is left: then come EOS and one t residual
-        # per event.
-        rest = values[pos:]
-        skips = np.flatnonzero(rest[:len(rest) // 2] == SKIP_U)
-        if len(skips) < pixels:
-            skips = np.flatnonzero(rest == SKIP_U)
-        del rest
+        # queues end at the pixels-th SKIP: then come EOS and one t
+        # residual per event.
+        skips = np.flatnonzero(values[pos:] == SKIP_U)
         if len(skips) < pixels:
             raise DecodeError("read past the end of the payload", adu_index)
         queues = take(int(skips[pixels - 1]) + 1 if pixels else 0)
