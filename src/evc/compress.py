@@ -1,26 +1,21 @@
-"""Event-stream compression: a source model coded with LZMA.
+"""Event-stream compression: raster-order columns coded with LZMA.
 
-The stream is cut into application data units (ADUs) on a fixed tick
-grid, each coded independently so a reader can drop into any unit.
-Within an ADU, events group into 16x16 pixel cubes.  An intra pass codes
-the first event of every pixel as a residual chain threaded across
-cubes; an inter pass codes each later event against the pixel's previous
-one, its timestamp as the residual from a prediction that continues the
-previous interval scaled by the decimation step.  Every value is coded
-exactly, so a unit decodes to its own events at every CRF: the loss CRF
-buys happens in the transcoder alone.
+The stream is cut into access units (ADUs) on a fixed tick grid, each
+coded on its own, its events sorted by pixel in raster order, then by t.
+Every value is coded exactly, so a unit decodes to its own events at
+every CRF: the loss CRF buys happens in the transcoder alone.
 
-A unit's values go out group-major: every cube-presence flag, then every
-decimation value (the intra slots, each pixel's inter residuals closed by
-SKIP, then end-of-sequence), then every timestamp residual.  An ADU in
-memory is its window's slice of the stream, sorted into coding order by
-one ``np.lexsort``.  ``encode_adu`` builds the unit's value sequence with
-numpy, writes it as unsigned LEB128 varints and compresses those with
-raw LZMA1 (the stdlib's ``lzma``: an adaptive binary range coder with
-context-modelled literals and LZ matches).  ``decode_adu`` inflates the
-varints, splits the sequence into its groups, then rebuilds d by a
-segmented cumulative sum and t by segmented cumulative sums that restart
-only where the prediction is not the previous interval itself.
+A unit is a prefix (start tick, pixel count, event count) and six
+columns: each pixel's raster-index gap from the previous pixel with
+events, and its event count, both minus 1; the zigzag steps of coded d,
+at each pixel's first event from the previous pixel's first and at each
+later event from the pixel's previous one; each pixel's first tick from
+the unit's start, and each later event's interval minus 1.  A coded d is
+``(d + 1) & 0xFF``, which puts ``EMPTY`` at 0, next to the decimations.
+The values go out as unsigned LEB128 varints under raw LZMA1 (the
+stdlib's ``lzma``: an adaptive binary range coder with context-modelled
+literals and LZ matches).  ``decode_adu`` inflates no more than the
+prefix's counts allow and rebuilds the columns by cumulative sums.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import numpy as np
 from .events import (
     CODEC_COMPRESSED,
     D_MAX,
-    EMPTY,
     EVENT,
     HEADER_SIZE,
     StreamFormatError,
@@ -42,20 +36,13 @@ from .events import (
     write_header,
 )
 
-CUBE = 16
-
-# alphabet layout shared by intra and inter passes in the d group
-SKIP_U = 0
-EOS_U = 1
-D_OFFSET = 2
-
-SHIFT_CAP = 31
-_PREDICT_CAP = 1 << 31
 _T_LIMIT = 1 << 32
-# one more than the largest step between two valid decimations
-_D_STEP = EMPTY + 1
+# one more than the largest step between two coded decimations
+_D_STEP = D_MAX + 2
 
-_ADU_PREFIX = struct.Struct("<II")
+_ADU_PREFIX = struct.Struct("<III")    # start_t, pixels, events
+_SHORT = "read past the end of the payload"
+_LONG = "more values than the prefix declares"
 
 # The entropy stage is part of the format: raw LZMA1 with a 4 KiB
 # dictionary, one literal context bit and no position bits.  The small
@@ -81,31 +68,13 @@ class DecodeError(StreamFormatError):
 class Adu:
     """Independently decodable unit spanning a window of the tick grid.
 
-    ``events`` is the window's ``EVENT`` slice in coding order: by 16x16
-    cube (row-major in the cube grid), by row and column within the cube,
-    then by t.
+    ``events`` is the window's ``EVENT`` slice in coding order: by pixel
+    in raster order, then by t.
     """
 
     start_t: int
     span: int
     events: np.ndarray
-
-
-def _cube_grid(header):
-    """(columns, rows) of 16x16 cubes covering the frame."""
-    return ((header.width + CUBE - 1) // CUBE,
-            (header.height + CUBE - 1) // CUBE)
-
-
-def _cube_slots(used, header):
-    """Origins, widths and first intra slots of the occupied cubes ``used``
-    (ascending indices in the cube grid), the slot count appended: a
-    cube's slots are its in-frame pixels in row order."""
-    cols, _ = _cube_grid(header)
-    x0, y0 = used % cols * CUBE, used // cols * CUBE
-    width = np.minimum(CUBE, header.width - x0)
-    height = np.minimum(CUBE, header.height - y0)
-    return x0, y0, width, np.concatenate(([0], np.cumsum(width * height)))
 
 
 def build_adus(events, header, dt_adu=None):
@@ -118,41 +87,14 @@ def build_adus(events, header, dt_adu=None):
     if len(outside):
         k = outside[0]
         raise ValueError(f"event out of bounds at ({x[k]}, {y[k]})")
-    cols, _ = _cube_grid(header)
     # the window is left-open: an event at exactly start_t + span still
     # belongs to the unit, the first event beyond it opens the next
     window = np.maximum(t - 1, 0) // span
-    # a pixel's rank in coding order: cube, then row and column within it
-    rank = ((y // CUBE * cols + x // CUBE) * CUBE + y % CUBE) * CUBE + x % CUBE
-    order = np.lexsort((t, rank, window))
+    order = np.lexsort((t, y * header.width + x, window))
     ordered, window = events[order], window[order]
     at = np.searchsorted(window, np.arange(int(window.max(initial=0)) + 2))
     return [Adu(k * span, span, ordered[at[k]:at[k + 1]])
             for k in range(len(at) - 1)]
-
-
-def _shifts(d, first):
-    """Each event's prediction shift: its decimation step from the pixel's
-    previous event, capped at SHIFT_CAP either way, and 0 at a pixel's
-    first event and next to a gap marker."""
-    shift = np.zeros(len(d), np.int16)
-    np.subtract(d[1:], d[:-1], out=shift[1:], dtype=np.int16)
-    zero = d == EMPTY
-    zero[1:] |= zero[:-1]
-    shift[zero | first] = 0
-    return np.clip(shift, -SHIFT_CAP, SHIFT_CAP, out=shift)
-
-
-def _increments(prev_dt, shift):
-    """Predicted intervals: prev_dt scaled by 2**shift, held to
-    1.._PREDICT_CAP.  A left shift starts from prev_dt capped at
-    _PREDICT_CAP, which leaves the capped result alone and keeps the
-    shift far from wrapping int64."""
-    mag = np.abs(shift)
-    delta = np.minimum(prev_dt, _PREDICT_CAP)
-    np.left_shift(delta, mag, out=delta, where=shift > 0)
-    np.right_shift(prev_dt, mag, out=delta, where=shift < 0)
-    return np.clip(delta, 1, _PREDICT_CAP, out=delta)
 
 
 def zigzag(v):
@@ -235,63 +177,6 @@ def _restart_cumsum(x, at, heads):
     np.cumsum(x, out=x)
 
 
-def _timestamps(inter, t_first, first, shift, dt_ref):
-    """Each event's tick, from each pixel's first tick and the residuals of
-    the later events in coding order (``inter``).
-
-    Where a step's prediction is the previous interval itself (shift 0,
-    interval up to _PREDICT_CAP), intervals are a running sum of the
-    residuals.  So intervals are cumulative sums restarted only at the
-    other steps, the breaks, each from ``_increments`` of the interval
-    before it: one numpy step per rank of a pixel's breaks.  A capped
-    interval shows only once the intervals before it are known, so the
-    pass repeats with each pixel's first capped step made a break; a
-    valid unit needs at most two more passes, as at most one interval of
-    a pixel passes 2**31, beside dt_ref.
-    """
-    n = len(first)
-    later = ~first
-    starts = np.flatnonzero(first)
-    breaks = later & (shift != 0)
-    dt = np.empty(n, np.int64)
-    while True:
-        dt[first] = dt_ref
-        dt[later] = inter
-        at = np.flatnonzero(first | breaks)
-        heads = dt[at]
-        dt[at] = 0
-        runs = np.add.reduceat(dt, at)
-        # the r-th break of every pixel that has r breaks, longest first
-        lead = np.flatnonzero(first[at])
-        counts = np.diff(lead, append=len(at))
-        order = np.argsort(-counts, kind="stable")
-        lead = lead[order]
-        live = np.searchsorted(-counts[order], -np.arange(1, counts.max()))
-        for r, m in enumerate(live.tolist(), 1):
-            s = lead[:m] + r
-            heads[s] += _increments(heads[s - 1] + runs[s - 1], shift[at[s]])
-        _restart_cumsum(dt, at, heads)
-
-        # the first issue of each pixel: a capped step taken as plain, or
-        # a tick that does not follow its previous one within range
-        capped = np.zeros(n, bool)
-        np.greater(dt[:-1], _PREDICT_CAP, out=capped[1:])
-        capped &= later & ~breaks
-        wrong = later & (dt <= 0)
-        _restart_cumsum(dt, starts, t_first)
-        wrong |= dt >= _T_LIMIT
-        issue = np.flatnonzero(capped | wrong)
-        if not len(issue):
-            return dt
-        pixel = np.searchsorted(starts, issue, side="right")
-        issue = issue[np.diff(pixel, prepend=0) > 0]
-        bad = issue[~capped[issue]]
-        if len(bad):
-            raise ValueError(f"timestamp {dt[bad[0]]} breaks pixel "
-                             "monotonicity")
-        breaks[issue] = True
-
-
 def encode_adu(adu, header):
     """Serialize one ADU to a self-contained byte payload."""
     events = adu.events
@@ -300,157 +185,122 @@ def encode_adu(adu, header):
     first = np.ones(n, bool)    # each pixel's first event
     np.not_equal(x[1:], x[:-1], out=first[1:])
     first[1:] |= y[1:] != y[:-1]
+    later = ~first
     starts = np.flatnonzero(first)
     pixels = len(starts)
-    px, py = x[starts].astype(np.int64), y[starts].astype(np.int64)
-    cols, rows = _cube_grid(header)
-    cube = py // CUBE * cols + px // CUBE    # ascending in coding order
-    used = cube[np.flatnonzero(np.diff(cube, prepend=-1))]
-    x0, y0, width, slot_at = _cube_slots(used, header)
-    at = np.searchsorted(used, cube)
-    slot = slot_at[at] + (py - y0[at]) * width[at] + px - x0[at]
+    seq = np.empty(2 * (pixels + n), np.int64)
+    index = y[starts].astype(np.int64) * header.width + x[starts]
+    seq[:pixels] = np.diff(index, prepend=-1) - 1
+    seq[pixels:2 * pixels] = np.diff(starts, append=n) - 1
 
-    # The values, group by group: cube flags; the intra d slots (SKIP
-    # where a pixel has no event), each pixel's inter d residuals closed
-    # by SKIP, and EOS; then the intra t chain and the inter t residuals.
-    flags, slots = cols * rows, int(slot_at[-1])
-    seq = np.zeros(flags + slots + 2 * n + 1, np.uint64)
-    seq[used] = 1
-    d_group = seq[flags:flags + slots + n + 1]
-    t_group = seq[flags + slots + n + 1:]
-    d_group[slot] = zigzag(np.diff(d[starts].astype(np.int64),
-                                   prepend=0)) + D_OFFSET
-    queues = d_group[slots:slots + n]
-    queues[:-1] = zigzag(np.subtract(d[1:], d[:-1], dtype=np.int16))
-    queues[:-1] += D_OFFSET
-    queues[:-1][first[1:]] = SKIP_U
-    queues[-1:] = SKIP_U
-    d_group[-1] = EOS_U
+    # the d steps, each pixel's first event's first, in the next n values
+    coded = (d + 1) & 0xFF
+    step = np.empty(n, np.int16)
+    np.subtract(coded[1:], coded[:-1], out=step[1:], dtype=np.int16)
+    step[first] = np.diff(coded[starts].astype(np.int16), prepend=0)
+    zigzag(step)
+    seq[2 * pixels:3 * pixels] = step[first]
+    seq[3 * pixels:2 * pixels + n] = step[later]
 
-    # Each event's interval since the pixel's previous event, or dt_ref at
-    # a pixel's first event, where it only serves as the next one's
-    # prev_dt; the t group is its workspace until the residuals replace it.
-    dt = t_group.view(np.int64)
+    # the first ticks and the later intervals, worked out in the last n
+    dt = seq[2 * pixels + n:]
     np.subtract(t[1:], t[:-1], out=dt[1:], dtype=np.int64)
-    dt[first] = header.dt_ref
-    bad = np.flatnonzero(dt <= 0)
+    bad = np.flatnonzero(later & (dt <= 0))
     if len(bad):
         k = bad[0]
         raise ValueError(f"pixel ({x[k]}, {y[k]}): tick {t[k]} does not "
                          f"follow its previous event's {t[k - 1]}")
-    dt[1:] -= _increments(dt[:-1], _shifts(d, first)[1:])
-    dt[pixels:] = zigzag(dt)[~first]
-    dt[:pixels] = zigzag(np.diff(t[starts].astype(np.int64),
-                                 prepend=adu.start_t))
-
-    return _ADU_PREFIX.pack(adu.start_t, adu.span) + _compress(seq)
+    dt[pixels:] = dt[later] - 1
+    dt[:pixels] = t[starts] - np.int64(adu.start_t)
+    # a pixel gap or first tick below 0: events not in build_adus's order
+    if seq.min(initial=0) < 0:
+        raise ValueError("ADU events out of coding order")
+    return _ADU_PREFIX.pack(adu.start_t, pixels, n) + _compress(
+        seq.view(np.uint64))
 
 
 def decode_adu(payload, header, adu_index=0):
     """Decode one ADU payload back to an ``EVENT`` array, pixel by pixel in
-    cube scan order."""
+    raster order."""
     if len(payload) < _ADU_PREFIX.size:
         raise DecodeError("payload shorter than the unit prefix", adu_index)
-    start_t, _span = _ADU_PREFIX.unpack_from(payload)
-    cols, rows = _cube_grid(header)
+    start_t, pixels, n = _ADU_PREFIX.unpack_from(payload)
+    area = header.width * header.height
+    if pixels > min(n, area) or (n and not pixels):
+        raise DecodeError(f"prefix declares {pixels} pixels for {n} events "
+                          f"in a {header.width}x{header.height} frame",
+                          adu_index)
+    count = 2 * (pixels + n)
     inflate = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=_FILTERS)
     try:
-        body = inflate.decompress(payload[_ADU_PREFIX.size:])
-        if not inflate.eof:
-            raise DecodeError("read past the end of the payload", adu_index)
-        if inflate.unused_data:
-            raise DecodeError("bytes left over after the end of sequence",
-                              adu_index)
-        values = _values(body)
-        del body
-        pos = 0
-
-        def take(count):
-            nonlocal pos
-            if len(values) - pos < count:
-                raise DecodeError("read past the end of the payload",
-                                  adu_index)
-            pos += count
-            return values[pos - count:pos]
-
-        flags = take(cols * rows)
-        if flags.max(initial=0) > 1:
-            raise DecodeError(f"cube flag {flags.max()} above 1", adu_index)
-        used = np.flatnonzero(flags)
-        x0, y0, width, slot_at = _cube_slots(used, header)
-        slots = take(int(slot_at[-1]))
-        if (slots == EOS_U).any():
-            raise DecodeError("end of sequence inside the intra pass",
-                              adu_index)
-        slot = np.flatnonzero(slots)
-        pixels = len(slot)
-        # Steps are clipped before they are summed, so that no sum wraps:
-        # a step past the range of the value it moves leaves that range
-        # clipped or not.
-        d_intra = unzigzag(slots[slot].astype(np.int64) - D_OFFSET)
-        np.clip(d_intra, -_D_STEP, _D_STEP, out=d_intra)
-        at = np.searchsorted(slot_at, slot, side="right") - 1
-        local = slot - slot_at[at]
-        xs, ys = x0[at] + local % width[at], y0[at] + local // width[at]
-
-        # Each pixel's queue of d residuals closed by SKIP: event i of the
-        # unit, unless it opens its pixel, has its residual at i - 1.  The
-        # queues end at the pixels-th SKIP: then come EOS and one t
-        # residual per event.
-        skips = np.flatnonzero(values[pos:] == SKIP_U)
-        if len(skips) < pixels:
-            raise DecodeError("read past the end of the payload", adu_index)
-        queues = take(int(skips[pixels - 1]) + 1 if pixels else 0)
-        if (queues == EOS_U).any():
-            raise DecodeError("end of sequence inside a pixel queue",
-                              adu_index)
-        if take(1)[0] != EOS_U:
-            raise DecodeError("missing end of sequence", adu_index)
-        n = len(queues)
-        ends = np.flatnonzero(queues == SKIP_U)
-        counts = np.diff(ends, prepend=-1)
-        starts = ends - counts + 1
-        first = np.zeros(n, bool)
-        first[starts] = True
-
-        # A segmented cumulative sum from each pixel's intra d.
-        d = np.zeros(n, np.int64)
-        d[1:] = queues[:-1]
-        d -= D_OFFSET
-        np.clip(unzigzag(d), -_D_STEP, _D_STEP, out=d)
-        _restart_cumsum(d, starts, np.cumsum(d_intra, out=d_intra))
-        bad = np.flatnonzero((d < 0) | ((d > D_MAX) & (d != EMPTY)))
-        if len(bad):
-            raise DecodeError(f"decimation {d[bad[0]]} outside the value "
-                              "range", adu_index)
-        out = np.empty(n, EVENT)
-        out["x"] = np.repeat(xs.astype(np.uint16), counts)
-        out["y"] = np.repeat(ys.astype(np.uint16), counts)
-        out["d"] = d
-        del d
-
-        residuals = take(n).astype(np.int64)
-        if pos != len(values):
-            raise DecodeError("bytes left over after the end of sequence",
-                              adu_index)
-        # the t residuals are all the t stage needs of the sequence
-        del values, flags, slots, queues
-        unzigzag(residuals)
-        t_first = residuals[:pixels]
-        np.clip(t_first, -_T_LIMIT, _T_LIMIT, out=t_first)
-        t_first[:1] += start_t
-        np.cumsum(t_first, out=t_first)
-        bad = np.flatnonzero((t_first < 0) | (t_first >= _T_LIMIT))
-        if len(bad):
-            raise DecodeError(f"timestamp {t_first[bad[0]]} outside the "
-                              "tick range", adu_index)
-        if n:
-            out["t"] = _timestamps(residuals[pixels:], t_first, first,
-                                   _shifts(out["d"], first), header.dt_ref)
+        # no varint is wider than _VARINT_BYTES, so a body that goes on
+        # past _VARINT_BYTES * count bytes holds more than count values
+        body = inflate.decompress(payload[_ADU_PREFIX.size:],
+                                  max_length=_VARINT_BYTES * count)
+        # every value is below 2**63, so the int64 view reads them all
+        values = _values(body).view(np.int64) if inflate.eof else None
     except (ValueError, lzma.LZMAError) as exc:
-        if isinstance(exc, DecodeError):
-            raise
         raise DecodeError(str(exc), adu_index) from exc
+    del body
+    if not inflate.eof:
+        raise DecodeError(_SHORT if inflate.needs_input else _LONG, adu_index)
+    if inflate.unused_data:
+        raise DecodeError("bytes left over after the end of the body",
+                          adu_index)
+    if len(values) != count:
+        raise DecodeError(_SHORT if len(values) < count else _LONG, adu_index)
+    gaps, counts = values[:pixels], values[pixels:2 * pixels]
+    d_steps = values[2 * pixels:2 * pixels + n]
+    t_steps = values[2 * pixels + n:]
+
+    # Steps are clipped before they are summed, so that no sum wraps: a
+    # step past the range of the value it moves leaves that range clipped
+    # or not.
+    np.minimum(gaps, area, out=gaps)
+    index = np.cumsum(gaps + 1) - 1
+    if pixels and index[-1] >= area:
+        raise DecodeError(f"pixel {index[-1]} outside the "
+                          f"{header.width}x{header.height} frame", adu_index)
+    np.minimum(counts, n, out=counts)
+    counts += 1
+    if counts.sum() != n:
+        raise DecodeError(f"pixel event counts sum to {counts.sum()}, not {n}",
+                          adu_index)
+    starts = np.cumsum(counts) - counts
+    later = np.ones(n, bool)
+    later[starts] = False
+    out = np.empty(n, EVENT)
+    out["x"] = np.repeat((index % header.width).astype(np.uint16), counts)
+    out["y"] = np.repeat((index // header.width).astype(np.uint16), counts)
+
+    # coded d restarts at each pixel from the chain of first steps
+    np.clip(unzigzag(d_steps), -_D_STEP, _D_STEP, out=d_steps)
+    coded = np.empty(n, np.int64)
+    coded[later] = d_steps[pixels:]
+    _restart_cumsum(coded, starts, np.cumsum(d_steps[:pixels]))
+    bad = np.flatnonzero((coded < 0) | (coded > D_MAX + 1))
+    if len(bad):
+        raise DecodeError(f"coded decimation {coded[bad[0]]} outside "
+                          f"0..{D_MAX + 1}", adu_index)
+    coded -= 1
+    coded &= 0xFF
+    out["d"] = coded
+
+    # A pixel's first tick is below 2**33 and it has fewer than 2**32 - 1
+    # intervals, each clipped to 2**32, so its ticks sum in uint64 without
+    # wrapping; they take over coded d's memory.
+    heads = np.minimum(t_steps[:pixels], _T_LIMIT) + start_t
+    intervals = t_steps[pixels:]
+    np.minimum(intervals, _T_LIMIT - 1, out=intervals)
+    intervals += 1
+    ticks = coded.view(np.uint64)
+    ticks[later] = intervals
+    _restart_cumsum(ticks, starts, heads.view(np.uint64))
+    bad = np.flatnonzero(ticks >= _T_LIMIT)
+    if len(bad):
+        raise DecodeError(f"timestamp {ticks[bad[0]]} outside the tick range",
+                          adu_index)
+    out["t"] = ticks
     return out
 
 

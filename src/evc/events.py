@@ -28,18 +28,19 @@ MAGIC = b"AEVS"
 VERSION = 1
 
 # Source codec ids carried in the stream header.  Ids 1 (a binary
-# arithmetic coder), 2 (the range coder with lossy timestamp shifts) and 3
-# (that range coder on exact residuals) belong to earlier codecs, whose
-# streams no longer decode; bumping the codec id rather than VERSION
-# leaves raw streams byte-identical.
+# arithmetic coder), 2 (the range coder with lossy timestamp shifts), 3
+# (that range coder on exact residuals) and 4 (raw LZMA over codec 3's
+# cube model) belong to earlier codecs, whose streams no longer decode;
+# bumping the codec id rather than VERSION leaves raw streams
+# byte-identical.
 CODEC_RAW = 0
-CODEC_COMPRESSED = 4
+CODEC_COMPRESSED = 5
 
 DEFAULT_DT_REF = 255
 
-# Largest frame area a header may declare (4K UHD fits): decoders and the
-# reconstructor size their work by the declared geometry, so an untrusted
-# header must not be able to demand more.
+# Largest frame area a header may declare (4K UHD fits): the reconstructor
+# sizes its work by the declared geometry, so an untrusted header must not
+# be able to demand more.
 MAX_PIXELS = 4096 * 4096
 
 

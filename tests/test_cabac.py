@@ -40,8 +40,9 @@ def header():
 
 
 def payload(body):
-    """An ADU payload under ``header()`` whose coded part is ``body``."""
-    return compress._ADU_PREFIX.pack(0, 2550) + body
+    """An ADU payload under ``header()`` whose coded part is ``body``, with
+    a prefix that declares one pixel of one event: four values."""
+    return compress._ADU_PREFIX.pack(0, 1, 1) + body
 
 
 def test_zigzag_roundtrip_and_order():
@@ -121,18 +122,19 @@ def test_read_past_end_raises():
     # the coded part cut short of its end marker
     with pytest.raises(DecodeError, match="read past the end"):
         decode_adu(coded[:-1], header())
-    # a whole body that holds fewer values than the unit reads
-    body = inflate(coded[compress._ADU_PREFIX.size:])
-    short = lzma.compress(body[:-1], lzma.FORMAT_RAW,
+    # a whole body that holds fewer values than the prefix declares
+    prefix, body = (coded[:compress._ADU_PREFIX.size],
+                    inflate(coded[compress._ADU_PREFIX.size:]))
+    short = lzma.compress(leb128(read_leb128(body)[:-1]), lzma.FORMAT_RAW,
                           filters=compress._FILTERS)
     with pytest.raises(DecodeError, match="read past the end"):
-        decode_adu(payload(short), header())
+        decode_adu(prefix + short, header())
 
 
 def test_empty_stream_decodes_zero_bits():
     blob = roundtrip([])
     assert inflate(blob) == b""
-    # the stream holds nothing: reading the unit's cube flag fails
+    # the stream holds nothing: reading the unit's first value fails
     with pytest.raises(DecodeError, match="read past the end"):
         decode_adu(payload(blob), header())
 

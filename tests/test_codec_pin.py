@@ -1,4 +1,4 @@
-"""Codec 4 byte identity: the bodies of fixed streams are pinned by hash.
+"""Codec 5 byte identity: the bodies of fixed streams are pinned by hash.
 
 The streams are seeded, so their events never change; a source-model or
 ADU change that alters a single value fails here.  What is pinned is each
@@ -7,7 +7,8 @@ around it, which depend on liblzma's encoder.  The hashes were taken from
 the per-event sequence of ``tests/compress_oracle.py`` written by its
 scalar ``leb128``.  Every payload is also held to the size the same unit
 took under codec 2, whose lossy timestamp shifts and shift symbols codec 3
-dropped, and under codec 3, whose adaptive range coder codec 4 replaced.
+dropped, under codec 3, whose adaptive range coder codec 4 replaced, and
+under codec 4, whose cube model codec 5's raster-order columns replaced.
 """
 
 import hashlib
@@ -63,13 +64,13 @@ def header(width, height, crf):
 # coding, so the first three agree
 PINS = {
     (1, 20, 20, 4, None, 0):
-        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
+        "e66c721bca05aca686c38e3fa9275ac3c5b644ab61f0ce002bf3942b63af80d5",
     (1, 20, 20, 4, None, 3):
-        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
+        "e66c721bca05aca686c38e3fa9275ac3c5b644ab61f0ce002bf3942b63af80d5",
     (1, 20, 20, 4, None, 9):
-        "3ed4d2a4c21d0b4b93c751827496e2173518160c9d0d99a69def1c21cf77b739",
+        "e66c721bca05aca686c38e3fa9275ac3c5b644ab61f0ce002bf3942b63af80d5",
     (2, 37, 18, 3, 1000, 3):
-        "e8f5e407b3dadcf2bcb83cdc03f4e48b8d354c1ae19d95bdfca82fa37afadd2e",
+        "22cc15b83578d7db518d29fe1406bb1c05dff250fb4b5b628c4ad9ae4e6fc45b",
 }
 
 # the same units' payload sizes in bytes under codec 2
@@ -90,6 +91,15 @@ CODEC3_SIZES = {
                               2424],
 }
 
+# and under codec 4, the same coder over codec 3's source model
+CODEC4_SIZES = {
+    (1, 20, 20, 4, None, 0): [4993, 4907, 4939, 4948],
+    (1, 20, 20, 4, None, 3): [4993, 4907, 4939, 4948],
+    (1, 20, 20, 4, None, 9): [4993, 4907, 4939, 4948],
+    (2, 37, 18, 3, 1000, 3): [3434, 3484, 3422, 3479, 3444, 3478, 3442,
+                              2376],
+}
+
 
 def body_digest(payloads):
     digest = hashlib.sha256()
@@ -102,7 +112,7 @@ def body_digest(payloads):
 
 
 @pytest.mark.parametrize("case", sorted(PINS, key=str))
-def test_codec4_bodies_are_pinned(case):
+def test_codec5_bodies_are_pinned(case):
     seed, width, height, windows, dt_adu, crf = case
     events = pinned_stream(seed, width, height, windows)
     hdr = header(width, height, crf)
@@ -110,10 +120,10 @@ def test_codec4_bodies_are_pinned(case):
     assert body_digest(payloads) == PINS[case]
 
     # what the pin covers: several ADUs, pixels with events in more than
-    # one of them, markers and edge cubes, all decoded exactly
+    # one of them, markers and pixels without events, all decoded exactly
     assert len(payloads) >= 3
     assert (events["d"] == EMPTY).any()
-    assert width % 16 and height % 16
+    assert len(np.unique(events[["x", "y"]])) < width * height
     adus = build_adus(events, hdr, dt_adu)
     first, second = ({(x, y) for x, y, _, _ in adu.events.tolist()}
                      for adu in adus[:2])
@@ -136,10 +146,21 @@ def test_codec2_payloads_are_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(CODEC3_SIZES, key=str))
 def test_codec3_payloads_are_pinned(case):
-    # likewise the codec-3 sizes: no unit may grow under codec 4
+    # likewise the codec-3 sizes: no unit may grow under codec 4 or 5
     seed, width, height, windows, dt_adu, crf = case
     events = pinned_stream(seed, width, height, windows)
     payloads = compress_events(events, header(width, height, crf), dt_adu)
     assert len(payloads) == len(CODEC3_SIZES[case])
     for payload, size in zip(payloads, CODEC3_SIZES[case]):
+        assert len(payload) <= size
+
+
+@pytest.mark.parametrize("case", sorted(CODEC4_SIZES, key=str))
+def test_codec4_payloads_are_pinned(case):
+    # and the codec-4 sizes: no unit may grow under codec 5
+    seed, width, height, windows, dt_adu, crf = case
+    events = pinned_stream(seed, width, height, windows)
+    payloads = compress_events(events, header(width, height, crf), dt_adu)
+    assert len(payloads) == len(CODEC4_SIZES[case])
+    for payload, size in zip(payloads, CODEC4_SIZES[case]):
         assert len(payload) <= size

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compress_oracle import leb128, reference_sequence, t_prediction, zigzag
+from compress_oracle import leb128, reference_sequence, zigzag
 from evc import (
     CODEC_COMPRESSED,
     EMPTY,
@@ -22,9 +22,6 @@ from evc import (
 from evc import compress
 from evc.events import HEADER_SIZE
 from evc.compress import (
-    D_OFFSET,
-    EOS_U,
-    SKIP_U,
     Adu,
     DecodeError,
     build_adus,
@@ -71,30 +68,10 @@ def random_stream(rng, w, h, max_t, mean_events=4):
     return events_of(events)
 
 
-def increments(prev_dt, shift):
-    """``compress._increments`` over Python lists."""
-    return compress._increments(np.array(prev_dt, np.int64),
-                                np.array(shift, np.int16)).tolist()
-
-
 def body_of(payload):
     """The LEB128 body of an ADU payload, inflated past its unit prefix."""
     return lzma.decompress(payload[compress._ADU_PREFIX.size:],
                            lzma.FORMAT_RAW, filters=compress._FILTERS)
-
-
-def test_prediction_examples():
-    assert t_prediction(1000, 100, 1) == 1200
-    assert t_prediction(1000, 100, 0) == 1100
-    assert t_prediction(1000, 100, -2) == 1025
-    assert increments([100, 100, 100], [1, 0, -2]) == [200, 100, 25]
-
-
-def test_prediction_never_stalls_or_explodes():
-    assert t_prediction(50, 1, -30) == 51          # floored at one tick
-    assert t_prediction(0, 1 << 20, 31) == 1 << 31  # capped increment
-    assert increments([1, 1 << 20, (1 << 32) - 1], [-30, 31, 31]) == [
-        1, 1 << 31, 1 << 31]
 
 
 def test_adu_windows_are_left_open():
@@ -262,6 +239,17 @@ def test_repeated_tick_raises_naming_the_pixel():
         encode_adu(adu, hdr)
 
 
+@pytest.mark.parametrize("start_t, rows", [
+    (0, [(5, 2, 3, 300), (1, 1, 3, 100)]),     # pixels out of raster order
+    (2550, [(1, 1, 3, 100)]),                  # a tick before the unit
+])
+def test_units_out_of_coding_order_raise(start_t, rows):
+    # a hand-made unit that build_adus would not give would code a
+    # negative value, which has no varint
+    with pytest.raises(ValueError, match="out of coding order"):
+        encode_adu(Adu(start_t, 2550, events_of(rows)), header(32, 24))
+
+
 def test_valid_payloads_are_consumed_exactly():
     rng = random.Random(41)
     for crf in (0, 3, 9):
@@ -344,9 +332,9 @@ def test_coding_one_adu_holds_a_few_bytes_per_event():
 
 @st.composite
 def streams(draw):
-    """(width, height, dt_adu, events) of a random stream: partial edge
-    cubes, gap markers, d jumps of up to 127 either way, single-event
-    pixels, and windows with no events at all."""
+    """(width, height, dt_adu, events) of a random stream: pixels on the
+    frame's edges, gap markers, d jumps of up to 127 either way,
+    single-event pixels, and windows with no events at all."""
     width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     dt_adu = draw(st.sampled_from((50, 700, 2550, (1 << 32) - 1)))
     pixels = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
@@ -367,9 +355,8 @@ def streams(draw):
     return width, height, dt_adu, rows
 
 
-# prev_dt of 2**31 and of nearly 2**32 ahead of a d step of +127, where
-# prev_dt << 31 comes near the top of int64; and prev_dt past 2**31 ahead
-# of steps of 0 and -1, where the prediction is capped and where it is not
+# intervals of 2**31 and of nearly 2**32 ahead of a d step of +127, and
+# an interval past 2**31 ahead of steps of 0 and -1
 _LAST = (1 << 32) - 1
 
 
@@ -394,131 +381,115 @@ def test_sequence_matches_the_per_event_reference(case):
         assert decoded.dtype == EVENT and np.array_equal(decoded, adu.events)
 
 
-def scalar_ticks(t_first, residuals, shifts, dt_ref):
-    """Each pixel's ticks decoded one event at a time with the scalar
-    ``t_prediction``; ValueError at the first tick out of order or range."""
-    ticks = []
-    for t, res, shift in zip(t_first, residuals, shifts):
-        prev_dt = dt_ref
-        ticks.append(t)
-        for r, s in zip(res, shift):
-            now = t_prediction(t, prev_dt, s) + r
-            if not t < now < 1 << 32:
-                raise ValueError(now)
-            prev_dt, t = now - t, now
-            ticks.append(t)
-    return ticks
-
-
-_GAPS = st.one_of(st.integers(1, 1000), st.integers(1, 1 << 31),
-                  st.integers((1 << 31) + 1, (1 << 32) - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(dt_ref=st.sampled_from((1, 255, (1 << 31) + 5, (1 << 32) - 1)),
-       pixels=st.lists(st.lists(st.tuples(
-           _GAPS, st.one_of(st.just(0), st.integers(-31, 31))),
-           min_size=1, max_size=10), min_size=1, max_size=4),
-       damage=st.one_of(st.none(), st.tuples(
-           st.integers(0, 40), st.integers(-(1 << 40), 1 << 40))))
-@example(dt_ref=255, pixels=[[(1, 0), ((1 << 31) + 6, 0), (94, 0)]],
-         damage=None)
-@example(dt_ref=(1 << 31) + 5, pixels=[[(1, 0), (100, 0), (7, 3)]],
-         damage=None)
-@example(dt_ref=255, pixels=[[(5, 0), (100, 0)]], damage=(0, 1 << 40))
-@example(dt_ref=255, pixels=[[(5, 0), (100, 0)]], damage=(0, -100))
-def test_tick_rebuild_matches_the_scalar_decoder(dt_ref, pixels, damage):
-    # ticks of one or more pixels, with intervals past 2**31 where the
-    # prediction caps and dt_ref past it too, and at times one damaged
-    # residual: the segmented sums give the scalar ticks, or fail as it does
-    t_first, residuals, shifts = [], [], []
-    for steps in pixels:
-        ticks = np.cumsum([gap for gap, _ in steps])
-        ticks = ticks[ticks < 1 << 32].tolist()
-        shift = [s for _, s in steps[1:len(ticks)]]
-        res, prev_dt = [], dt_ref
-        for prev, now, s in zip(ticks, ticks[1:], shift):
-            res.append(now - t_prediction(prev, prev_dt, s))
-            prev_dt = now - prev
-        t_first.append(ticks[0])
-        residuals.append(res)
-        shifts.append(shift)
-    flat = [r for res in residuals for r in res]
-    if damage and flat:
-        k, delta = damage
-        flat[k % len(flat)] += delta
-        at = 0
-        for res in residuals:
-            res[:] = flat[at:at + len(res)]
-            at += len(res)
-    first = np.concatenate([[True] + [False] * len(s) for s in shifts])
-    shift = np.concatenate([[0] + s for s in shifts]).astype(np.int16)
-    try:
-        expected = scalar_ticks(t_first, residuals, shifts, dt_ref)
-    except ValueError:
-        expected = None
-    try:
-        got = compress._timestamps(np.array(flat, np.int64),
-                                   np.array(t_first, np.int64), first,
-                                   shift, dt_ref).tolist()
-    except ValueError as exc:
-        assert "breaks pixel monotonicity" in str(exc)
-        got = None
-    assert got == expected
-
-
-def _one_pixel_unit(intra_d=(zigzag(3) + D_OFFSET,), queue=(), ends=(EOS_U,),
-                    ts=(zigzag(100),)):
-    """Values of a 16x16 unit whose only pixel is (0, 0), laid out as the
-    codec lays them out, each part replaceable by damaged values."""
-    return ([1] + list(intra_d) + [SKIP_U] * (256 - len(intra_d))
-            + list(queue) + [SKIP_U] + list(ends) + list(ts))
-
-
-def _coded(values, tail=b""):
-    """An ADU payload whose body is ``values`` as LEB128, then ``tail``."""
-    return compress._ADU_PREFIX.pack(0, 2550) + lzma.compress(
+def _coded(columns, prefix=None, tail=b""):
+    """An ADU payload whose body is the six ``columns`` as LEB128, then
+    ``tail``; its prefix declares the columns' own pixel and event counts
+    unless ``prefix`` (start_t, pixels, events) replaces them."""
+    if prefix is None:
+        pixels = len(columns[0])
+        prefix = (0, pixels, pixels + len(columns[3]))
+    values = [value for column in columns for value in column]
+    return compress._ADU_PREFIX.pack(*prefix) + lzma.compress(
         leb128(values) + tail, lzma.FORMAT_RAW, filters=compress._FILTERS)
 
 
+def _pixel(gap=0, count=1, d_first=zigzag(4), d_later=0, t_first=100,
+           t_later=254):
+    """The columns of a unit whose one pixel, (gap, 0) in a 16x16 frame,
+    holds two events, by default (3, 100) and (3, 355), each column
+    replaceable by a damaged value."""
+    return [[gap], [count], [d_first], [d_later], [t_first], [t_later]]
+
+
 @pytest.mark.parametrize("payload, message", [
-    (_coded(_one_pixel_unit(intra_d=(EOS_U,))),
-     "end of sequence inside the intra pass"),
-    (_coded(_one_pixel_unit(intra_d=(zigzag(128) + D_OFFSET,))),
-     "decimation 128 outside the value range"),
-    (_coded(_one_pixel_unit(queue=(zigzag(-4) + D_OFFSET,),
-                            ts=(zigzag(100), 0))),
-     "decimation -1 outside the value range"),
-    (_coded(_one_pixel_unit(intra_d=(zigzag(1 << 39) + D_OFFSET,))),
-     "decimation 256 outside the value range"),
-    (_coded(_one_pixel_unit(ts=(zigzag(-1),))),
-     "timestamp -1 outside the tick range"),
-    (_coded(_one_pixel_unit(ts=(zigzag(-(1 << 39)),))),
-     "timestamp -4294967296 outside the tick range"),
-    (_coded(_one_pixel_unit(queue=(EOS_U,), ts=(zigzag(100), 0))),
-     "end of sequence inside a pixel queue"),
-    (_coded(_one_pixel_unit(ends=(SKIP_U,))), "missing end of sequence"),
-    # the prediction continues dt_ref = 255 from t = 100
-    (_coded(_one_pixel_unit(queue=(D_OFFSET,),
-                            ts=(zigzag(100), zigzag(-255)))),
-     "timestamp 100 breaks pixel monotonicity"),
-    (_coded(_one_pixel_unit(ts=(zigzag(100), 0))),
-     "bytes left over after the end of sequence"),
-    (_coded([2] + _one_pixel_unit()[1:]), "cube flag 2 above 1"),
-    (_coded(_one_pixel_unit(), b"\x80"), "truncated varint"),
-], ids=["intra-eos", "intra-d", "inter-d", "huge-d", "intra-t", "huge-t",
-        "queue-eos", "no-eos", "inter-t", "left-over", "flag", "cut-varint"])
+    (_coded(_pixel(), prefix=(0, 2, 1)),
+     "prefix declares 2 pixels for 1 events in a 16x16 frame"),
+    (_coded(_pixel(), prefix=(0, 0, 2)),
+     "prefix declares 0 pixels for 2 events in a 16x16 frame"),
+    (_coded(_pixel(), prefix=(0, 257, 300)),
+     "prefix declares 257 pixels for 300 events in a 16x16 frame"),
+    (_coded(_pixel(), prefix=(0, 1, 3)), "read past the end of the payload"),
+    (_coded(_pixel(), prefix=(0, 1, 1)),
+     "more values than the prefix declares"),
+    (_coded([[0] * 40], prefix=(0, 1, 1)),
+     "more values than the prefix declares"),
+    (_coded(_pixel()) + b"\x00", "bytes left over after the end of the body"),
+    (_coded(_pixel(), tail=b"\x80"), "truncated varint"),
+    (_coded(_pixel(gap=256)), "pixel 256 outside the 16x16 frame"),
+    (_coded(_pixel(count=0)), "pixel event counts sum to 1, not 2"),
+    (_coded(_pixel(d_first=zigzag(129))),
+     "coded decimation 129 outside 0..128"),
+    (_coded(_pixel(d_later=zigzag(-5))), "coded decimation -1 outside 0..128"),
+    (_coded(_pixel(d_first=zigzag(1 << 39))),
+     "coded decimation 129 outside 0..128"),
+    (_coded(_pixel(), prefix=((1 << 32) - 100, 1, 2)),
+     "timestamp 4294967296 outside the tick range"),
+    (_coded(_pixel(t_first=1 << 39)),
+     "timestamp 4294967296 outside the tick range"),
+    (_coded(_pixel(t_later=(1 << 32) - 101)),
+     "timestamp 4294967296 outside the tick range"),
+    (_coded(_pixel(t_later=1 << 40)),
+     "timestamp 4294967396 outside the tick range"),
+], ids=["counts", "no-pixel", "area", "short", "extra-value", "over-limit",
+        "left-over", "cut-varint", "pixel", "count-sum", "intra-d", "inter-d",
+        "huge-d", "intra-t", "huge-t", "inter-t", "huge-interval"])
 def test_each_decode_error_names_its_case(payload, message):
     hdr = header(16, 16)
     with pytest.raises(DecodeError, match=f"ADU 4: {message}"):
         decode_adu(payload, hdr, adu_index=4)
     with pytest.raises(DecodeError, match="shorter than the unit prefix"):
-        decode_adu(payload[:7], hdr)
+        decode_adu(payload[:compress._ADU_PREFIX.size - 1], hdr)
+    # the same unit, well formed, decodes
+    assert decode_adu(_coded(_pixel()), hdr).tolist() == [(0, 0, 3, 100),
+                                                         (0, 0, 3, 355)]
+
+
+def test_inflation_stops_at_the_declared_counts():
+    # 8 MiB of zero varints pack into about 1.2 KB of LZMA; under a prefix
+    # that declares one pixel of one event, the decoder inflates no more
+    # than those four values can take and holds well under a MiB
+    zeros = lzma.compress(bytes(8 << 20), lzma.FORMAT_RAW,
+                          filters=compress._FILTERS)
+    assert len(zeros) < 1300
+    payload = compress._ADU_PREFIX.pack(0, 1, 1) + zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="more values than the prefix"):
+            decode_adu(payload, header(16, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tiny_payloads_decode_in_time_whatever_the_frame():
+    # decoding work follows the payload, not the header's area: small
+    # payloads of random counts and bodies under a 4096x4096 header each
+    # fail fast
+    rng = random.Random(14)
+    hdr = header(4096, 4096)
+    for n in range(300):
+        events = rng.choice((rng.randrange(4), rng.randrange(1 << 32)))
+        pixels = rng.choice((rng.randrange(min(events, 1 << 24) + 1),
+                             rng.randrange(1 << 32)))
+        size = rng.randrange(52)
+        body = rng.randbytes(size)
+        if n % 2:
+            # past LZMA's first byte, which is always 0
+            body = lzma.compress(rng.randbytes(size), lzma.FORMAT_RAW,
+                                 filters=compress._FILTERS)[:52]
+        payload = compress._ADU_PREFIX.pack(rng.randrange(1 << 32), pixels,
+                                            events) + body
+        assert len(payload) <= 64
+        start = time.perf_counter()
+        with pytest.raises(StreamFormatError):
+            decode_adu(payload, hdr, n)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_a_deep_pixel_decodes_in_one_pass():
-    # 20,000 events of one pixel in one unit: runs of unshifted steps are
-    # cumulative sums, so decoding takes no step per event rank
+    # 20,000 events of one pixel in one unit: its ticks are one cumulative
+    # sum, so decoding takes no step per event rank
     rng = random.Random(20)
     t = np.cumsum([1] + [rng.randrange(200, 300) for _ in range(19_999)])
     events = np.zeros(len(t), EVENT)

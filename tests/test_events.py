@@ -155,8 +155,8 @@ def test_header_rejects_bad_magic_and_version():
 
 def test_header_rejects_unknown_source_codec():
     blob = bytearray(write_header(StreamHeader(4, 4)))
-    # byte 12 is the source codec id; 1, 2 and 3 were retired coders
-    for codec in (1, 2, 3, 5, 255):
+    # byte 12 is the source codec id; 1 to 4 were retired coders
+    for codec in (1, 2, 3, 4, 6, 255):
         blob[12] = codec
         with pytest.raises(StreamFormatError):
             read_header(bytes(blob))
