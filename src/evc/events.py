@@ -88,13 +88,14 @@ def display_values(d: np.ndarray, dt: np.ndarray, dt_ref: int) -> np.ndarray:
     and dt_ref below 2**32.  Taken naively in int64, (2 << d) * dt_ref
     wraps silently, with no RuntimeWarning, from d = 30 on for the
     largest dt_ref, so the scaled units are capped instead."""
-    shift = np.asarray(d, np.int64) + 1
+    shift = np.add(d, 1, dtype=np.int64)
     dt = np.asarray(dt, np.int64)
     room = _SCALED_BITS - int(dt_ref).bit_length()
-    scaled = np.where(shift <= room,
-                      np.int64(dt_ref) << np.minimum(shift, room),
-                      1 << _SCALED_BITS)
-    value = np.minimum((scaled + dt) // (2 * dt), 255)
+    value = np.int64(dt_ref) << np.minimum(shift, room)
+    value[shift > room] = 1 << _SCALED_BITS
+    value += dt
+    value //= 2 * dt
+    np.minimum(value, 255, out=value)
     value[shift == EMPTY + 1] = 0
     return value
 

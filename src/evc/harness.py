@@ -39,7 +39,7 @@ from .events import (
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
-from .reconstruct import mse, psnr, reconstruct_at_boundaries
+from .reconstruct import mse, psnr_from_mse, reconstruct_at_boundaries
 from .transcode import Transcoder
 
 CLIP_KINDS = ("static", "step", "moving_box", "noise", "walk")
@@ -166,17 +166,20 @@ def ingest_y4m(path) -> tuple[list[np.ndarray], float]:
 
 
 def write_y4m(path, frames, fps: float = 30.0) -> None:
-    """Write grayscale frames as a mono YUV4MPEG2 file."""
-    frames = [np.asarray(f, np.uint8) for f in frames]
-    height, width = frames[0].shape
+    """Write grayscale frames, a (count, height, width) stack or a list
+    of equal images, as a mono YUV4MPEG2 file in one write."""
+    frames = np.asarray(frames, np.uint8)
+    count, height, width = frames.shape
+    # every frame is its marker, then its plane
+    body = np.empty((count, 6 + height * width), np.uint8)
+    body[:, :6] = np.frombuffer(b"FRAME\n", np.uint8)
+    body[:, 6:] = frames.reshape(count, -1)
     rate = Fraction(fps).limit_denominator(65535)
     with open(path, "wb") as fp:
         fp.write(f"YUV4MPEG2 W{width} H{height} "
                  f"F{rate.numerator}:{rate.denominator} Ip A1:1 Cmono\n"
                  .encode("ascii"))
-        for frame in frames:
-            fp.write(b"FRAME\n")
-            fp.write(frame.tobytes())
+        fp.write(body)
 
 
 def load_raw(path) -> list[np.ndarray]:
@@ -197,12 +200,12 @@ def load_raw(path) -> list[np.ndarray]:
 
 
 def write_raw(path, frames) -> None:
-    """Write raw planar 8-bit frames plus the ``<path>.dims`` sidecar."""
-    frames = [np.asarray(f, np.uint8) for f in frames]
-    height, width = frames[0].shape
+    """Write raw planar 8-bit frames, a (count, height, width) stack or a
+    list of equal images, in one write, plus the ``<path>.dims`` sidecar."""
+    frames = np.ascontiguousarray(frames, np.uint8)
+    _, height, width = frames.shape
     with open(path, "wb") as fp:
-        for frame in frames:
-            fp.write(frame.tobytes())
+        fp.write(frames)
     Path(f"{path}.dims").write_text(f"{width} {height}\n")
 
 
@@ -415,13 +418,9 @@ def run_pipeline(config: ExperimentConfig, frames=None,
         recon_comp = reconstruct_at_boundaries(decoded, header, n_frames)
         write_raw(paths["recon_raw"], recon_raw)
         write_raw(paths["recon_comp"], recon_comp)
-        mses_raw, psnrs_raw, mses_comp, psnrs_comp = [], [], [], []
-        for ref, a, b in zip(frames, recon_raw, recon_comp):
-            ref = ref.astype(np.float64)
-            mses_raw.append(mse(ref, a))
-            psnrs_raw.append(psnr(ref, a))
-            mses_comp.append(mse(ref, b))
-            psnrs_comp.append(psnr(ref, b))
+        mses_raw, mses_comp = mse(frames, recon_raw), mse(frames, recon_comp)
+        psnrs_raw, psnrs_comp = ([psnr_from_mse(e) for e in mses]
+                                 for mses in (mses_raw, mses_comp))
 
     with _stage("detect"):
         if counts is None:

@@ -1,19 +1,25 @@
-"""Scalar references for ``evc.reconstruct.Reconstructor`` and the
-candidates of ``evc.fastdet.Detector.update``.
+"""References for ``evc.reconstruct`` and for the candidates of
+``evc.fastdet.Detector.update``.
 
 ``Reconstructor.apply_event`` applies one event at a time, the semantics
 the batch step replaces; it is kept as the oracle the batch step must
-equal after every batch.  ``candidates`` lists the pixels a detector step
-retests, which the tests then test with the scalar
-``evc.fastdet.is_feature``.
+equal after every batch.  ``reconstruct_at_boundaries`` replays a stream
+one frame batch at a time through the batch step, the loop the one-pass
+``evc.reconstruct_at_boundaries`` replaces.  ``candidates`` lists the
+pixels a detector step retests, which the tests then test with the
+scalar ``evc.fastdet.is_feature``.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
+import evc.reconstruct
 from evc.events import EMPTY, D_MAX, StreamHeader, display_value
 from evc.fastdet import RING
+from evc.reconstruct import replay_batches
 
 
 class Reconstructor:
@@ -55,6 +61,19 @@ class Reconstructor:
         """Snapshot of the running image."""
         return np.array(self.image, dtype=np.uint8).reshape(self.height,
                                                             self.width)
+
+
+def reconstruct_at_boundaries(events: np.ndarray, header: StreamHeader,
+                              n_frames: int) -> list[np.ndarray]:
+    """Reconstructed image at the end of each of ``n_frames`` frame spans,
+    one ``Reconstructor.apply_batch`` per frame batch."""
+    recon = evc.reconstruct.Reconstructor(header)
+    out: list[np.ndarray] = []
+    for batch in islice(replay_batches(events, header.dt_ref, n_frames),
+                        n_frames):
+        recon.apply_batch(batch)
+        out.append(recon.frame_at())
+    return out
 
 
 def candidates(pixels, width: int, height: int, exact: bool

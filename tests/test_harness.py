@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from evc import (
     write_y4m,
 )
 from evc import harness
+from evc.cli import main
 from evc.fastdet import DEFAULT_THRESHOLD, detect_frame, is_feature
 from evc.reconstruct import PSNR_CAP
 from fastdet_oracle import candidates
@@ -172,6 +174,46 @@ def test_pipeline_is_deterministic(tmp_path):
         blobs.append([Path(result.paths[k]).read_bytes()
                       for k in sorted(result.paths)])
     assert blobs[0] == blobs[1]
+
+
+# sha256 of a small run's reconstructions, metrics and played clip, as
+# the per-frame replay and metrics wrote them before the one-pass replay
+PINNED = {
+    False: {
+        "recon_raw":
+            "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
+        "recon_comp":
+            "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
+        "metrics":
+            "eca30bf839e50f0eee7e1d00a82281ba98fb3b7a3f8ad045001f3e4b9647edef",
+        "play":
+            "b0e7ee0b2afa98ba1f87cc8e237b5134ab936855bc2e0393b40d60aa6817a35b",
+    },
+    True: {
+        "recon_raw":
+            "bf6c55d536ffeb1b4268468327be3ae49aa55230f1770cbe31f057b6e3aac9ac",
+        "recon_comp":
+            "bf6c55d536ffeb1b4268468327be3ae49aa55230f1770cbe31f057b6e3aac9ac",
+        "metrics":
+            "9f36634c0a882ba3eae449163beb44ebfe414be11ab467f6e5d08bffede8a6a5",
+        "play":
+            "551d98198286d1098c7d6ae2fa50bc34af67d92a0df18c79bb1ee31fe754c09d",
+    },
+}
+
+
+@pytest.mark.parametrize("features", [False, True])
+def test_replay_artifacts_match_their_pins(tmp_path, features):
+    config = ExperimentConfig(crf=3, feature_adaptation=features,
+                              out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=synth_clip("walk", 24, 16, 12,
+                                                    seed=2))
+    play = tmp_path / "play.y4m"
+    assert main(["play", result.paths["compressed"], "--out",
+                 str(play)]) == 0
+    paths = {**result.paths, "play": play}
+    assert {kind: hashlib.sha256(Path(paths[kind]).read_bytes()).hexdigest()
+            for kind in PINNED[features]} == PINNED[features]
 
 
 def test_lossless_static_pipeline_caps_after_warmup(tmp_path):
