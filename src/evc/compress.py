@@ -33,6 +33,7 @@ from .events import (
     HEADER_SIZE,
     StreamFormatError,
     read_header,
+    window_of,
     write_header,
 )
 
@@ -89,9 +90,10 @@ def build_adus(events, header, dt_adu=None):
         raise ValueError(f"event out of bounds at ({x[k]}, {y[k]})")
     # the window is left-open: an event at exactly start_t + span still
     # belongs to the unit, the first event beyond it opens the next
-    window = np.maximum(t - 1, 0) // span
+    window = window_of(t, span)
     order = np.lexsort((t, y * header.width + x, window))
-    ordered, window = events[order], window[order]
+    # take gathers 9-byte records about ten times faster than indexing
+    ordered, window = events.take(order), window[order]
     at = np.searchsorted(window, np.arange(int(window.max(initial=0)) + 2))
     return [Adu(k * span, span, ordered[at[k]:at[k + 1]])
             for k in range(len(at) - 1)]

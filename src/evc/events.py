@@ -100,6 +100,14 @@ def display_values(d: np.ndarray, dt: np.ndarray, dt_ref: int) -> np.ndarray:
     return value
 
 
+def window_of(t, span: int):
+    """The window of each tick on a grid of ``span`` ticks: window k holds
+    the ticks ``k * span < t <= (k + 1) * span``, and window 0 also tick
+    0.  Frames (span ``dt_ref``) and ADUs (span ``dt_adu``) both cut
+    streams so.  ``max(t, 1) - 1`` cannot wrap on unsigned ticks."""
+    return (np.maximum(t, 1) - 1) // span
+
+
 @dataclass(frozen=True, slots=True)
 class ParamSet:
     """Transcoder sensitivity parameters selected by a quality preset.

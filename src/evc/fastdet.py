@@ -19,7 +19,8 @@ run-opening values, the candidates the pixels whose runs opened in the
 frame, and ``harness.transcode_clip`` turns the fresh corners into a
 sensitivity boost, closing the loop between detection and event
 generation.  Offline, ``detect_at_boundaries`` runs a detector over a
-stream's reconstructed boundary images.
+stream's reconstructed boundary images, each frame's candidates the
+pixels of its events, found with one scatter over the stream.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .events import StreamHeader
-from .reconstruct import replay_batches
+from .events import StreamHeader, window_of
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
 RING = (
@@ -200,11 +200,14 @@ def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
 
     ``images[k]`` is the image reconstructed from ``events`` at boundary
     k, and the candidates of step k are the distinct pixels of the events
-    of frame k (as ``replay_batches`` cuts them).  Yields each step's
-    freshly inserted corners.  The events after the last boundary are not
-    detected: no image shows them.
+    of frame k (``window_of(t, dt_ref) == k``), in any stream order.
+    Yields each step's freshly inserted corners.  The events after the
+    last boundary are not detected: no image shows them.
     """
-    batches = replay_batches(events, dt_ref, len(images))
-    for image, batch in zip(images, batches):
-        pixels = batch["y"].astype(np.int64) * detector.width + batch["x"]
-        yield detector.update(image, pixels)
+    frame = window_of(events["t"], dt_ref)
+    kept = frame < len(images)
+    pixel = events["y"].astype(np.int64) * detector.width + events["x"]
+    changed = np.zeros((len(images), detector.width * detector.height), bool)
+    changed[frame[kept], pixel[kept]] = True
+    for image, pixels in zip(images, changed):
+        yield detector.update(image, np.flatnonzero(pixels))

@@ -1,25 +1,20 @@
 """References for ``evc.reconstruct`` and for the candidates of
 ``evc.fastdet.Detector.update``.
 
-``Reconstructor.apply_event`` applies one event at a time, the semantics
-the batch step replaces; it is kept as the oracle the batch step must
-equal after every batch.  ``reconstruct_at_boundaries`` replays a stream
-one frame batch at a time through the batch step, the loop the one-pass
-``evc.reconstruct_at_boundaries`` replaces.  ``candidates`` lists the
-pixels a detector step retests, which the tests then test with the
-scalar ``evc.fastdet.is_feature``.
+``Reconstructor.apply_event`` applies one event at a time, checking it
+as it goes.  ``reconstruct_at_boundaries`` replays a stream through it
+in tick order, one event at a time, the semantics the one-pass
+``evc.reconstruct_at_boundaries`` must equal, frames and error messages
+alike.  ``candidates`` lists the pixels a detector step retests, which
+the tests then test with the scalar ``evc.fastdet.is_feature``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
-import evc.reconstruct
 from evc.events import EMPTY, D_MAX, StreamHeader, display_value
 from evc.fastdet import RING
-from evc.reconstruct import replay_batches
 
 
 class Reconstructor:
@@ -65,13 +60,18 @@ class Reconstructor:
 
 def reconstruct_at_boundaries(events: np.ndarray, header: StreamHeader,
                               n_frames: int) -> list[np.ndarray]:
-    """Reconstructed image at the end of each of ``n_frames`` frame spans,
-    one ``Reconstructor.apply_batch`` per frame batch."""
-    recon = evc.reconstruct.Reconstructor(header)
+    """Reconstructed image at the end of each of ``n_frames`` frame spans:
+    the events applied one at a time in tick order, ties in stream order,
+    each frame's image taken once its boundary's ticks are applied.  The
+    events after the last boundary are never applied."""
+    recon = Reconstructor(header)
+    rows = sorted(events.tolist(), key=lambda row: row[3])
     out: list[np.ndarray] = []
-    for batch in islice(replay_batches(events, header.dt_ref, n_frames),
-                        n_frames):
-        recon.apply_batch(batch)
+    i = 0
+    for k in range(n_frames):
+        while i < len(rows) and rows[i][3] <= (k + 1) * header.dt_ref:
+            recon.apply_event(*rows[i])
+            i += 1
         out.append(recon.frame_at())
     return out
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evc
 from evc import (
     CODEC_COMPRESSED,
     EVENT,
@@ -215,3 +216,9 @@ def test_dt_adu_outside_32_bits_is_a_usage_error(tmp_path, capsys, verb,
     # the largest unit length still fits the ADU prefix
     if verb == "compress":
         assert main([verb, *args, "--dt-adu", str((1 << 32) - 1)]) == 0
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(evc.__all__)) == len(evc.__all__)
+    missing = [name for name in evc.__all__ if not hasattr(evc, name)]
+    assert missing == []

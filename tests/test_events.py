@@ -19,6 +19,7 @@ from evc.events import (
     display_values,
     event_array,
     read_header,
+    window_of,
     write_header,
 )
 
@@ -221,3 +222,21 @@ def test_stream_file_truncated(tmp_path):
         fh.write(blob[:-4])
     with pytest.raises(StreamFormatError):
         ev.read_stream(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(span=st.integers(1, (1 << 32) - 1) | st.integers(1, 8),
+       k=st.integers(0, 1 << 32), offset=st.sampled_from((-1, 0, 1)),
+       tick=st.integers(0, (1 << 32) - 1))
+def test_window_of_cuts_left_open_windows(span, k, offset, tick):
+    # ticks on a boundary k * span, beside it, at 0 and anywhere, as uint32
+    # and as int64: window k holds k * span < t <= (k + 1) * span, and
+    # window 0 also tick 0
+    ticks = [t for t in (0, k * span + offset, tick) if 0 <= t < 1 << 32]
+    for dtype in (np.uint32, np.int64):
+        got = window_of(np.array(ticks, dtype), span)
+        for t, w in zip(ticks, got.tolist()):
+            if t == 0:
+                assert w == 0
+            else:
+                assert w * span < t <= (w + 1) * span

@@ -136,6 +136,39 @@ def test_exact_mode_tracks_full_frame_detection():
         assert k == n_frames - 1 > 10
 
 
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(7, 11), height=st.integers(7, 10),
+       dt_ref=st.integers(1, 4), n_frames=st.integers(1, 5),
+       exact=st.booleans(), data=st.data())
+def test_detect_at_boundaries_retests_each_frames_event_pixels(
+        width, height, dt_ref, n_frames, exact, data):
+    # unsorted ticks at 0, on the boundaries k * dt_ref and past the last
+    # one: step k retests the candidates of the pixels of frame k's events
+    # (k * dt_ref < t <= (k + 1) * dt_ref, and tick 0 in frame 0)
+    cells = data.draw(st.lists(st.tuples(
+        st.integers(0, width - 1), st.integers(0, height - 1),
+        st.integers(0, (n_frames + 2) * dt_ref)), max_size=40))
+    events = np.array([(x, y, 5, t) for x, y, t in cells], EVENT)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    images = rng.choice(np.array((0, 0, 255, 255, 128), np.uint8),
+                        (n_frames, height, width))
+    det = Detector(header(width, height), 10, retest_neighbors=exact)
+    corners, seen, steps = set(), 0, 0
+    for k, fresh in enumerate(detect_at_boundaries(det, events, images,
+                                                   dt_ref)):
+        pixels = [y * width + x for x, y, t in cells
+                  if k * dt_ref < t <= (k + 1) * dt_ref or k == t == 0]
+        tested = candidates(pixels, width, height, exact)
+        found = {q for q in tested if is_feature(images[k], *q, 10)}
+        expected = (corners - tested) | found
+        assert det.test_count - seen == len(tested)
+        assert det.features == expected
+        assert fresh.tolist() == sorted(y * width + x
+                                        for x, y in expected - corners)
+        corners, seen, steps = expected, det.test_count, steps + 1
+    assert steps == n_frames
+
+
 def pixels_of(stream, width):
     return np.array([y * width + x for x, y, _, _ in stream], np.int64)
 

@@ -9,7 +9,6 @@ from evc import (
     EMPTY,
     EVENT,
     PSNR_CAP,
-    Reconstructor,
     StreamHeader,
     mse,
     psnr,
@@ -17,10 +16,8 @@ from evc import (
     synth_clip,
     transcode,
 )
-from evc.events import D_MAX
-from evc.reconstruct import replay_batches
-from fastdet_oracle import Reconstructor as OracleReconstructor
-from fastdet_oracle import reconstruct_at_boundaries as replay_per_batch
+from evc.events import D_MAX, display_value
+from fastdet_oracle import reconstruct_at_boundaries as replay_per_event
 
 
 def header(w=4, h=4, dt_ref=255):
@@ -31,19 +28,18 @@ def batch(*rows):
     return np.array(list(rows), EVENT)
 
 
-def values_one_by_one(recon, rows):
-    """Each event's displayed value, the events applied as batches of one."""
-    values = []
-    for x, y, d, t in rows:
-        recon.apply_batch(batch((x, y, d, t)))
-        values.append(int(recon.image[y, x]))
-    return values
+def values_one_by_one(hdr, rows):
+    """Each event's displayed value: its pixel in the last frame of a
+    replay of the events up to it."""
+    n_frames = max(t for *_, t in rows) // hdr.dt_ref + 1
+    return [int(reconstruct_at_boundaries(batch(*rows[:i + 1]), hdr,
+                                          n_frames)[-1, y, x])
+            for i, (x, y, _, _) in enumerate(rows)]
 
 
 def test_absolute_timestamps_recover_intervals():
-    recon = Reconstructor(header(1, 1))
     seq = [(0, 0, 5, 100), (0, 0, 5, 220), (0, 0, 5, 330)]
-    values = values_one_by_one(recon, seq)
+    values = values_one_by_one(header(1, 1), seq)
     # intervals 100, 120, 110 scaled by dt_ref
     assert values == [
         int(32 * 255 / 100 + 0.5),
@@ -55,58 +51,52 @@ def test_absolute_timestamps_recover_intervals():
 def test_timestamp_corruption_stays_local():
     clean = [(0, 0, 5, 100), (0, 0, 5, 220), (0, 0, 5, 330)]
     corrupt = [(0, 0, 5, 70)] + clean[1:]
-    a = Reconstructor(header(1, 1))
-    b = Reconstructor(header(1, 1))
-    va = values_one_by_one(a, clean)
-    vb = values_one_by_one(b, corrupt)
+    va = values_one_by_one(header(1, 1), clean)
+    vb = values_one_by_one(header(1, 1), corrupt)
     assert vb[0] > va[0]      # shortened first interval reads brighter
     assert vb[1] < va[1]      # stretched second interval reads darker
     assert vb[2] == va[2]     # third interval is untouched
 
 
 def test_out_of_order_rejected():
-    recon = Reconstructor(header(1, 1))
-    recon.apply_batch(batch((0, 0, 5, 100)))
-    with pytest.raises(ValueError):
-        recon.apply_batch(batch((0, 0, 5, 100)))
-    with pytest.raises(ValueError):
-        recon.apply_batch(batch((0, 0, 5, 40)))
+    # a repeated tick, and a first event at tick 0, leave no interval
+    with pytest.raises(ValueError, match="t=100 after t=100"):
+        reconstruct_at_boundaries(batch((0, 0, 5, 100), (0, 0, 6, 100)),
+                                  header(1, 1), 1)
+    with pytest.raises(ValueError, match="t=0 after t=0"):
+        reconstruct_at_boundaries(batch((0, 0, 5, 0)), header(1, 1), 1)
 
 
 def test_out_of_order_rejected_from_an_array():
-    # The uint32 field would wrap 40 - 100 to a huge positive interval;
-    # the check still fires, whether the events come in one batch or two.
-    events = np.array([(0, 0, 5, 100), (0, 0, 5, 40)], EVENT)
-    recon = Reconstructor(header(1, 1))
-    recon.apply_batch(events[:1])
+    # The uint32 field would wrap 40 - 100 to a huge positive interval,
+    # which shows 0.  Replay takes each pixel's events by tick, so a tick
+    # that falls in stream order never reaches that subtraction: the last
+    # interval is 60, and only a repeated tick reaches the check.
+    hdr = header(1, 1)
+    falling = batch((0, 0, 5, 100), (0, 0, 5, 40))
+    assert reconstruct_at_boundaries(falling, hdr, 1)[0, 0, 0] == (
+        display_value(5, 60, hdr.dt_ref))
+    repeated = np.concatenate([falling, batch((0, 0, 6, 40))])
     with pytest.raises(ValueError, match="out-of-order"):
-        recon.apply_batch(events[1:])
-    with pytest.raises(ValueError, match="t=40 after t=100"):
-        Reconstructor(header(1, 1)).apply_batch(events)
-    # Replay sorts by t, so only a repeated tick can reach the check.
-    repeated = np.array([(0, 0, 5, 100), (0, 0, 6, 100)], EVENT)
-    with pytest.raises(ValueError, match="out-of-order"):
-        reconstruct_at_boundaries(repeated, header(1, 1), 1)
+        reconstruct_at_boundaries(repeated, hdr, 1)
 
 
 def test_empty_event_darkens_pixel():
-    recon = Reconstructor(header(1, 1))
-    recon.apply_batch(batch((0, 0, 6, 255)))
-    assert recon.frame_at()[0, 0] > 0
-    recon.apply_batch(batch((0, 0, EMPTY, 900)))
-    assert recon.frame_at()[0, 0] == 0
+    frames = reconstruct_at_boundaries(
+        batch((0, 0, 6, 255), (0, 0, EMPTY, 900)), header(1, 1), 4)
+    assert frames[0, 0, 0] > 0
+    assert frames[3, 0, 0] == 0
 
 
 def test_pixels_hold_last_value():
-    recon = Reconstructor(header(2, 1))
-    recon.apply_batch(batch((0, 0, 6, 255)))
-    first = recon.frame_at().copy()
-    recon.apply_batch(batch((1, 0, 3, 500)))
-    assert recon.frame_at()[0, 0] == first[0, 0]
+    frames = reconstruct_at_boundaries(
+        batch((0, 0, 6, 255), (1, 0, 3, 500)), header(2, 1), 2)
+    assert frames[0, 0, 1] == 0 < frames[0, 0, 0] == frames[1, 0, 0]
 
 
 def test_fresh_state_is_black():
-    assert np.all(Reconstructor(header()).frame_at() == 0)
+    frames = reconstruct_at_boundaries(np.empty(0, EVENT), header(), 3)
+    assert frames.shape == (3, 4, 4) and np.all(frames == 0)
 
 
 def test_mse_psnr_known_values():
@@ -195,32 +185,12 @@ def test_static_reconstruction_within_one_unit_for_all_values():
             assert abs(int(snap[0, 0]) - v) <= 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(dt_ref=st.integers(1, 4), n_frames=st.integers(1, 5),
-       ticks=st.lists(st.integers(0, 30), max_size=40))
-def test_replay_batches_match_a_per_boundary_filter(dt_ref, n_frames, ticks):
-    # ticks come unsorted, land on boundaries k * dt_ref often and run past
-    # the last boundary; x tells events with equal t apart
-    events = np.array([(i, 0, 5, t) for i, t in enumerate(ticks)], EVENT)
-    ordered = sorted(events.tolist(), key=lambda e: e[3])
-    expected = [[e for e in ordered
-                 if (k == 0 or e[3] > k * dt_ref) and e[3] <= (k + 1) * dt_ref]
-                for k in range(n_frames)]
-    expected.append([e for e in ordered if e[3] > n_frames * dt_ref])
-    batches = list(replay_batches(events, dt_ref, n_frames))
-    assert [b.tolist() for b in batches] == expected
-    assert all(b.dtype == EVENT for b in batches)
-
-
-def oracle_error(hdr, rows):
-    """The message of the first event the per-event oracle refuses."""
-    oracle = OracleReconstructor(hdr)
+def outcome(replay, events, hdr, n_frames):
+    """The frames a replay gives as one stack, or its ValueError message."""
     try:
-        for row in rows:
-            oracle.apply_event(*row)
+        return np.array(replay(events, hdr, n_frames), np.uint8)
     except ValueError as exc:
         return str(exc)
-    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,32 +200,19 @@ def oracle_error(hdr, rows):
                                                 EMPTY)),
                                st.integers(0, 12)),
                      min_size=1, max_size=12))
-def test_batch_errors_name_the_first_event_the_oracle_refuses(rows):
-    # events outside a 3x3 frame, repeated or falling ticks and decimations
-    # 128..254, in any mix; the batch raises the oracle's message, for the
-    # first refused event, and leaves its state as it was
-    hdr = header(3, 3)
-    # both sides first take the event (1, 1, 5, 3)
-    expected = oracle_error(hdr, [(1, 1, 5, 3)] + rows)
-    recon = Reconstructor(hdr)
-    recon.apply_batch(batch((1, 1, 5, 3)))
-    image, clock = recon.image.copy(), recon.last_t.copy()
-    if expected is None:
-        recon.apply_batch(np.array(rows, EVENT))
-        return
-    with pytest.raises(ValueError) as err:
-        recon.apply_batch(np.array(rows, EVENT))
-    assert str(err.value) == expected
-    assert np.array_equal(recon.image, image)
-    assert np.array_equal(recon.last_t, clock)
-
-
-def outcome(replay, events, hdr, n_frames):
-    """The frames a replay gives as one stack, or its ValueError message."""
-    try:
-        return np.array(replay(events, hdr, n_frames), np.uint8)
-    except ValueError as exc:
-        return str(exc)
+def test_one_pass_errors_name_the_first_event_the_oracle_refuses(rows):
+    # events outside a 3x3 frame, repeated ticks, ticks at 0 and
+    # decimations 128..254, in any mix and over three frames: the replay
+    # raises the per-event replay's message, for the first refused event
+    hdr = header(3, 3, dt_ref=4)
+    events = np.array(rows, EVENT)
+    expected = outcome(replay_per_event, events, hdr, 3)
+    got = outcome(reconstruct_at_boundaries, events, hdr, 3)
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
 
 
 @st.composite
@@ -277,19 +234,19 @@ def streams(draw, max_events=30):
 
 @settings(max_examples=400, deadline=None)
 @given(stream=streams())
-def test_one_pass_equals_the_per_batch_replay(stream):
+def test_one_pass_equals_the_per_event_replay(stream):
     hdr, n_frames, rows = stream
     events = np.array(rows, EVENT)
     frames = reconstruct_at_boundaries(events, hdr, n_frames)
     assert frames.dtype == np.uint8
     assert frames.shape == (n_frames, hdr.height, hdr.width)
-    assert np.array_equal(frames, outcome(replay_per_batch, events, hdr,
+    assert np.array_equal(frames, outcome(replay_per_event, events, hdr,
                                           n_frames))
 
 
 @settings(max_examples=400, deadline=None)
 @given(stream=streams(max_events=12), data=st.data())
-def test_one_pass_raises_the_per_batch_replays_error(stream, data):
+def test_one_pass_raises_the_per_event_replays_error(stream, data):
     # one corrupt event: a repeated tick of an event, a pixel outside the
     # image, a decimation of 128..254, or a pixel's first event at tick 0
     hdr, n_frames, rows = stream
@@ -307,7 +264,7 @@ def test_one_pass_raises_the_per_batch_replays_error(stream, data):
         tick, bad = 0, (data.draw(st.integers(0, hdr.width - 1)), 0, 5, 0)
     at = data.draw(st.integers(0, len(rows)))
     events = np.array(rows[:at] + [bad] + rows[at:], EVENT)
-    expected = outcome(replay_per_batch, events, hdr, n_frames)
+    expected = outcome(replay_per_event, events, hdr, n_frames)
     got = outcome(reconstruct_at_boundaries, events, hdr, n_frames)
     if tick <= n_frames * hdr.dt_ref:
         assert isinstance(expected, str)
