@@ -178,7 +178,6 @@ def cmd_bench(args) -> int:
             fps=fps)
         for crf, feat in grid
     ]
-    # the runs are pure-Python compute, so only processes overlap them
     with ProcessPoolExecutor(
             max_workers=worker_count(),
             mp_context=multiprocessing.get_context("spawn")) as pool:

@@ -170,6 +170,9 @@ class StreamHeader:
             raise StreamFormatError(
                 f"only mono streams are supported, got {self.channels} "
                 "channels")
+        if not (0 <= self.width <= 0xFFFF and 0 <= self.height <= 0xFFFF):
+            raise StreamFormatError(
+                f"frame of {self.width}x{self.height} does not fit 16 bits")
         if self.width * self.height > MAX_PIXELS:
             raise StreamFormatError(
                 f"frame of {self.width}x{self.height} exceeds the "
@@ -178,6 +181,10 @@ class StreamHeader:
             raise StreamFormatError("dt_ref must be at least one tick")
         if self.dt_max < self.dt_ref:
             raise StreamFormatError("dt_max must be >= dt_ref")
+        for name in ("dt_ref", "dt_max", "dt_s"):
+            if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
+                raise StreamFormatError(f"{name} does not fit 32 bits: "
+                                        f"{getattr(self, name)}")
         if not 0 <= self.crf <= 9:
             raise StreamFormatError(f"quality preset out of range: {self.crf}")
         if self.source_codec not in (CODEC_RAW, CODEC_COMPRESSED):

@@ -1,15 +1,15 @@
 """Asynchronous FAST corner detection at frame boundaries.
 
-A corner here is a pixel whose radius-3 Bresenham circle contains at least
-``DEFAULT_STREAK`` (9) circularly contiguous pixels that are all brighter
-than the center plus a threshold, or all darker than the center minus it.
-The synchronous ``detect_frame`` scans a whole image with the scalar
-``is_feature``.  The ``Detector`` instead keeps the corner set of a
-sequence of images, the image at each frame boundary, and retests only
-the pixels that received new events since the previous boundary: in the
-default single-pixel (paper) mode those pixels themselves, in exact mode
-also every pixel whose ring passes through one of them, which keeps the
-set equal to ``detect_frame`` of the boundary image.
+A corner here is a pixel at least 3 pixels inside the border whose
+radius-3 Bresenham circle contains at least ``DEFAULT_STREAK`` (9)
+circularly contiguous pixels that are all brighter than the center plus a
+threshold, or all darker than the center minus it.  The ``Detector``
+keeps the corner set of a sequence of images, the image at each frame
+boundary, and retests only the pixels that received new events since the
+previous boundary: in the default single-pixel (paper) mode those pixels
+themselves, in exact mode also every pixel whose ring passes through one
+of them, which keeps the set equal to a full scan of the boundary image.
+``detect_frame`` is that full scan, one update of every pixel.
 
 ``Detector.update`` tests each distinct candidate of a frame once, in one
 numpy step: a 4-compass screen, then the full arc test (``ring_corners``)
@@ -43,63 +43,9 @@ DEFAULT_THRESHOLD = 10
 DEFAULT_STREAK = 9
 
 
-def _longest_circular_run(flags: list[bool]) -> int:
-    best = 0
-    cur = 0
-    for f in flags + flags:
-        if f:
-            cur += 1
-            if cur > best:
-                best = cur
-        else:
-            cur = 0
-    return min(best, len(flags))
-
-
-def is_feature(image, x: int, y: int, threshold: int) -> bool:
-    """Test one pixel of a row-major image (rows of ints or a 2-D array);
-    border pixels are never corners."""
-    height = len(image)
-    width = len(image[0])
-    if x < 3 or y < 3 or x >= width - 3 or y >= height - 3:
-        return False
-    # Python ints, so a uint8 center cannot wrap around 0 or 255.
-    center = int(image[y][x])
-    hi = center + threshold
-    lo = center - threshold
-    # Any 9-long arc covers at least two of the four compass points, so
-    # fewer than two bright and two dark compass points means no corner.
-    bright = 0
-    dark = 0
-    for dx, dy in (RING[0], RING[4], RING[8], RING[12]):
-        v = image[y + dy][x + dx]
-        if v > hi:
-            bright += 1
-        elif v < lo:
-            dark += 1
-    if bright < 2 and dark < 2:
-        return False
-    ring = [image[y + dy][x + dx] for dx, dy in RING]
-    if _longest_circular_run([v > hi for v in ring]) >= DEFAULT_STREAK:
-        return True
-    return _longest_circular_run([v < lo for v in ring]) >= DEFAULT_STREAK
-
-
-def detect_frame(image, threshold: int) -> set[tuple[int, int]]:
-    """Synchronous full-image scan; the oracle the async path is held to."""
-    height = len(image)
-    width = len(image[0])
-    found: set[tuple[int, int]] = set()
-    for y in range(3, height - 3):
-        for x in range(3, width - 3):
-            if is_feature(image, x, y, threshold):
-                found.add((x, y))
-    return found
-
-
 def ring_corners(center: np.ndarray, ring: np.ndarray,
                  threshold: int) -> np.ndarray:
-    """``is_feature`` over gathered values: whether each row of ``ring``
+    """The arc test over gathered values: whether each row of ``ring``
     (16 values in ``RING`` order) holds ``DEFAULT_STREAK`` circularly
     contiguous values all above its ``center`` plus the threshold, or all
     below it minus the threshold."""
@@ -192,6 +138,18 @@ class Detector:
         fresh = q[found & ~corners[q]]
         corners[q] = found
         return fresh
+
+
+def detect_frame(image, threshold: int) -> np.ndarray:
+    """Full-frame scan of ``image`` (a 2-D array or rows of ints): one
+    paper-mode ``Detector.update`` of every pixel.  Returns the
+    (height, width) bool corner mask, all False for an image under 7
+    pixels on a side."""
+    image = np.asarray(image)
+    height, width = image.shape
+    detector = Detector(StreamHeader(width, height), threshold)
+    detector.update(image, np.arange(width * height))
+    return detector.corners
 
 
 def detect_at_boundaries(detector: Detector, events: np.ndarray, images,

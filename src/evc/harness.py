@@ -187,11 +187,16 @@ def load_raw(path) -> list[np.ndarray]:
     sidecar = Path(f"{path}.dims")
     if not sidecar.exists():
         raise StreamFormatError(f"missing dimensions sidecar: {sidecar}")
-    parts = sidecar.read_text().split()
-    width, height = int(parts[0]), int(parts[1])
+    try:
+        width, height = (int(part) for part in sidecar.read_text().split())
+    except ValueError:
+        width = height = 0
+    if width < 1 or height < 1:
+        raise StreamFormatError(
+            f"{sidecar} must hold two positive integers: width and height")
     data = Path(path).read_bytes()
     frame_size = width * height
-    if frame_size <= 0 or len(data) % frame_size:
+    if len(data) % frame_size:
         raise StreamFormatError(
             f"raw size {len(data)} is not a multiple of {width}x{height}")
     count = len(data) // frame_size

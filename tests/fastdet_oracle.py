@@ -1,12 +1,14 @@
-"""References for ``evc.reconstruct`` and for the candidates of
-``evc.fastdet.Detector.update``.
+"""References for ``evc.reconstruct`` and ``evc.fastdet``.
 
 ``Reconstructor.apply_event`` applies one event at a time, checking it
 as it goes.  ``reconstruct_at_boundaries`` replays a stream through it
 in tick order, one event at a time, the semantics the one-pass
 ``evc.reconstruct_at_boundaries`` must equal, frames and error messages
-alike.  ``candidates`` lists the pixels a detector step retests, which
-the tests then test with the scalar ``evc.fastdet.is_feature``.
+alike.  ``is_feature`` is the scalar FAST test of one pixel and
+``detect_frame`` the scalar scan of a whole image with it, the corners
+the numpy ``evc.fastdet.detect_frame`` and ``Detector`` must find.
+``candidates`` lists the pixels a detector step retests, which the tests
+then test with ``is_feature``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from evc.events import EMPTY, D_MAX, StreamHeader, display_value
-from evc.fastdet import RING
+from evc.fastdet import DEFAULT_STREAK, RING
 
 
 class Reconstructor:
@@ -24,7 +26,7 @@ class Reconstructor:
     (hold-last-value semantics for the open interval).  Events of one pixel
     must arrive in strictly increasing timestamp order; events of different
     pixels may be interleaved arbitrarily.  ``image`` is the running image
-    as row-major rows of ints, the form ``fastdet.is_feature`` reads.
+    as row-major rows of ints, the form ``is_feature`` reads.
     """
 
     def __init__(self, header: StreamHeader):
@@ -74,6 +76,60 @@ def reconstruct_at_boundaries(events: np.ndarray, header: StreamHeader,
             i += 1
         out.append(recon.frame_at())
     return out
+
+
+def _longest_circular_run(flags: list[bool]) -> int:
+    best = 0
+    cur = 0
+    for f in flags + flags:
+        if f:
+            cur += 1
+            if cur > best:
+                best = cur
+        else:
+            cur = 0
+    return min(best, len(flags))
+
+
+def is_feature(image, x: int, y: int, threshold: int) -> bool:
+    """Test one pixel of a row-major image (rows of ints or a 2-D array);
+    border pixels are never corners."""
+    height = len(image)
+    width = len(image[0])
+    if x < 3 or y < 3 or x >= width - 3 or y >= height - 3:
+        return False
+    # Python ints, so a uint8 center cannot wrap around 0 or 255.
+    center = int(image[y][x])
+    hi = center + threshold
+    lo = center - threshold
+    # Any 9-long arc covers at least two of the four compass points, so
+    # fewer than two bright and two dark compass points means no corner.
+    bright = 0
+    dark = 0
+    for dx, dy in (RING[0], RING[4], RING[8], RING[12]):
+        v = image[y + dy][x + dx]
+        if v > hi:
+            bright += 1
+        elif v < lo:
+            dark += 1
+    if bright < 2 and dark < 2:
+        return False
+    ring = [image[y + dy][x + dx] for dx, dy in RING]
+    if _longest_circular_run([v > hi for v in ring]) >= DEFAULT_STREAK:
+        return True
+    return _longest_circular_run([v < lo for v in ring]) >= DEFAULT_STREAK
+
+
+def detect_frame(image, threshold: int) -> set[tuple[int, int]]:
+    """Synchronous full-image scan; the oracle the async path is held to."""
+    height = len(image)
+    width = len(image[0])
+    found: set[tuple[int, int]] = set()
+    for y in range(3, height - 3):
+        for x in range(3, width - 3):
+            if is_feature(image, x, y, threshold):
+                found.add((x, y))
+    return found
 
 
 def candidates(pixels, width: int, height: int, exact: bool

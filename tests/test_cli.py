@@ -13,7 +13,6 @@ from evc import (
     ExperimentConfig,
     StreamHeader,
     build_adus,
-    detect_frame,
     encode_adu,
     load_raw,
     read_compressed,
@@ -22,11 +21,13 @@ from evc import (
     run_pipeline,
     synth_clip,
     write_header,
+    write_raw,
     write_stream,
     write_y4m,
 )
 from evc.cli import main
 from evc.fastdet import DEFAULT_THRESHOLD
+from fastdet_oracle import detect_frame
 
 
 def test_bench_runs_the_grid_on_worker_processes(tmp_path, monkeypatch):
@@ -216,6 +217,18 @@ def test_dt_adu_outside_32_bits_is_a_usage_error(tmp_path, capsys, verb,
     # the largest unit length still fits the ADU prefix
     if verb == "compress":
         assert main([verb, *args, "--dt-adu", str((1 << 32) - 1)]) == 0
+
+
+@pytest.mark.parametrize("fps", ["-30", "1e12"])
+def test_frame_rate_outside_the_header_fails_cleanly(tmp_path, capsys, fps):
+    # ticks per second (dt_ref * fps) must fit the header's 32-bit dt_s
+    clip = tmp_path / "clip.gray"
+    write_raw(clip, synth_clip("walk", 8, 8, 2))
+    out = tmp_path / "clip.adder"
+    assert main(["transcode", str(clip), f"--fps={fps}",
+                 "--out", str(out)]) == 1
+    assert "error: dt_s does not fit 32 bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_exported_name_resolves_once():

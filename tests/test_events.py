@@ -201,6 +201,25 @@ def test_header_invariants():
         write_header(StreamHeader(4, 4, crf=11))
 
 
+@pytest.mark.parametrize("field, limit", [
+    ("width", 0xFFFF), ("height", 0xFFFF), ("dt_ref", 0xFFFFFFFF),
+    ("dt_max", 0xFFFFFFFF), ("dt_s", 0xFFFFFFFF)])
+def test_header_fields_must_fit_their_packed_widths(field, limit):
+    # each field at its limit packs and reads back; one past it is a
+    # format error, not struct's
+    def header(value):
+        fields = {"width": 1, "height": 1, "dt_ref": 1, "dt_max": 1}
+        fields[field] = value
+        if field == "dt_ref":
+            fields["dt_max"] = value
+        return StreamHeader(**fields)
+    assert getattr(read_header(write_header(header(limit))), field) == limit
+    with pytest.raises(StreamFormatError, match="does not fit"):
+        write_header(header(limit + 1))
+    with pytest.raises(StreamFormatError):
+        write_header(header(-1))
+
+
 def test_stream_file_roundtrip(tmp_path):
     hdr = StreamHeader(8, 8, dt_ref=255, dt_max=510, dt_s=7650)
     evs = event_array([0, 7], [0, 7], [3, EMPTY], [10, 300])

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
-from evc.fastdet import (
-    RING,
-    Detector,
-    detect_at_boundaries,
-    detect_frame,
-    is_feature,
-    ring_corners,
-)
-from fastdet_oracle import candidates
+from evc import fastdet
+from evc.fastdet import RING, Detector, detect_at_boundaries, ring_corners
+from fastdet_oracle import candidates, detect_frame, is_feature
 
 
 def header(w, h, crf=0):
@@ -36,8 +30,15 @@ def test_ring_is_the_radius_three_circle():
     assert {(-dx, -dy) for dx, dy in RING} == set(RING)
 
 
+def both_scans(image, threshold):
+    """The corners of ``image`` as (x, y) pairs by the numpy scan, then by
+    the scalar one."""
+    ys, xs = np.nonzero(fastdet.detect_frame(image, threshold))
+    return set(zip(xs.tolist(), ys.tolist())), detect_frame(image, threshold)
+
+
 def test_uniform_image_has_no_features():
-    assert detect_frame(flat(16, 16, 77), threshold=10) == set()
+    assert both_scans(flat(16, 16, 77), threshold=10) == (set(), set())
 
 
 def test_dark_center_bright_circle_is_a_feature():
@@ -83,8 +84,58 @@ def test_border_pixels_are_never_features():
 def test_detect_frame_finds_exactly_one_constructed_corner():
     img = flat(16, 16, 50)
     img[8][8] = 200
-    assert detect_frame(img, threshold=10) == {(8, 8)}
-    assert detect_frame(np.array(img, dtype=np.uint8), 10) == {(8, 8)}
+    assert both_scans(img, threshold=10) == ({(8, 8)}, {(8, 8)})
+    assert both_scans(np.array(img, dtype=np.uint8), 10) == ({(8, 8)},
+                                                             {(8, 8)})
+
+
+def edge_image(rng, width, height, threshold):
+    """A blocky uint8 image, whose block corners make FAST corners, in
+    values at and one past a base value plus or minus ``threshold``, where
+    the strict comparisons flip, and at 0 and 255, with a sprinkle of any
+    value."""
+    base = int(rng.integers(0, 256))
+    steps = np.array((-threshold - 1, -threshold, 0, threshold, threshold + 1))
+    palette = np.append(np.clip(base + steps, 0, 255), (0, 255))
+    block = int(rng.integers(1, 7))
+    coarse = rng.choice(palette, (height // block + 1, width // block + 1))
+    image = coarse.repeat(block, 0).repeat(block, 1)[:height, :width]
+    noise = rng.random((height, width)) < 0.1
+    image[noise] = rng.integers(0, 256, noise.sum())
+    return image.astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 24), height=st.integers(1, 24),
+       threshold=st.integers(0, 40), rows=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_detect_frame_equals_the_scalar_scan(width, height, threshold, rows,
+                                             seed):
+    # a uint8 array or rows of ints, frames under 7 pixels on a side too
+    image = edge_image(np.random.default_rng(seed), width, height, threshold)
+    if rows:
+        image = image.tolist()
+    mask = fastdet.detect_frame(image, threshold)
+    assert mask.dtype == bool and mask.shape == (height, width)
+    ys, xs = np.nonzero(mask)
+    assert set(zip(xs.tolist(), ys.tolist())) == detect_frame(image, threshold)
+
+
+def test_edge_images_reach_the_cases_the_scan_property_names():
+    # corners, corners that one more level of threshold removes, and the
+    # display extremes
+    seen = set()
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        threshold = int(rng.integers(0, 41))
+        image = edge_image(rng, 24, 20, threshold)
+        found = detect_frame(image, threshold)
+        if found:
+            seen.add("corners")
+        if found - detect_frame(image, threshold + 1):
+            seen.add("threshold edge")
+        seen.update({0, 255} & set(image.reshape(-1).tolist()))
+    assert seen == {"corners", "threshold edge", 0, 255}
 
 
 @pytest.mark.parametrize("value, center", [(3, 5), (255, 250)])
@@ -93,8 +144,8 @@ def test_uint8_frames_do_not_wrap_the_thresholds(value, center):
     # and turn every testable pixel into a corner
     img = flat(16, 16, value)
     img[8][8] = center
-    assert detect_frame(img, threshold=10) == set()
-    assert detect_frame(np.array(img, dtype=np.uint8), threshold=10) == set()
+    assert both_scans(img, threshold=10) == (set(), set())
+    assert both_scans(np.array(img, dtype=np.uint8), 10) == (set(), set())
 
 
 def test_threshold_is_strict():

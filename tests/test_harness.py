@@ -28,9 +28,9 @@ from evc import (
 )
 from evc import harness
 from evc.cli import main
-from evc.fastdet import DEFAULT_THRESHOLD, detect_frame, is_feature
+from evc.fastdet import DEFAULT_THRESHOLD
 from evc.reconstruct import PSNR_CAP
-from fastdet_oracle import candidates
+from fastdet_oracle import candidates, detect_frame, is_feature
 
 
 def small_clip(n=6, w=20, h=14, seed=1):
@@ -105,6 +105,15 @@ def test_raw_without_sidecar_fails(tmp_path):
     path = tmp_path / "clip.gray"
     path.write_bytes(bytes(100))
     with pytest.raises(StreamFormatError, match="sidecar"):
+        load_raw(path)
+
+
+@pytest.mark.parametrize("dims", ["", "8", "-4 -4", "0 8", "x y"])
+def test_malformed_sidecar_fails_naming_it(tmp_path, dims):
+    path = tmp_path / "clip.gray"
+    path.write_bytes(bytes(64))
+    (tmp_path / "clip.gray.dims").write_text(dims)
+    with pytest.raises(StreamFormatError, match="clip.gray.dims"):
         load_raw(path)
 
 
@@ -233,6 +242,14 @@ def test_pipeline_errors_carry_stage_labels(tmp_path):
     with pytest.raises(PipelineError, match="ingest") as info:
         run_pipeline(config)
     assert info.value.stage == "ingest"
+
+
+def test_frame_rate_outside_the_header_fails_at_ingest(tmp_path):
+    config = ExperimentConfig(fps=-30, out_dir=str(tmp_path))
+    with pytest.raises(PipelineError, match="dt_s") as info:
+        run_pipeline(config, frames=small_clip())
+    assert info.value.stage == "ingest"
+    assert not list(tmp_path.iterdir())
 
 
 def test_feature_adaptation_raises_bitrate_and_psnr(tmp_path):
