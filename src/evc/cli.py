@@ -14,7 +14,7 @@ from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
-from .compress import read_compressed, write_compressed
+from .compress import read_compressed
 from .events import (
     CODEC_COMPRESSED,
     CODEC_RAW,
@@ -25,20 +25,20 @@ from .events import (
     read_stream,
     write_stream,
 )
-from .fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
+from .fastdet import DEFAULT_THRESHOLD, MODES, Detector, detect_at_boundaries
 from .harness import (
     CLIP_KINDS,
     ExperimentConfig,
     PipelineError,
+    compress_stream,
     ingest,
     load_frames,
     report,
     run_pipeline,
+    save_frames,
     synth_clip,
     transcode_clip,
     worker_count,
-    write_raw,
-    write_y4m,
 )
 from .reconstruct import reconstruct_at_boundaries
 
@@ -78,13 +78,14 @@ def _frame_count(events, header) -> int:
 
 
 def cmd_transcode(args) -> int:
-    config = ExperimentConfig(
-        input=args.input, crf=args.crf,
-        feature_adaptation=args.features == "on", dt_ref=args.dt_ref,
-        dt_max=args.dt_max, fast_threshold=args.fast_threshold,
-        detector_mode=args.mode, fps=args.fps)
+    config = ExperimentConfig(input=args.input, crf=args.crf,
+                              dt_ref=args.dt_ref, dt_max=args.dt_max,
+                              fps=args.fps)
     frames, header = ingest(config)
-    events = transcode_clip(config, header, frames)[0]
+    detector = None
+    if args.features == "on":
+        detector = Detector(header, args.fast_threshold, args.mode)
+    events = transcode_clip(header, frames, detector)[0]
     out = args.out or f"{Path(args.input).stem}.adder"
     size = write_stream(out, header, events)
     print(f"{out}: {len(events)} events, {size} bytes "
@@ -95,8 +96,7 @@ def cmd_transcode(args) -> int:
 def cmd_compress(args) -> int:
     header, events = read_stream(args.input)
     out = args.out or f"{Path(args.input).stem}.adderc"
-    with open(out, "wb") as fp:
-        write_compressed(fp, header, events, args.dt_adu)
+    compress_stream(out, header, events, args.dt_adu)
     raw = Path(args.input).stat().st_size
     coded = Path(out).stat().st_size
     print(f"{out}: {raw} -> {coded} bytes ({raw / coded:.2f}:1)")
@@ -119,18 +119,14 @@ def cmd_play(args) -> int:
     n_frames = _frame_count(events, header)
     frames = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.gray"
-    if out.endswith(".y4m"):
-        write_y4m(out, frames, header.dt_s / header.dt_ref)
-    else:
-        write_raw(out, frames)
+    save_frames(out, frames, header.dt_s / header.dt_ref)
     print(f"{out}: {n_frames} frames of {header.width}x{header.height}")
     return 0
 
 
 def cmd_detect(args) -> int:
     header, events = _read_any_stream(args.input)
-    detector = Detector(header, threshold=args.fast_threshold,
-                        retest_neighbors=args.mode == "exact")
+    detector = Detector(header, args.fast_threshold, args.mode)
     n_frames = _frame_count(events, header)
     images = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.features.csv"
@@ -148,8 +144,8 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _bench_one(config: ExperimentConfig, frames, fps):
-    result = run_pipeline(config, frames=frames, fps=fps)
+def _bench_one(config: ExperimentConfig, frames):
+    result = run_pipeline(config, frames=frames)
     pixels = result.header.width * result.header.height
     return config, report(result.rows, pixels)
 
@@ -159,13 +155,12 @@ def cmd_bench(args) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    fps = args.fps
     if args.input:
         frames, file_fps = load_frames(args.input)
-        fps = file_fps or args.fps
-        stem = Path(args.input).stem
+        fps, stem = file_fps or fps, Path(args.input).stem
     else:
         frames = synth_clip(args.kind, *args.size, args.frames, args.seed)
-        fps = args.fps
         stem = args.kind
     out_dir = Path(args.out)
     grid = [(crf, feat) for crf in BENCH_CRFS for feat in (False, True)]
@@ -181,8 +176,7 @@ def cmd_bench(args) -> int:
     with ProcessPoolExecutor(
             max_workers=worker_count(),
             mp_context=multiprocessing.get_context("spawn")) as pool:
-        results = list(pool.map(_bench_one, configs, repeat(frames),
-                                repeat(fps)))
+        results = list(pool.map(_bench_one, configs, repeat(frames)))
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "bench.csv"
     with open(summary, "w", newline="") as fp:
@@ -210,10 +204,7 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     frames = synth_clip(args.kind, *args.size, args.frames, args.seed)
     out = args.out or f"{args.kind}.y4m"
-    if out.endswith(".y4m"):
-        write_y4m(out, frames, args.fps)
-    else:
-        write_raw(out, frames)
+    save_frames(out, frames, args.fps)
     print(f"{out}: {args.frames} frames of {args.size[0]}x{args.size[1]}")
     return 0
 
@@ -231,7 +222,7 @@ def _add_stream_flags(sub, crf=True):
 def _add_detect_flags(sub):
     sub.add_argument("--fast-threshold", type=int, default=DEFAULT_THRESHOLD,
                      help="FAST circle contrast threshold")
-    sub.add_argument("--mode", choices=("paper", "exact"), default="paper",
+    sub.add_argument("--mode", choices=MODES, default="paper",
                      help="retest only the event pixel, or its ring too")
 
 

@@ -306,12 +306,6 @@ def decode_adu(payload, header, adu_index=0):
     return out
 
 
-def compress_events(events, header, dt_adu=None):
-    """Encode a whole stream; returns the list of ADU payloads."""
-    return [encode_adu(adu, header)
-            for adu in build_adus(events, header, dt_adu)]
-
-
 def write_payloads(fp, header, payloads):
     """Write header plus length-prefixed ADU blocks from encoded payloads."""
     coded = replace(header, source_codec=CODEC_COMPRESSED)
@@ -319,11 +313,6 @@ def write_payloads(fp, header, payloads):
     for payload in payloads:
         fp.write(struct.pack("<I", len(payload)))
         fp.write(payload)
-
-
-def write_compressed(fp, header, events, dt_adu=None):
-    """Encode a whole stream and write it as header plus ADU blocks."""
-    write_payloads(fp, header, compress_events(events, header, dt_adu))
 
 
 def read_compressed(fp):

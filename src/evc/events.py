@@ -185,6 +185,8 @@ class StreamHeader:
             if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
                 raise StreamFormatError(f"{name} does not fit 32 bits: "
                                         f"{getattr(self, name)}")
+        if self.dt_s < 1:
+            raise StreamFormatError("dt_s must be at least one tick")
         if not 0 <= self.crf <= 9:
             raise StreamFormatError(f"quality preset out of range: {self.crf}")
         if self.source_codec not in (CODEC_RAW, CODEC_COMPRESSED):

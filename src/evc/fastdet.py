@@ -41,6 +41,8 @@ RING = (
 
 DEFAULT_THRESHOLD = 10
 DEFAULT_STREAK = 9
+# what a changed pixel retests: itself (paper), or also its ring (exact)
+MODES = ("paper", "exact")
 
 
 def ring_corners(center: np.ndarray, ring: np.ndarray,
@@ -78,7 +80,10 @@ class Detector:
                  "_retested", "_ring")
 
     def __init__(self, header: StreamHeader, threshold: int = DEFAULT_THRESHOLD,
-                 retest_neighbors: bool = False):
+                 mode: str = "paper"):
+        if mode not in MODES:
+            raise ValueError(f"unknown detector mode {mode!r}; expected one "
+                             f"of {', '.join(MODES)}")
         self.width = header.width
         self.height = header.height
         self.threshold = threshold
@@ -86,7 +91,7 @@ class Detector:
         self.test_count = 0
         # a changed pixel's candidates: itself, then in exact mode the 16
         # whose ring passes through it, which are its own ring offsets
-        self._retested = ((0, 0),) + RING if retest_neighbors else ((0, 0),)
+        self._retested = ((0, 0),) + RING if mode == "exact" else ((0, 0),)
         self._ring = np.array([dx + dy * self.width for dx, dy in RING],
                               np.int64)
 

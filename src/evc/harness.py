@@ -35,7 +35,7 @@ from .events import (
     DEFAULT_DT_REF,
     StreamFormatError,
     StreamHeader,
-    crf_params,
+    window_of,
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
@@ -130,15 +130,19 @@ def ingest_y4m(path) -> tuple[list[np.ndarray], float]:
         chroma = "420jpeg"
         for token in magic.split()[1:]:
             key, value = token[:1], token[1:]
-            if key == b"W":
-                width = int(value)
-            elif key == b"H":
-                height = int(value)
-            elif key == b"F":
-                rate = value.split(b":")
-                num, den = int(rate[0]), int(rate[1])
-            elif key == b"C":
-                chroma = value.decode("ascii")
+            try:
+                if key == b"W":
+                    width = int(value)
+                elif key == b"H":
+                    height = int(value)
+                elif key == b"F":
+                    num, den = (int(part) for part in value.split(b":"))
+                elif key == b"C":
+                    chroma = value.decode("ascii")
+            except ValueError:
+                raise StreamFormatError(
+                    f"bad YUV4MPEG2 header token {token.decode('latin-1')!r}"
+                ) from None
         if width <= 0 or height <= 0 or num <= 0 or den <= 0:
             raise StreamFormatError("missing W/H/F in YUV4MPEG2 header")
         if chroma.startswith("mono"):
@@ -221,6 +225,15 @@ def load_frames(path) -> tuple[list[np.ndarray], float | None]:
     return load_raw(path), None
 
 
+def save_frames(path, frames, fps: float) -> None:
+    """Write a clip by extension: .y4m carries ``fps``, anything else is
+    raw frames plus the ``.dims`` sidecar."""
+    if str(path).endswith(".y4m"):
+        write_y4m(path, frames, fps)
+    else:
+        write_raw(path, frames)
+
+
 def synth_clip(kind: str, width: int, height: int, n_frames: int,
                seed: int = 0) -> list[np.ndarray]:
     """Deterministic synthetic clips for the pipeline's motion classes.
@@ -299,17 +312,17 @@ def _artifact_paths(config: ExperimentConfig) -> dict:
     }
 
 
-def ingest(config: ExperimentConfig, frames=None,
-           fps: float | None = None) -> tuple[list[np.ndarray], StreamHeader]:
+def ingest(config: ExperimentConfig,
+           frames=None) -> tuple[list[np.ndarray], StreamHeader]:
     """The clip's frames (``frames``, else loaded from ``config.input``)
     and the stream header they transcode under.  The frame rate, which sets
-    ticks per second, is ``fps``, else the file's, else ``config.fps``."""
+    ticks per second, is the file's when it has one, else ``config.fps``."""
+    fps = config.fps
     if frames is None:
         frames, file_fps = load_frames(config.input)
-        if fps is None:
-            fps = file_fps if file_fps else config.fps
-    elif fps is None:
-        fps = config.fps
+        fps = file_fps or fps
+    if not math.isfinite(fps):
+        raise StreamFormatError(f"frame rate {fps} is not finite")
     frames = [np.asarray(f, np.uint8) for f in frames]
     if not frames:
         raise ValueError("clip has no frames")
@@ -322,14 +335,11 @@ def ingest(config: ExperimentConfig, frames=None,
     return frames, header
 
 
-def _detector(config: ExperimentConfig, header: StreamHeader) -> Detector:
-    return Detector(header, threshold=config.fast_threshold,
-                    retest_neighbors=config.detector_mode == "exact")
-
-
-def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
-    """Transcode the frames, the detector steering sensitivity from inside
-    the loop when feature adaptation is on.
+def transcode_clip(header: StreamHeader, frames,
+                   detector: Detector | None = None):
+    """Transcode the frames under ``header``, whose CRF picks the
+    transcoder's parameters; a ``detector`` steers sensitivity from inside
+    the loop.
 
     After each frame, the detector takes the transcoder's run-opening
     values ``i0`` as its image, and the pixels whose runs opened in the
@@ -342,14 +352,11 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
 
     Returns (events, per-frame event counts, detector counts): an event
     counts on the frame that emitted it, the final flush on the last one.
-    Detector counts are None with adaptation off, else the per-frame
+    Detector counts are None without a detector, else the per-frame
     corner tests and corner-set sizes.
     """
-    params = crf_params(config.crf)
-    transcoder = Transcoder(header, params)
-    detector = None
-    if config.feature_adaptation:
-        detector = _detector(config, header)
+    transcoder = Transcoder(header)
+    radius = transcoder.params.feature_radius
     chunks, tests, features = [], [], []
     for frame in frames:
         chunks.append(transcoder.integrate_frame(frame))
@@ -358,7 +365,7 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
             fresh = detector.update(transcoder.i0, transcoder.opening)
             if fresh.size:
                 y, x = np.divmod(fresh, header.width)
-                transcoder.set_sensitivity(x, y, params.feature_radius)
+                transcoder.set_sensitivity(x, y, radius)
             tests.append(detector.test_count - seen)
             features.append(int(detector.corners.sum()))
     tail = transcoder.flush_all()
@@ -369,22 +376,18 @@ def transcode_clip(config: ExperimentConfig, header: StreamHeader, frames):
     return events, frame_events, counts
 
 
-def _replay_detector(config: ExperimentConfig, header: StreamHeader,
-                     events, images):
-    """Per-frame detector tests and corner-set sizes over the boundary
-    images ``images``, reconstructed from ``events``."""
-    detector = _detector(config, header)
-    tests, features = [], []
-    seen = 0
-    for _ in detect_at_boundaries(detector, events, images, header.dt_ref):
-        tests.append(detector.test_count - seen)
-        seen = detector.test_count
-        features.append(int(detector.corners.sum()))
-    return tests, features
+def compress_stream(path, header: StreamHeader, events, dt_adu=None):
+    """Cut the events into access units on the ``dt_adu`` tick grid
+    (default the header's dt_max), encode each, and write them to
+    ``path`` as a compressed stream.  Returns (units, their payloads)."""
+    adus = build_adus(events, header, dt_adu)
+    payloads = [encode_adu(adu, header) for adu in adus]
+    with open(path, "wb") as fp:
+        write_payloads(fp, header, payloads)
+    return adus, payloads
 
 
-def run_pipeline(config: ExperimentConfig, frames=None,
-                 fps: float | None = None) -> PipelineResult:
+def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
     """Run the full pipeline over one clip and write its artifacts.
 
     Frames may be passed in-memory (synthetic runs); otherwise they load
@@ -395,12 +398,14 @@ def run_pipeline(config: ExperimentConfig, frames=None,
     work metrics still fill.
     """
     with _stage("ingest"):
-        frames, header = ingest(config, frames, fps)
+        frames, header = ingest(config, frames)
+        detector = Detector(header, config.fast_threshold,
+                            config.detector_mode)
     n_frames = len(frames)
 
     with _stage("transcode"):
-        events, frame_events, counts = transcode_clip(config, header,
-                                                      frames)
+        events, frame_events, counts = transcode_clip(
+            header, frames, detector if config.feature_adaptation else None)
 
     paths = _artifact_paths(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -409,10 +414,8 @@ def run_pipeline(config: ExperimentConfig, frames=None,
         write_stream(paths["raw"], header, events)
 
     with _stage("compress"):
-        adus = build_adus(events, header, config.dt_adu)
-        payloads = [encode_adu(adu, header) for adu in adus]
-        with open(paths["compressed"], "wb") as fp:
-            write_payloads(fp, header, payloads)
+        adus, payloads = compress_stream(paths["compressed"], header, events,
+                                         config.dt_adu)
 
     with _stage("decompress"):
         with open(paths["compressed"], "rb") as fp:
@@ -429,22 +432,28 @@ def run_pipeline(config: ExperimentConfig, frames=None,
 
     with _stage("detect"):
         if counts is None:
-            counts = _replay_detector(config, header, events, recon_raw)
-        tests, features = counts
+            tests, features, seen = [], [], 0
+            for _ in detect_at_boundaries(detector, events, recon_raw,
+                                          header.dt_ref):
+                tests.append(detector.test_count - seen)
+                seen = detector.test_count
+                features.append(int(detector.corners.sum()))
+        else:
+            tests, features = counts
 
     with _stage("metrics"):
         comp_bits = [0.0] * n_frames
         for adu, payload in zip(adus, payloads):
-            # frames whose boundary tick falls inside this unit's window
-            first = adu.start_t // header.dt_ref
-            last = (adu.start_t + adu.span) // header.dt_ref - 1
-            covered = range(max(0, first), min(n_frames - 1, last) + 1)
-            bits = 8 * (len(payload) + 4)
-            if covered:
-                for k in covered:
-                    comp_bits[k] += bits / len(covered)
-            else:
-                comp_bits[-1] += bits
+            # the frames whose boundary tick falls inside this unit's
+            # window, else the frame holding the window's last tick
+            end = adu.start_t + adu.span
+            covered = range(adu.start_t // header.dt_ref,
+                            min(end // header.dt_ref, n_frames))
+            if not covered:
+                covered = [min(int(window_of(end, header.dt_ref)),
+                               n_frames - 1)]
+            for k in covered:
+                comp_bits[k] += 8 * (len(payload) + 4) / len(covered)
         event_bits = 8 * header.event_size
         rows = [
             MetricsRow(k, frame_events[k], frame_events[k] * event_bits,

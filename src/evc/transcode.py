@@ -264,12 +264,3 @@ class Transcoder:
         self.m_cur[pinned] = self.params.m_base
         self.m_tgt[pinned] = self.params.m_base
         self.override_until[pinned] = self.now + duration
-
-
-def transcode(frames, header: StreamHeader,
-              params: ParamSet | None = None) -> np.ndarray:
-    """Transcode a frame sequence and flush, returning all emitted events."""
-    coder = Transcoder(header, params)
-    chunks = [coder.integrate_frame(frame) for frame in frames]
-    chunks.append(coder.flush_all())
-    return np.concatenate(chunks)

@@ -4,9 +4,18 @@
 pixel in raster order, and appends each value to its column, as the
 format lays the columns out; ``leb128`` writes the values one at a time:
 the body ``encode_adu`` hands to LZMA must equal that byte for byte.
+``encode_stream`` gives the payloads of a whole stream's units.
 """
 
 from __future__ import annotations
+
+from evc.compress import build_adus, encode_adu
+
+
+def encode_stream(events, header, dt_adu=None):
+    """The payloads of the stream's units on the ``dt_adu`` grid."""
+    return [encode_adu(adu, header)
+            for adu in build_adus(events, header, dt_adu)]
 
 
 def zigzag(v):

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compress_oracle import encode_stream
 from evc import (
     EMPTY,
     ExperimentConfig,
     StreamFormatError,
     StreamHeader,
-    compress_events,
     decode_adu,
     psnr,
     read_compressed,
@@ -28,9 +28,9 @@ from evc import (
     reconstruct_at_boundaries,
     run_pipeline,
     synth_clip,
-    transcode,
 )
 from evc.events import HEADER_SIZE
+from evc.harness import transcode_clip
 
 DT_REF = 255
 
@@ -165,7 +165,7 @@ def test_event_spans_stay_within_dt_max():
         header = StreamHeader(2, 2, dt_ref=DT_REF, dt_max=30 * DT_REF,
                               dt_s=30 * DT_REF, crf=0)
         frames = [np.full((2, 2), 100, np.uint8)] * 400
-        for seq in by_pixel(transcode(frames, header)).values():
+        for seq in by_pixel(transcode_clip(header, frames)[0]).values():
             prev = 0
             for d, t in seq:
                 if d != EMPTY:
@@ -180,7 +180,7 @@ def test_mid_stream_join_recovers_within_its_window():
         header = StreamHeader(24, 16, dt_ref=DT_REF, dt_max=30 * DT_REF,
                               dt_s=30 * DT_REF, crf=3)
         frames = synth_clip("walk", 24, 16, 90, seed=0)
-        payloads = compress_events(transcode(frames, header), header)
+        payloads = encode_stream(transcode_clip(header, frames)[0], header)
         assert len(payloads) == 3
         decoded = [decode_adu(p, header, k) for k, p in enumerate(payloads)]
         full = reconstruct_at_boundaries(np.concatenate(decoded), header, 90)

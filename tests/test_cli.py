@@ -219,16 +219,50 @@ def test_dt_adu_outside_32_bits_is_a_usage_error(tmp_path, capsys, verb,
         assert main([verb, *args, "--dt-adu", str((1 << 32) - 1)]) == 0
 
 
-@pytest.mark.parametrize("fps", ["-30", "1e12"])
+# each frame rate that cannot make a header, with the error it gives
+BAD_FRAME_RATES = {
+    "-30": "dt_s does not fit 32 bits",
+    "1e12": "dt_s does not fit 32 bits",
+    "inf": "frame rate inf is not finite",
+    "nan": "frame rate nan is not finite",
+    "0": "dt_s must be at least one tick",
+    "1e-9": "dt_s must be at least one tick",
+}
+
+
+@pytest.mark.parametrize("fps", list(BAD_FRAME_RATES))
 def test_frame_rate_outside_the_header_fails_cleanly(tmp_path, capsys, fps):
-    # ticks per second (dt_ref * fps) must fit the header's 32-bit dt_s
+    # ticks per second (dt_ref * fps) must be finite and fit the header's
+    # 32-bit dt_s, and a second must hold at least one tick
     clip = tmp_path / "clip.gray"
     write_raw(clip, synth_clip("walk", 8, 8, 2))
     out = tmp_path / "clip.adder"
     assert main(["transcode", str(clip), f"--fps={fps}",
                  "--out", str(out)]) == 1
-    assert "error: dt_s does not fit 32 bits" in capsys.readouterr().err
+    assert f"error: {BAD_FRAME_RATES[fps]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_malformed_y4m_header_token_fails_cleanly(tmp_path, capsys):
+    # a rate token with no colon once ended in an IndexError traceback
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(b"YUV4MPEG2 W8 H8 F30 Cmono\nFRAME\n" + bytes(64))
+    out = tmp_path / "clip.adder"
+    assert main(["transcode", str(clip), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad YUV4MPEG2 header token 'F30'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_adu", [None, 300])
+def test_compress_writes_the_pipelines_compressed_stream(tmp_path, dt_adu):
+    config = ExperimentConfig(crf=3, dt_adu=dt_adu, out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=synth_clip("walk", 16, 16, 8))
+    out = tmp_path / "cli.adderc"
+    flags = [] if dt_adu is None else ["--dt-adu", str(dt_adu)]
+    assert main(["compress", result.paths["raw"], "--out", str(out),
+                 *flags]) == 0
+    assert out.read_bytes() == Path(result.paths["compressed"]).read_bytes()
 
 
 def test_every_exported_name_resolves_once():

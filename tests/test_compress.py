@@ -9,27 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compress_oracle import leb128, reference_sequence, zigzag
+from compress_oracle import encode_stream, leb128, reference_sequence, zigzag
 from evc import (
     CODEC_COMPRESSED,
     EMPTY,
     EVENT,
     StreamFormatError,
     StreamHeader,
+    compress_stream,
     synth_clip,
-    transcode,
 )
 from evc import compress
 from evc.events import HEADER_SIZE
+from evc.harness import transcode_clip
 from evc.compress import (
     Adu,
     DecodeError,
     build_adus,
-    compress_events,
     decode_adu,
     encode_adu,
     read_compressed,
-    write_compressed,
 )
 
 
@@ -112,15 +111,15 @@ def test_build_adus_rejects_out_of_bounds():
 def test_dt_adu_outside_32_bits_raises_value_error(dt_adu):
     events = events_of([(0, 0, 3, 10)])
     with pytest.raises(ValueError, match="dt_adu"):
-        compress_events(events, header(16, 16), dt_adu)
-    payloads = compress_events(events, header(16, 16), (1 << 32) - 1)
+        encode_stream(events, header(16, 16), dt_adu)
+    payloads = encode_stream(events, header(16, 16), (1 << 32) - 1)
     assert decompress_payloads(payloads, header(16, 16)).tolist() == [
         (0, 0, 3, 10)]
 
 
 def test_empty_adu_roundtrip_is_tiny():
     hdr = header(64, 64)
-    payloads = compress_events(events_of([]), hdr)
+    payloads = encode_stream(events_of([]), hdr)
     assert len(payloads) == 1
     assert len(payloads[0]) <= 48
     decoded = decode_adu(payloads[0], hdr)
@@ -131,7 +130,7 @@ def test_lossless_roundtrip_random_streams():
     rng = random.Random(31)
     hdr = header(32, 24, crf=0)
     events = random_stream(rng, 32, 24, 9000)
-    decoded = decompress_payloads(compress_events(events, hdr), hdr)
+    decoded = decompress_payloads(encode_stream(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
 
@@ -141,7 +140,7 @@ def test_constant_rate_pixel_is_exact_even_lossy():
     events = events_of([(3, 2, 6, 255 * k) for k in range(1, 30)])
     for crf in (0, 3, 6, 9):
         hdr = header(16, 16, crf=crf)
-        decoded = decompress_payloads(compress_events(events, hdr), hdr)
+        decoded = decompress_payloads(encode_stream(events, hdr), hdr)
         assert decoded.tolist() == events.tolist()
 
 
@@ -154,7 +153,7 @@ def test_lossy_roundtrip_preserves_counts_and_bound():
     coded = {}
     for crf in (0, 3, 6, 9):
         hdr = header(32, 24, crf=crf)
-        coded[crf] = compress_events(events, hdr)
+        coded[crf] = encode_stream(events, hdr)
         decoded = decompress_payloads(coded[crf], hdr)
         assert key_sorted(decoded) == key_sorted(events)
     assert coded[0] == coded[3] == coded[6] == coded[9]
@@ -164,7 +163,7 @@ def test_adus_decode_independently():
     rng = random.Random(5)
     hdr = header(32, 24, crf=4)
     events = random_stream(rng, 32, 24, 3 * 2550)
-    payloads = compress_events(events, hdr)
+    payloads = encode_stream(events, hdr)
     assert len(payloads) >= 3
     full = [decode_adu(p, hdr, k) for k, p in enumerate(payloads)]
     alone = decode_adu(payloads[1], hdr, 1)
@@ -182,7 +181,7 @@ def test_encoding_is_reproducible():
 def test_partial_edge_cubes_roundtrip():
     hdr = header(20, 20, crf=0)
     events = events_of([(19, 19, 4, 100), (19, 19, 4, 300), (0, 17, 2, 50)])
-    decoded = decompress_payloads(compress_events(events, hdr), hdr)
+    decoded = decompress_payloads(encode_stream(events, hdr), hdr)
     assert key_sorted(decoded) == key_sorted(events)
 
 
@@ -190,20 +189,20 @@ def test_corrupt_payload_raises_with_index():
     rng = random.Random(3)
     hdr = header(32, 24, crf=2)
     events = random_stream(rng, 32, 24, 2550)
-    payload = bytearray(compress_events(events, hdr)[0])
+    payload = bytearray(encode_stream(events, hdr)[0])
     payload[12:] = bytes(b ^ 0xA5 for b in payload[12:])
     with pytest.raises(DecodeError) as err:
         decode_adu(bytes(payload), hdr, adu_index=7)
     assert "ADU 7" in str(err.value)
 
 
-def test_file_roundtrip_and_truncation():
+def test_file_roundtrip_and_truncation(tmp_path):
     rng = random.Random(9)
     hdr = header(32, 24, crf=0)
     events = random_stream(rng, 32, 24, 5000)
-    buf = io.BytesIO()
-    write_compressed(buf, hdr, events)
-    buf.seek(0)
+    path = tmp_path / "s.adderc"
+    compress_stream(path, hdr, events)
+    buf = io.BytesIO(path.read_bytes())
     rhdr, decoded = read_compressed(buf)
     assert rhdr.source_codec == CODEC_COMPRESSED
     assert (rhdr.width, rhdr.height, rhdr.crf) == (32, 24, 0)
@@ -221,7 +220,7 @@ def test_file_roundtrip_and_truncation():
 def test_single_event_pixel_needs_only_intra():
     hdr = header(16, 16, crf=5)
     events = events_of([(1, 1, 7, 500)])
-    payloads = compress_events(events, hdr)
+    payloads = encode_stream(events, hdr)
     decoded = decompress_payloads(payloads, hdr)
     assert decoded.tolist() == [(1, 1, 7, 500)]
 
@@ -254,7 +253,7 @@ def test_valid_payloads_are_consumed_exactly():
     rng = random.Random(41)
     for crf in (0, 3, 9):
         hdr = header(32, 24, crf=crf)
-        payloads = compress_events(random_stream(rng, 32, 24, 3 * 2550), hdr)
+        payloads = encode_stream(random_stream(rng, 32, 24, 3 * 2550), hdr)
         for k, payload in enumerate(payloads):
             decode_adu(payload, hdr, k)
             with pytest.raises(DecodeError, match="left over"):
@@ -269,7 +268,7 @@ def test_fuzzed_payloads_raise_only_stream_format_error():
     for crf in (0, 3, 6):
         hdr = header(16, 16, crf=crf)
         events = random_stream(rng, 16, 16, 2 * 2550)
-        for payload in compress_events(events, hdr):
+        for payload in encode_stream(events, hdr):
             cases.append((hdr, payload))
     attempts = raised = 0
     for n in range(600):
@@ -304,7 +303,8 @@ def test_coding_one_adu_holds_a_few_bytes_per_event():
     # grow with the unit: it is measured on an empty unit, bounded on its
     # own, and left out of the per-event bound.
     hdr = header(16, 16, dt_max=30 * 255)
-    (adu,) = build_adus(transcode(synth_clip("walk", 16, 16, 30), hdr), hdr)
+    events = transcode_clip(hdr, synth_clip("walk", 16, 16, 30))[0]
+    (adu,) = build_adus(events, hdr)
     assert len(adu.events) > 10_000
     empty = Adu(0, adu.span, events_of([]))
 
@@ -495,7 +495,7 @@ def test_a_deep_pixel_decodes_in_one_pass():
     events = np.zeros(len(t), EVENT)
     events["d"], events["t"] = 6, t
     hdr = header(1, 1)
-    (payload,) = compress_events(events, hdr, (1 << 32) - 1)
+    (payload,) = encode_stream(events, hdr, (1 << 32) - 1)
     start = time.perf_counter()
     decoded = decode_adu(payload, hdr)
     assert time.perf_counter() - start < 0.2

@@ -220,6 +220,18 @@ def test_header_fields_must_fit_their_packed_widths(field, limit):
         write_header(header(-1))
 
 
+def test_header_needs_a_tick_per_second():
+    blob = bytearray(write_header(StreamHeader(4, 4, dt_s=1)))
+    assert read_header(bytes(blob)).dt_s == 1
+    blob[-4:] = bytes(4)  # dt_s is the header's last field
+    with pytest.raises(StreamFormatError,
+                       match="dt_s must be at least one tick"):
+        read_header(bytes(blob))
+    with pytest.raises(StreamFormatError,
+                       match="dt_s must be at least one tick"):
+        write_header(StreamHeader(4, 4, dt_s=0))
+
+
 def test_stream_file_roundtrip(tmp_path):
     hdr = StreamHeader(8, 8, dt_ref=255, dt_max=510, dt_s=7650)
     evs = event_array([0, 7], [0, 7], [3, EMPTY], [10, 300])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
 from evc import fastdet
-from evc.fastdet import RING, Detector, detect_at_boundaries, ring_corners
+from evc.fastdet import (MODES, RING, Detector, detect_at_boundaries,
+                         ring_corners)
 from fastdet_oracle import candidates, detect_frame, is_feature
 
 
@@ -179,7 +180,7 @@ def test_exact_mode_tracks_full_frame_detection():
         events = np.array(random_stream(24, 20, 2000, rng), EVENT)
         n_frames = int(events["t"].max()) // hdr.dt_ref
         images = reconstruct_at_boundaries(events, hdr, n_frames)
-        det = Detector(hdr, threshold=10, retest_neighbors=True)
+        det = Detector(hdr, threshold=10, mode="exact")
         steps = detect_at_boundaries(det, events, images, hdr.dt_ref)
         for k, _ in enumerate(steps):
             assert det.features == detect_frame(images[k], 10), (
@@ -203,7 +204,7 @@ def test_detect_at_boundaries_retests_each_frames_event_pixels(
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     images = rng.choice(np.array((0, 0, 255, 255, 128), np.uint8),
                         (n_frames, height, width))
-    det = Detector(header(width, height), 10, retest_neighbors=exact)
+    det = Detector(header(width, height), 10, MODES[exact])
     corners, seen, steps = set(), 0, 0
     for k, fresh in enumerate(detect_at_boundaries(det, events, images,
                                                    dt_ref)):
@@ -242,11 +243,17 @@ def test_exact_mode_work_is_bounded_per_event():
     # at most 17 tests per event, and at most one per interior pixel
     rng = random.Random(32)
     for n in (1, 5, 40, 1500):
-        det = Detector(header(24, 20), threshold=10, retest_neighbors=True)
+        det = Detector(header(24, 20), threshold=10, mode="exact")
         pixels = pixels_of(random_stream(24, 20, n, rng), 24)
         det.update(np.zeros((20, 24), np.uint8), pixels)
         assert det.test_count <= min(17 * n, 18 * 14)
     assert det.test_count == 18 * 14
+
+
+@pytest.mark.parametrize("mode", ["Exact", "", "full"])
+def test_unknown_mode_is_refused(mode):
+    with pytest.raises(ValueError, match="unknown detector mode"):
+        Detector(header(16, 16), 10, mode)
 
 
 def test_border_event_in_single_pixel_mode_is_free():
@@ -265,7 +272,7 @@ def bright_ring():
 
 
 def test_on_event_reports_feature_insertion_and_removal():
-    det = Detector(header(16, 16), threshold=10, retest_neighbors=True)
+    det = Detector(header(16, 16), threshold=10, mode="exact")
     image, ring = bright_ring()
     # the circle's pixels changed, and retesting the pixels whose ring
     # passes through them picked the dark center up
@@ -284,7 +291,7 @@ def test_on_event_reports_feature_insertion_and_removal():
 
 def test_apply_batch_reports_corners_freshly_inserted_within_it():
     # ``update`` returns the corners found while not in the set before it
-    det = Detector(header(16, 16), threshold=10, retest_neighbors=True)
+    det = Detector(header(16, 16), threshold=10, mode="exact")
     image, ring = bright_ring()
     fresh = det.update(image, ring)
     assert fresh.tolist() == sorted(y * 16 + x for x, y in det.features)
@@ -338,7 +345,7 @@ def test_apply_batch_equals_the_per_event_oracle(width, height, exact,
     # candidate's membership becomes ``is_feature`` of it, every other
     # pixel's stays, and the step returns exactly the fresh insertions
     rng = np.random.default_rng(seed)
-    det = Detector(header(width, height), threshold, retest_neighbors=exact)
+    det = Detector(header(width, height), threshold, MODES[exact])
     corners = set()
     for _, image, pixels in boundary_steps(rng, width, height, 5):
         rows = image.reshape(height, width)
@@ -364,7 +371,7 @@ def test_oracle_stream_reaches_the_cases_the_property_names():
     for width, height in ((14, 14), (9, 5)):
         rng = np.random.default_rng(7)
         for exact in (False, True):
-            det = Detector(header(width, height), 10, retest_neighbors=exact)
+            det = Detector(header(width, height), 10, MODES[exact])
             for kind, image, pixels in boundary_steps(rng, width, height, 40):
                 seen.add(kind)
                 seen.add(image.ndim)

@@ -13,8 +13,8 @@ from evc import (
     Transcoder,
     crf_params,
     starting_decimation,
-    transcode,
 )
+from evc.harness import transcode_clip
 from transcode_oracle import OracleGrid, PixelIntegrator
 
 LOSSLESS = ParamSet(0, 0, 1, 0)
@@ -127,7 +127,7 @@ def test_zero_frames_emit_single_empty_per_flush():
 
 def test_every_pixel_emits_after_constant_frame():
     hdr = header(5, 4)
-    events = transcode([np.full((4, 5), 17, dtype=np.uint8)], hdr)
+    events = transcode_clip(hdr, [np.full((4, 5), 17, dtype=np.uint8)])[0]
     assert set(zip(events["x"].tolist(), events["y"].tolist())) == \
         {(x, y) for x in range(5) for y in range(4)}
 
@@ -136,7 +136,7 @@ def test_per_pixel_timestamps_strictly_increase():
     rng = np.random.default_rng(5)
     frames = [rng.integers(0, 256, size=(6, 7), dtype=np.uint8) for _ in range(20)]
     for crf in (0, 3, 9):
-        events = transcode(frames, header(7, 6, crf=crf))
+        events = transcode_clip(header(7, 6, crf=crf), frames)[0]
         last = {}
         for x, y, _, t in events.tolist():
             assert t > last.get((x, y), 0)
@@ -147,7 +147,7 @@ def test_constant_run_accounting():
     for value in (1, 17, 48, 223, 255):
         hdr = header(1, 1)
         frames = [np.full((1, 1), value, dtype=np.uint8)] * 12
-        events = transcode(frames, hdr)
+        events = transcode_clip(hdr, frames)[0]
         emitted_units = sum(1 << d for d in events["d"].tolist())
         total = 12 * value
         d = value.bit_length() - 1
@@ -298,8 +298,8 @@ def test_transcode_deterministic():
     rng = np.random.default_rng(9)
     frames = [rng.integers(0, 256, size=(8, 9), dtype=np.uint8) for _ in range(12)]
     hdr = header(9, 8, crf=4)
-    a = transcode(frames, hdr)
-    b = transcode(frames, hdr)
+    a = transcode_clip(hdr, frames)[0]
+    b = transcode_clip(hdr, frames)[0]
     assert a.dtype == EVENT and len(a) > 0
     assert np.array_equal(a, b)
 
