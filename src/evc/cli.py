@@ -1,8 +1,8 @@
 """Command-line interface: transcode, compress, play, detect, bench, synth.
 
 Each subcommand wraps one pipeline stage so streams can be inspected and
-piped between tools; ``bench`` runs the full experiment grid (CRF sweep
-with feature adaptation off and on) and writes per-run metrics CSVs.
+piped between tools; ``bench`` runs the full experiment grid (a CRF
+sweep) and writes per-run metrics CSVs.
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ def cmd_transcode(args) -> int:
                               dt_ref=args.dt_ref, dt_max=args.dt_max,
                               fps=args.fps)
     frames, header = ingest(config)
-    detector = None
-    if args.features == "on":
-        detector = Detector(header, args.fast_threshold, args.mode)
-    events = transcode_clip(header, frames, detector)[0]
+    events = transcode_clip(header, frames)[0]
     out = args.out or f"{Path(args.input).stem}.adder"
     size = write_stream(out, header, events)
     print(f"{out}: {len(events)} events, {size} bytes "
@@ -163,15 +160,13 @@ def cmd_bench(args) -> int:
         frames = synth_clip(args.kind, *args.size, args.frames, args.seed)
         stem = args.kind
     out_dir = Path(args.out)
-    grid = [(crf, feat) for crf in BENCH_CRFS for feat in (False, True)]
     configs = [
         ExperimentConfig(
-            input=f"{stem}.y4m", crf=crf, feature_adaptation=feat,
-            dt_ref=args.dt_ref, dt_max=args.dt_max, dt_adu=args.dt_adu,
+            input=f"{stem}.y4m", crf=crf, dt_ref=args.dt_ref,
+            dt_max=args.dt_max, dt_adu=args.dt_adu,
             fast_threshold=args.fast_threshold, detector_mode=args.mode,
-            out_dir=str(out_dir / f"crf{crf}-feat-{'on' if feat else 'off'}"),
-            fps=fps)
-        for crf, feat in grid
+            out_dir=str(out_dir / f"crf{crf}"), fps=fps)
+        for crf in BENCH_CRFS
     ]
     with ProcessPoolExecutor(
             max_workers=worker_count(),
@@ -181,19 +176,17 @@ def cmd_bench(args) -> int:
     summary = out_dir / "bench.csv"
     with open(summary, "w", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(("crf", "features", "events", "compression_ratio",
+        writer.writerow(("crf", "events", "compression_ratio",
                          "mean_psnr_raw", "mean_psnr_comp",
                          "events_per_pixel_frame", "work_ratio"))
         for config, rep in results:
             writer.writerow((
-                config.crf, "on" if config.feature_adaptation else "off",
-                rep["events"], f"{rep['compression_ratio']:.3f}",
+                config.crf, rep["events"], f"{rep['compression_ratio']:.3f}",
                 f"{rep['mean_psnr_raw']:.2f}", f"{rep['mean_psnr_comp']:.2f}",
                 f"{rep['events_per_pixel_frame']:.4f}",
                 f"{rep['work_ratio']:.4f}"))
     for config, rep in results:
-        feat = "on " if config.feature_adaptation else "off"
-        print(f"crf {config.crf} features {feat}: "
+        print(f"crf {config.crf}: "
               f"ratio {rep['compression_ratio']:5.2f}  "
               f"psnr {rep['mean_psnr_raw']:6.2f}/{rep['mean_psnr_comp']:6.2f}  "
               f"work {rep['work_ratio']:.4f}")
@@ -238,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stream_flags(p)
     p.add_argument("--fps", type=float, default=30.0,
                    help="frame rate when the input cannot carry one")
-    p.add_argument("--features", choices=("on", "off"), default="off",
-                   help="feature-driven sensitivity adaptation")
-    _add_detect_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_transcode)
 
@@ -270,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="features CSV path")
     p.set_defaults(func=cmd_detect)
 
-    p = commands.add_parser("bench",
-                            help="full grid: crf x feature adaptation")
+    p = commands.add_parser("bench", help="full grid: a crf sweep")
     p.add_argument("input", nargs="?", default="",
                    help="clip path; omit to synthesize one")
     p.add_argument("--kind", choices=CLIP_KINDS, default="moving_box",

@@ -67,16 +67,6 @@ def event_array(x, y, d, t) -> np.ndarray:
     return out
 
 
-def display_value(d: int, dt: int, dt_ref: int) -> int:
-    """The displayed 8-bit value of an event: round(2**d * dt_ref / dt),
-    halves rounding up, clamped at 255; EMPTY shows 0.  Neither d nor dt
-    is checked here; callers validate them."""
-    if d == EMPTY:
-        return 0
-    value = ((2 << d) * dt_ref + dt) // (2 * dt)
-    return value if value < 255 else 255
-
-
 # 2**(d + 1) * dt_ref is capped at 2**42 in int64 arithmetic.  Any dt in
 # a u32 field is below 2**32, so a value past the cap is past 509 * dt,
 # where the rounded value reaches 255 and clamps; below it nothing wraps.
@@ -84,10 +74,12 @@ _SCALED_BITS = 42
 
 
 def display_values(d: np.ndarray, dt: np.ndarray, dt_ref: int) -> np.ndarray:
-    """``display_value`` over arrays, exactly, for dt of 1 to 2**32 - 1
-    and dt_ref below 2**32.  Taken naively in int64, (2 << d) * dt_ref
-    wraps silently, with no RuntimeWarning, from d = 30 on for the
-    largest dt_ref, so the scaled units are capped instead."""
+    """The displayed 8-bit value of each event: round(2**d * dt_ref / dt),
+    halves rounding up, clamped at 255; EMPTY shows 0.  Exact for dt of 1
+    to 2**32 - 1 and dt_ref below 2**32.  Taken naively in int64,
+    (2 << d) * dt_ref wraps silently, with no RuntimeWarning, from d = 30
+    on for the largest dt_ref, so the scaled units are capped instead.
+    Neither d nor dt is checked here; callers validate them."""
     shift = np.add(d, 1, dtype=np.int64)
     dt = np.asarray(dt, np.int64)
     room = _SCALED_BITS - int(dt_ref).bit_length()
@@ -110,36 +102,33 @@ def window_of(t, span: int):
 
 @dataclass(frozen=True, slots=True)
 class ParamSet:
-    """Transcoder sensitivity parameters selected by a quality preset.
+    """Transcoder contrast-threshold parameters selected by a quality preset.
 
     m_base is the contrast threshold a pixel starts a run with, m_max the
     ceiling it may grow to, and m_v the number of stable reference intervals
-    per +1 growth step.  feature_radius is the Chebyshev radius used when a
-    detected feature locks nearby pixels back to m_base.
+    per +1 growth step.
     """
 
     m_base: int
     m_max: int
     m_v: int
-    feature_radius: int
 
 
 # Quality presets 0..9.  0 is lossless (threshold pinned at zero); higher
 # presets trade reconstruction quality for fewer events.  m_base/m_max grow
 # monotonically while m_v shrinks, so coarse presets both allow and reach
-# larger thresholds; feature_radius shrinks (preset 0 never adapts, so its
-# radius is irrelevant and kept at 0).
+# larger thresholds.
 CRF_PARAMS: tuple[ParamSet, ...] = (
-    ParamSet(0, 0, 1, 0),
-    ParamSet(1, 3, 4, 8),
-    ParamSet(2, 4, 4, 6),
-    ParamSet(3, 6, 3, 4),
-    ParamSet(4, 8, 3, 3),
-    ParamSet(5, 11, 3, 3),
-    ParamSet(6, 14, 2, 2),
-    ParamSet(8, 18, 2, 2),
-    ParamSet(11, 23, 2, 1),
-    ParamSet(14, 29, 1, 1),
+    ParamSet(0, 0, 1),
+    ParamSet(1, 3, 4),
+    ParamSet(2, 4, 4),
+    ParamSet(3, 6, 3),
+    ParamSet(4, 8, 3),
+    ParamSet(5, 11, 3),
+    ParamSet(6, 14, 2),
+    ParamSet(8, 18, 2),
+    ParamSet(11, 23, 2),
+    ParamSet(14, 29, 1),
 )
 
 

@@ -14,13 +14,10 @@ of them, which keeps the set equal to a full scan of the boundary image.
 ``Detector.update`` tests each distinct candidate of a frame once, in one
 numpy step: a 4-compass screen, then the full arc test (``ring_corners``)
 where two compass points are bright or two dark.  It returns the corners
-it freshly inserted.  In the transcode loop the image is the transcoder's
-run-opening values, the candidates the pixels whose runs opened in the
-frame, and ``harness.transcode_clip`` turns the fresh corners into a
-sensitivity boost, closing the loop between detection and event
-generation.  Offline, ``detect_at_boundaries`` runs a detector over a
-stream's reconstructed boundary images, each frame's candidates the
-pixels of its events, found with one scatter over the stream.
+it freshly inserted, the detector's asynchronous output.
+``detect_at_boundaries`` runs a detector over a stream's reconstructed
+boundary images, each frame's candidates the pixels of its events, found
+with one scatter over the stream.
 """
 
 from __future__ import annotations

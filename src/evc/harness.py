@@ -73,7 +73,13 @@ def _stage(name: str):
 
 @dataclass(slots=True)
 class ExperimentConfig:
-    """One pipeline run: input clip, quality level, and knobs."""
+    """One pipeline run: input clip, quality level, and knobs.
+
+    ``feature_adaptation`` is accepted and has no effect.  Content
+    adaptation is gone, since at equal bits it did no better than a lower
+    CRF, but the benchmark still sets the field; the benchmark change of
+    ROADMAP item 3 removes it.
+    """
 
     input: str = ""
     crf: int = 3
@@ -171,14 +177,21 @@ def ingest_y4m(path) -> tuple[list[np.ndarray], float]:
 
 def write_y4m(path, frames, fps: float = 30.0) -> None:
     """Write grayscale frames, a (count, height, width) stack or a list
-    of equal images, as a mono YUV4MPEG2 file in one write."""
+    of equal images, as a mono YUV4MPEG2 file in one write.  A frame rate
+    that the header's ``F`` ratio cannot carry raises StreamFormatError
+    and writes nothing."""
+    if not math.isfinite(fps):
+        raise StreamFormatError(f"frame rate {fps} is not finite")
+    rate = Fraction(fps).limit_denominator(65535)
+    if rate <= 0:
+        raise StreamFormatError(f"frame rate {fps} does not round to a "
+                                "positive F ratio over at most 65535")
     frames = np.asarray(frames, np.uint8)
     count, height, width = frames.shape
     # every frame is its marker, then its plane
     body = np.empty((count, 6 + height * width), np.uint8)
     body[:, :6] = np.frombuffer(b"FRAME\n", np.uint8)
     body[:, 6:] = frames.reshape(count, -1)
-    rate = Fraction(fps).limit_denominator(65535)
     with open(path, "wb") as fp:
         fp.write(f"YUV4MPEG2 W{width} H{height} "
                  f"F{rate.numerator}:{rate.denominator} Ip A1:1 Cmono\n"
@@ -335,45 +348,20 @@ def ingest(config: ExperimentConfig,
     return frames, header
 
 
-def transcode_clip(header: StreamHeader, frames,
-                   detector: Detector | None = None):
+def transcode_clip(header: StreamHeader, frames):
     """Transcode the frames under ``header``, whose CRF picks the
-    transcoder's parameters; a ``detector`` steers sensitivity from inside
-    the loop.
+    transcoder's parameters.
 
-    After each frame, the detector takes the transcoder's run-opening
-    values ``i0`` as its image, and the pixels whose runs opened in the
-    frame (the pixels that got new events) as the changed ones.  Every
-    corner it freshly inserts pins the pixels within ``feature_radius`` of
-    it to their base threshold for the frames that follow, all of a
-    frame's corners in one step.  A corner that persists does not re-arm
-    the boost, and removals trigger nothing.  The final flush opens no
-    run, so the detector does not see it.
-
-    Returns (events, per-frame event counts, detector counts): an event
-    counts on the frame that emitted it, the final flush on the last one.
-    Detector counts are None without a detector, else the per-frame
-    corner tests and corner-set sizes.
+    Returns (events, per-frame event counts): an event counts on the frame
+    that emitted it, the final flush on the last one.
     """
     transcoder = Transcoder(header)
-    radius = transcoder.params.feature_radius
-    chunks, tests, features = [], [], []
-    for frame in frames:
-        chunks.append(transcoder.integrate_frame(frame))
-        if detector is not None:
-            seen = detector.test_count
-            fresh = detector.update(transcoder.i0, transcoder.opening)
-            if fresh.size:
-                y, x = np.divmod(fresh, header.width)
-                transcoder.set_sensitivity(x, y, radius)
-            tests.append(detector.test_count - seen)
-            features.append(int(detector.corners.sum()))
+    chunks = [transcoder.integrate_frame(frame) for frame in frames]
     tail = transcoder.flush_all()
     events = np.concatenate(chunks + [tail])
     frame_events = [len(c) for c in chunks]
     frame_events[-1] += len(tail)
-    counts = None if detector is None else (tests, features)
-    return events, frame_events, counts
+    return events, frame_events
 
 
 def compress_stream(path, header: StreamHeader, events, dt_adu=None):
@@ -392,10 +380,8 @@ def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
 
     Frames may be passed in-memory (synthetic runs); otherwise they load
     from ``config.input``.  The same config and input always produce
-    byte-identical artifacts.  With feature adaptation on, the detector
-    rides inside the transcode loop and steers pixel sensitivity; with it
-    off, it runs over the raw stream's boundary reconstructions, so the
-    work metrics still fill.
+    byte-identical artifacts.  The detector runs over the raw stream's
+    boundary reconstructions and fills the work metrics.
     """
     with _stage("ingest"):
         frames, header = ingest(config, frames)
@@ -404,8 +390,7 @@ def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
     n_frames = len(frames)
 
     with _stage("transcode"):
-        events, frame_events, counts = transcode_clip(
-            header, frames, detector if config.feature_adaptation else None)
+        events, frame_events = transcode_clip(header, frames)
 
     paths = _artifact_paths(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -431,15 +416,12 @@ def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
                                  for mses in (mses_raw, mses_comp))
 
     with _stage("detect"):
-        if counts is None:
-            tests, features, seen = [], [], 0
-            for _ in detect_at_boundaries(detector, events, recon_raw,
-                                          header.dt_ref):
-                tests.append(detector.test_count - seen)
-                seen = detector.test_count
-                features.append(int(detector.corners.sum()))
-        else:
-            tests, features = counts
+        tests, features, seen = [], [], 0
+        for _ in detect_at_boundaries(detector, events, recon_raw,
+                                      header.dt_ref):
+            tests.append(detector.test_count - seen)
+            seen = detector.test_count
+            features.append(int(detector.corners.sum()))
 
     with _stage("metrics"):
         comp_bits = [0.0] * n_frames

@@ -87,10 +87,6 @@ def psnr_from_mse(err: float) -> float:
     return min(PSNR_CAP, 10.0 * math.log10(255.0 * 255.0 / err))
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    return psnr_from_mse(mse(a, b))
-
-
 def reconstruct_at_boundaries(events: np.ndarray, header: StreamHeader,
                               n_frames: int) -> np.ndarray:
     """The image at the end of each of ``n_frames`` frame spans, as one

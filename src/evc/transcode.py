@@ -34,14 +34,10 @@ on elsewhere:
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .events import (EMPTY, EVENT, ParamSet, StreamHeader, crf_params,
                      event_array)
-
-log = logging.getLogger(__name__)
 
 
 def _bit_length(values):
@@ -68,23 +64,21 @@ class Transcoder:
     """Grayscale frame-sequence transcoder with each pixel's state in flat,
     row-major numpy arrays.
 
-    Per pixel: ``opened``, the run's opening value ``i0`` and decimation
-    ``d``, the integrated ``units`` and the crossings ``fired``, the
-    threshold ``m_cur`` growing towards ``m_tgt`` every ``m_v`` ``stable``
-    frames, the sensitivity override's end ``override_until`` (-1 when
-    none) and the tick of the last emitted event ``t_emit``.  The run's
-    queue is ``has_first``/``first_t``, the crossing ``count`` after the
-    first, the ``last_tick`` of the latest crossing and ``levels``, the
-    tick of each counter bit (grown in width as counts need more bits).
-    ``opening`` holds the row-major indices of the pixels whose runs the
-    last frame opened, that is, the pixels whose ``i0`` it set.
+    Per pixel: the run's opening value ``i0`` and decimation ``d``, the
+    integrated ``units`` and the crossings ``fired``, the threshold
+    ``m_cur`` growing towards ``m_max`` every ``m_v`` ``stable`` frames,
+    and the tick of the last emitted event ``t_emit``.  The run's queue is
+    ``first_t``, the tick of its first crossing, the ``last_tick`` of the
+    latest one and ``levels``, the tick of each counter bit (grown in width
+    as counts need more bits); the counter holds ``fired - 1``.  Runs are
+    ``opened`` all at once: every pixel opens one on the first frame, and
+    ``flush_all`` closes them all.
 
     A frame, the events of the runs it ends included, is a few vector
     steps over all pixels.  A frame's events come in row-major pixel
     order; each pixel gives its closing events (the queue in order, or a
     dark run's closing marker), then the marker opening its new run if it
-    needs one.  A caller may call set_sensitivity between frames to steer
-    later ones.
+    needs one.
     """
 
     def __init__(self, header: StreamHeader, params: ParamSet | None = None):
@@ -94,15 +88,12 @@ class Transcoder:
         self.width = header.width
         self.height = header.height
         self.now = 0
+        self.opened = False
         n = self.width * self.height
-        self.opened, self.has_first = np.zeros((2, n), bool)
         (self.i0, self.d, self.units, self.fired, self.stable, self.t_emit,
-         self.first_t, self.count, self.last_tick) = np.zeros((9, n), np.int64)
+         self.first_t, self.last_tick) = np.zeros((8, n), np.int64)
         self.m_cur = np.full(n, self.params.m_base, np.int64)
-        self.m_tgt = np.full(n, self.params.m_max, np.int64)
-        self.override_until = np.full(n, -1, np.int64)
         self.levels = np.zeros((n, 8), np.int64)
-        self.opening = np.empty(0, np.int64)
 
     def integrate_frame(self, frame) -> np.ndarray:
         """Advance every pixel by one frame (dt_ref ticks) of ``frame``,
@@ -116,39 +107,29 @@ class Transcoder:
         start = self.now
         self.now = start + self.header.dt_ref
 
-        expired = (self.override_until >= 0) & (start >= self.override_until)
-        self.override_until[expired] = -1
-        self.m_tgt[expired] = p.m_max
-
-        violated = self.opened & (np.abs(v - self.i0) > self.m_cur)
-        closing = np.flatnonzero(violated)
+        stays = self.opened & (np.abs(v - self.i0) <= self.m_cur)
+        opening = np.flatnonzero(~stays)
+        closing = opening if self.opened else opening[:0]
         emitted = self._close_runs(closing, start, v[closing])
 
-        stays = self.opened & ~violated
         self.stable[stays] += 1
         grows = stays & (self.stable >= p.m_v)
         self.stable[grows] = 0
-        self.m_cur[grows & (self.m_cur < self.m_tgt)] += 1
+        self.m_cur[grows & (self.m_cur < p.m_max)] += 1
 
-        opening = self.opening = np.flatnonzero(~stays)
         if opening.size:
-            self._open(opening, v[opening], start)
+            self._open(opening, v[opening])
         self._integrate(v, start)
         return emitted
 
-    def _open(self, idx, values, at: int) -> None:
-        p = self.params
-        self.opened[idx] = True
+    def _open(self, idx, values) -> None:
+        self.opened = True
         self.i0[idx] = values
         # dark runs keep d = 0
         self.d[idx] = starting_decimation(np.maximum(values, 1))
         self.units[idx] = 0
         self.fired[idx] = 0
-        self.has_first[idx] = False
-        self.count[idx] = 0
-        self.m_cur[idx] = p.m_base
-        self.m_tgt[idx] = np.where(at < self.override_until[idx],
-                                   p.m_base, p.m_max)
+        self.m_cur[idx] = self.params.m_base
         self.stable[idx] = 0
 
     def _integrate(self, v, start: int) -> None:
@@ -164,25 +145,23 @@ class Transcoder:
             idx = active[n_new > k]
             value = v[idx]
             u0 = self.units[idx] - value
-            needed = ((self.fired[idx] + 1 + k) << self.d[idx]) - u0
+            earlier = self.fired[idx] + k
+            needed = ((earlier + 1) << self.d[idx]) - u0
             tick = start + (2 * span * needed + value) // (2 * value)
-            has_first = self.has_first[idx]
+            has_first = earlier > 0
             prev_t = np.where(has_first, self.last_tick[idx], start)
             tick = np.maximum(tick, prev_t + 1)
             self.last_tick[idx] = tick
-            first = idx[~has_first]
-            self.first_t[first] = tick[~has_first]
-            self.has_first[first] = True
-            # Binary increment: the new entry lands at the lowest clear bit
-            # of the count, having merged every entry below it.
-            rest = idx[has_first]
-            count = self.count[rest]
-            level = _bit_length((count + 1) & ~count) - 1
+            self.first_t[idx[~has_first]] = tick[~has_first]
+            # Binary increment: the counter goes from earlier - 1 to
+            # earlier, so the new entry lands at the lowest set bit of
+            # earlier, having merged every entry below it.
+            rest = earlier[has_first]
+            level = _bit_length(rest & -rest) - 1
             if level.size and level.max() >= self.levels.shape[1]:
                 self.levels = np.pad(self.levels,
                                      ((0, 0), (0, self.levels.shape[1])))
-            self.levels[rest, level] = tick[has_first]
-            self.count[rest] = count + 1
+            self.levels[idx[has_first], level] = tick[has_first]
         self.fired += crossings
 
     def _close_runs(self, idx, at: int, values=None) -> np.ndarray:
@@ -198,7 +177,8 @@ class Transcoder:
         if not idx.size:
             return np.empty(0, EVENT)
         t_emit = self.t_emit[idx]
-        has_first = self.has_first[idx]
+        fired = self.fired[idx]
+        has_first = fired > 0
         dark = self.i0[idx] == 0
         # Zero-span markers yield to whatever else fired at the same tick.
         dark_t = np.maximum(at, t_emit + 1)
@@ -222,45 +202,15 @@ class Transcoder:
                                    np.full(len(idx), EMPTY)))
         slots_t = np.column_stack((np.where(dark, dark_t, self.first_t[idx]),
                                    self.levels[idx][:, ::-1], t_emit))
-        bits = (self.count[idx][:, None] >> high_first) & 1 == 1
+        count = np.maximum(fired - 1, 0)
+        bits = (count[:, None] >> high_first) & 1 == 1
         present = np.column_stack((dark | has_first, bits, marks))
         y, x = np.divmod(idx[np.nonzero(present)[0]], self.width)
         return event_array(x, y, slots_d[present], slots_t[present])
 
     def flush_all(self) -> np.ndarray:
         """End every open run at the current clock and emit its queue."""
-        idx = np.flatnonzero(self.opened)
+        idx = np.arange(self.width * self.height if self.opened else 0)
         emitted = self._close_runs(idx, self.now)
-        self.opened[idx] = False
+        self.opened = False
         return emitted
-
-    def set_sensitivity(self, x, y, radius: int,
-                        duration: int | None = None) -> None:
-        """Pin the pixels within a Chebyshev ``radius`` of each center
-        (``x``, ``y``) to their base threshold for ``duration`` ticks
-        (default ``2 * dt_max``).  ``x`` and ``y`` are ints or equal-length
-        integer arrays; one call over many centers equals one call per
-        center.  A center outside the grid is ignored, with a warning."""
-        x, y = (np.atleast_1d(np.asarray(c, np.int64)) for c in (x, y))
-        inside = (0 <= x) & (x < self.width) & (0 <= y) & (y < self.height)
-        for cx, cy in zip(x[~inside].tolist(), y[~inside].tolist()):
-            log.warning("sensitivity center (%d, %d) outside %dx%d grid; "
-                        "ignored", cx, cy, self.width, self.height)
-        if not inside.any():
-            return
-        if duration is None:
-            duration = 2 * self.header.dt_max
-        # the centers' mask, dilated one axis at a time: a pixel is pinned
-        # when a center lies within ``radius`` of it along both axes
-        pinned = np.zeros((self.height, self.width), bool)
-        pinned[y[inside], x[inside]] = True
-        for _ in range(2):
-            grown = pinned.copy()
-            for step in range(1, radius + 1):
-                grown[step:] |= pinned[:-step]
-                grown[:-step] |= pinned[step:]
-            pinned = grown.T
-        pinned = pinned.reshape(-1)
-        self.m_cur[pinned] = self.params.m_base
-        self.m_tgt[pinned] = self.params.m_base
-        self.override_until[pinned] = self.now + duration

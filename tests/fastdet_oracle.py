@@ -1,5 +1,9 @@
 """References for ``evc.reconstruct`` and ``evc.fastdet``.
 
+``display_value`` is the scalar displayed value of one event, which
+``evc.events.display_values`` takes over arrays, and ``psnr`` the PSNR of
+two images from ``evc.reconstruct.mse``.
+
 ``Reconstructor.apply_event`` applies one event at a time, checking it
 as it goes.  ``reconstruct_at_boundaries`` replays a stream through it
 in tick order, one event at a time, the semantics the one-pass
@@ -15,8 +19,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from evc.events import EMPTY, D_MAX, StreamHeader, display_value
+from evc.events import EMPTY, D_MAX, StreamHeader
 from evc.fastdet import DEFAULT_STREAK, RING
+from evc.reconstruct import mse, psnr_from_mse
+
+
+def display_value(d: int, dt: int, dt_ref: int) -> int:
+    """The displayed 8-bit value of an event: round(2**d * dt_ref / dt),
+    halves rounding up, clamped at 255; EMPTY shows 0."""
+    if d == EMPTY:
+        return 0
+    value = ((2 << d) * dt_ref + dt) // (2 * dt)
+    return value if value < 255 else 255
+
+
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """PSNR of two 8-bit images, capped at ``evc.reconstruct.PSNR_CAP``."""
+    return psnr_from_mse(mse(a, b))
 
 
 class Reconstructor:

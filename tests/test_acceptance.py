@@ -22,7 +22,6 @@ from evc import (
     StreamFormatError,
     StreamHeader,
     decode_adu,
-    psnr,
     read_compressed,
     read_stream,
     reconstruct_at_boundaries,
@@ -31,6 +30,7 @@ from evc import (
 )
 from evc.events import HEADER_SIZE
 from evc.harness import transcode_clip
+from fastdet_oracle import psnr
 
 DT_REF = 255
 

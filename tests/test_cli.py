@@ -37,10 +37,11 @@ def test_bench_runs_the_grid_on_worker_processes(tmp_path, monkeypatch):
                  "--frames", "4", "--out", str(out)]) == 0
     with open(out / "bench.csv", newline="") as fp:
         rows = list(csv.DictReader(fp))
-    assert [(r["crf"], r["features"]) for r in rows] == [
-        (str(crf), feat) for crf in (0, 3, 6, 9) for feat in ("off", "on")]
+    assert [r["crf"] for r in rows] == ["0", "3", "6", "9"]
+    assert "features" not in rows[0]
     assert all(int(r["events"]) > 0 for r in rows)
-    assert (out / "crf0-feat-off" / "walk.adderc").is_file()
+    assert all((out / f"crf{crf}" / "walk.adderc").is_file()
+               for crf in (0, 3, 6, 9))
 
 
 def pipeline_stream(tmp_path, pos=None, value=None):
@@ -115,20 +116,16 @@ def test_compress_then_decompress_gives_back_the_raw_events(tmp_path):
 def test_transcode_writes_the_pipelines_raw_stream(tmp_path):
     clip = tmp_path / "clip.y4m"
     write_y4m(clip, synth_clip("walk", 24, 16, 12, seed=3), fps=25.0)
-    streams = {}
-    for features, mode in (("off", "paper"), ("on", "exact")):
-        out = tmp_path / f"{features}.adder"
-        assert main(["transcode", str(clip), "--crf", "9", "--features",
-                     features, "--mode", mode, "--dt-max", "2550",
-                     "--out", str(out)]) == 0
-        config = ExperimentConfig(
-            input=str(clip), crf=9, feature_adaptation=features == "on",
-            dt_max=2550, detector_mode=mode, out_dir=str(tmp_path / features))
-        result = run_pipeline(config)
-        streams[features] = out.read_bytes()
-        assert streams[features] == Path(result.paths["raw"]).read_bytes()
-    # the detector steered the transcoder
-    assert streams["on"] != streams["off"]
+    out = tmp_path / "clip.adder"
+    assert main(["transcode", str(clip), "--crf", "9", "--dt-max", "2550",
+                 "--out", str(out)]) == 0
+    config = ExperimentConfig(input=str(clip), crf=9, dt_max=2550,
+                              out_dir=str(tmp_path / "pipeline"))
+    result = run_pipeline(config)
+    assert out.read_bytes() == Path(result.paths["raw"]).read_bytes()
+    # content adaptation and its flag are gone
+    with pytest.raises(SystemExit):
+        main(["transcode", str(clip), "--features", "on"])
 
 
 @pytest.mark.parametrize("kind", ["raw", "compressed"])
@@ -240,6 +237,26 @@ def test_frame_rate_outside_the_header_fails_cleanly(tmp_path, capsys, fps):
     assert main(["transcode", str(clip), f"--fps={fps}",
                  "--out", str(out)]) == 1
     assert f"error: {BAD_FRAME_RATES[fps]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each frame rate that a .y4m header's F ratio cannot carry, with the
+# error it gives; these once wrote F0:1 or F-5:1, which transcode then
+# refused, or ended in an OverflowError traceback
+UNWRITABLE_FRAME_RATES = {
+    "0": "frame rate 0.0 does not round to a positive F ratio",
+    "1e-6": "frame rate 1e-06 does not round to a positive F ratio",
+    "-5": "frame rate -5.0 does not round to a positive F ratio",
+    "inf": "frame rate inf is not finite",
+}
+
+
+@pytest.mark.parametrize("fps", list(UNWRITABLE_FRAME_RATES))
+def test_synth_refuses_a_rate_no_header_can_carry(tmp_path, capsys, fps):
+    out = tmp_path / "static.y4m"
+    assert main(["synth", "static", "--size", "8x8", "--frames", "2",
+                 f"--fps={fps}", "--out", str(out)]) == 1
+    assert f"error: {UNWRITABLE_FRAME_RATES[fps]}" in capsys.readouterr().err
     assert not out.exists()
 
 

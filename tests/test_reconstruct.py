@@ -11,12 +11,12 @@ from evc import (
     PSNR_CAP,
     StreamHeader,
     mse,
-    psnr,
     reconstruct_at_boundaries,
     synth_clip,
 )
-from evc.events import D_MAX, display_value
+from evc.events import D_MAX
 from evc.harness import transcode_clip
+from fastdet_oracle import display_value, psnr
 from fastdet_oracle import reconstruct_at_boundaries as replay_per_event
 
 

@@ -17,7 +17,7 @@ from evc import (
 from evc.harness import transcode_clip
 from transcode_oracle import OracleGrid, PixelIntegrator
 
-LOSSLESS = ParamSet(0, 0, 1, 0)
+LOSSLESS = ParamSet(0, 0, 1)
 
 
 def header(w, h, dt_ref=255, dt_max=7650, crf=0):
@@ -99,7 +99,7 @@ def test_starting_decimation_values():
 
 
 def test_stability_raises_final_decimation():
-    px = PixelIntegrator(ParamSet(3, 3, 1, 0), dt_ref=255)
+    px = PixelIntegrator(ParamSet(3, 3, 1), dt_ref=255)
     for f in [223, 220, 220, 220]:
         assert px.integrate(f) is None
     assert px.d == 7  # floor(log2(223))
@@ -159,7 +159,7 @@ def test_first_event_fires_inside_opening_span():
     rng = random.Random(21)
     for _ in range(80):
         dt_ref = rng.choice([64, 255, 510])
-        params = ParamSet(rng.randrange(0, 6), rng.randrange(6, 25), rng.randrange(1, 6), 0)
+        params = ParamSet(rng.randrange(0, 6), rng.randrange(6, 25), rng.randrange(1, 6))
         px = PixelIntegrator(params, dt_ref)
         for _ in range(40):
             px.integrate(rng.randrange(0, 256))
@@ -179,7 +179,7 @@ def test_lossless_flushes_on_any_change():
 
 
 def test_threshold_growth_step_count():
-    params = ParamSet(1, 9, 3, 0)
+    params = ParamSet(1, 9, 3)
     px = PixelIntegrator(params, 255)
     px.integrate(100)
     assert px.m_cur == 1
@@ -189,109 +189,13 @@ def test_threshold_growth_step_count():
 
 
 def test_growth_counts_reset_on_new_run():
-    params = ParamSet(0, 5, 2, 0)
+    params = ParamSet(0, 5, 2)
     px = PixelIntegrator(params, 255)
     for _ in range(5):
         px.integrate(80)
     assert px.m_cur == 2
     px.integrate(200)  # violation opens a fresh run at m_base
     assert px.m_cur == 0
-
-
-def test_set_sensitivity_changes_next_comparison():
-    hdr = header(1, 1, crf=0)
-    coder = Transcoder(hdr, ParamSet(0, 4, 1, 0))
-    coder.integrate_frame([[100]])
-    for _ in range(4):
-        coder.integrate_frame([[100]])
-    assert coder.m_cur[0] == 4
-    assert len(coder.integrate_frame([[103]])) == 0  # absorbed by grown threshold
-    coder.set_sensitivity(0, 0, 0)
-    assert coder.m_cur[0] == 0
-    out = coder.integrate_frame([[103]])  # same deviation now violates
-    assert len(out) >= 1
-
-
-def test_set_sensitivity_respects_radius_and_bounds():
-    hdr = header(5, 5, crf=9)
-    coder = Transcoder(hdr)
-    frame = np.full((5, 5), 50, dtype=np.uint8)
-    coder.integrate_frame(frame)
-    for _ in range(8):
-        coder.integrate_frame(frame)
-    grown = coder.m_cur[0]
-    assert grown > coder.params.m_base
-    coder.set_sensitivity(2, 2, 1, duration=10 * 255)
-    for y in range(5):
-        for x in range(5):
-            i = y * 5 + x
-            if max(abs(x - 2), abs(y - 2)) <= 1:
-                assert coder.m_cur[i] == coder.params.m_base
-                assert coder.m_tgt[i] == coder.params.m_base
-                assert coder.override_until[i] == coder.now + 10 * 255
-            else:
-                assert coder.m_cur[i] == grown
-                assert coder.override_until[i] == -1
-    coder.set_sensitivity(99, 99, 3)  # out of bounds: no-op with a warning
-
-
-def boxed(coder, centers, radius, duration):
-    """The pinned thresholds and override ends after one box assignment
-    per center, the scalar rule of ``set_sensitivity``."""
-    shape = (coder.height, coder.width)
-    m_cur, m_tgt, until = (a.reshape(shape).copy() for a in
-                           (coder.m_cur, coder.m_tgt, coder.override_until))
-    if duration is None:
-        duration = 2 * coder.header.dt_max
-    for x, y in centers:
-        if 0 <= x < coder.width and 0 <= y < coder.height:
-            box = (slice(max(0, y - radius), y + radius + 1),
-                   slice(max(0, x - radius), x + radius + 1))
-            m_cur[box] = m_tgt[box] = coder.params.m_base
-            until[box] = coder.now + duration
-    return m_cur.ravel(), m_tgt.ravel(), until.ravel()
-
-
-@settings(max_examples=200, deadline=None)
-@given(width=st.integers(1, 9), height=st.integers(1, 9),
-       centers=st.lists(st.tuples(st.integers(-4, 12), st.integers(-4, 12)),
-                        max_size=12),
-       radius=st.integers(0, 3), duration=st.none() | st.integers(0, 3000),
-       warmup=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
-def test_one_boost_over_many_centers_equals_one_call_per_center(
-        width, height, centers, radius, duration, warmup, seed):
-    # centers inside, on and beyond the borders, repeated or none; the
-    # thresholds have grown unevenly over a few frames before the boost
-    rng = np.random.default_rng(seed)
-    hdr = header(width, height, crf=9)
-    one, many = Transcoder(hdr), Transcoder(hdr)
-    for _ in range(warmup):
-        frame = rng.choice((50, 52, 90), (height, width))
-        one.integrate_frame(frame)
-        many.integrate_frame(frame)
-    want = boxed(one, centers, radius, duration)
-    for x, y in centers:
-        one.set_sensitivity(x, y, radius, duration)
-    xs = np.array([x for x, _ in centers], np.int64)
-    ys = np.array([y for _, y in centers], np.int64)
-    many.set_sensitivity(xs, ys, radius, duration)
-    for coder in (one, many):
-        got = (coder.m_cur, coder.m_tgt, coder.override_until)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_sensitivity_override_expires():
-    params = ParamSet(1, 8, 1, 0)
-    px = PixelIntegrator(params, 255)
-    px.integrate(100)
-    px.sensitize(2 * 255)
-    px.integrate(100)
-    assert px.m_tgt == 1 and px.m_cur == 1
-    px.integrate(100)  # still inside the override window
-    assert px.m_tgt == 1
-    px.integrate(100)  # window expired; target reverts and growth resumes
-    assert px.m_tgt == 8
-    assert px.m_cur == 2
 
 
 def test_transcode_deterministic():
@@ -321,7 +225,7 @@ def test_emission_order_is_row_major():
 def test_single_pixel_transcoder_matches_integrator():
     rng = random.Random(77)
     for trial in range(20):
-        params = ParamSet(rng.randrange(0, 4), rng.randrange(4, 20), rng.randrange(1, 5), 0)
+        params = ParamSet(rng.randrange(0, 4), rng.randrange(4, 20), rng.randrange(1, 5))
         values = [rng.randrange(0, 256) for _ in range(30)]
         hdr = header(1, 1, crf=0)
         coder = Transcoder(hdr, params)
@@ -359,7 +263,7 @@ def test_frame_of_the_wrong_shape_raises_value_error():
 
 def run_both(hdr, params, steps):
     """Drive the array transcoder and the oracle grid through ``steps``
-    (frames, sensitivity calls and flushes) and return both event logs."""
+    (frames and flushes) and return both event logs."""
     coder = Transcoder(hdr, params)
     oracle = OracleGrid(hdr, params if params is not None else crf_params(hdr.crf))
     got, want = [], []
@@ -367,9 +271,6 @@ def run_both(hdr, params, steps):
         if step[0] == "frame":
             got.append(coder.integrate_frame(step[1]).tolist())
             want.append(oracle.integrate_frame(step[1]))
-        elif step[0] == "sense":
-            coder.set_sensitivity(*step[1:])
-            oracle.set_sensitivity(*step[1:])
         else:
             got.append(coder.flush_all().tolist())
             want.append(oracle.flush_all())
@@ -390,18 +291,14 @@ def transcoder_runs(draw):
     if draw(st.booleans()):
         m_base = draw(st.integers(0, 12))
         params = ParamSet(m_base, m_base + draw(st.integers(0, 20)),
-                          draw(st.integers(1, 5)), draw(st.integers(0, 3)))
+                          draw(st.integers(1, 5)))
     value = st.sampled_from([0, 1, 255]) | st.integers(0, 255)
     grid = st.lists(st.lists(value, min_size=width, max_size=width),
                     min_size=height, max_size=height)
     flat = value.map(lambda v: [[v] * width for _ in range(height)])
-    sense = st.tuples(st.just("sense"), st.integers(-1, width),
-                      st.integers(-1, height), st.integers(0, 2),
-                      st.none() | st.integers(0, 6 * dt_ref))
     frame = st.tuples(st.just("frame"), grid | flat)
     repeat = st.tuples(frame, st.integers(1, 12)).map(lambda fr: [fr[0]] * fr[1])
-    step = (frame.map(lambda f: [f]) | repeat
-            | sense.map(lambda s: [s]) | st.just([("flush",)]))
+    step = frame.map(lambda f: [f]) | repeat | st.just([("flush",)])
     steps = [s for chunk in draw(st.lists(step, max_size=16)) for s in chunk]
     return hdr, params, steps
 
@@ -422,7 +319,7 @@ def test_long_constant_run_grows_the_level_table():
     start_width = coder.levels.shape[1]
     for _ in range(1100):
         coder.integrate_frame(frame)
-    assert coder.count.max() >= 1 << 10
+    assert coder.fired.max() > 1 << 10
     assert coder.levels.shape[1] > start_width
     steps = [("frame", frame)] * 140 + [("flush",)] + [("frame", frame)] * 1100
     got, want = run_both(hdr, None, steps)

@@ -3,7 +3,7 @@
 ``PixelIntegrator`` is the per-pixel integrator the array transcoder
 replaces, kept as the oracle it must equal event for event.
 ``OracleGrid`` drives a row-major grid of them with the transcoder's
-frame, flush and sensitivity interface.
+frame and flush interface.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class PixelIntegrator:
     __slots__ = (
         "m_base", "m_max", "m_v", "dt_ref", "now", "opened",
         "i0", "d", "units", "fired", "queue", "run_start",
-        "m_cur", "m_tgt", "stable", "override_until", "t_emit",
+        "m_cur", "stable", "t_emit",
     )
 
     def __init__(self, params: ParamSet, dt_ref: int):
@@ -44,9 +44,7 @@ class PixelIntegrator:
         self.queue: list[tuple[int, int]] = []
         self.run_start = 0
         self.m_cur = params.m_base
-        self.m_tgt = params.m_max
         self.stable = 0
-        self.override_until = -1
         self.t_emit = 0
 
     def _open(self, value: int, at: int) -> None:
@@ -58,7 +56,6 @@ class PixelIntegrator:
         self.queue = []
         self.run_start = at
         self.m_cur = self.m_base
-        self.m_tgt = self.m_base if at < self.override_until else self.m_max
         self.stable = 0
 
     def _marker(self, at: int) -> tuple[int, int]:
@@ -87,9 +84,6 @@ class PixelIntegrator:
         span = self.dt_ref
         start = self.now
         self.now = start + span
-        if self.override_until >= 0 and start >= self.override_until:
-            self.override_until = -1
-            self.m_tgt = self.m_max
         emitted = None
         if not self.opened:
             self._open(value, start)
@@ -109,7 +103,7 @@ class PixelIntegrator:
             self.stable += 1
             if self.stable >= self.m_v:
                 self.stable = 0
-                if self.m_cur < self.m_tgt:
+                if self.m_cur < self.m_max:
                     self.m_cur += 1
         if value > 0 and self.i0 > 0:
             u0 = self.units
@@ -141,20 +135,13 @@ class PixelIntegrator:
         self.opened = False
         return out
 
-    def sensitize(self, duration: int) -> None:
-        """Pin the contrast threshold at m_base for ``duration`` ticks."""
-        self.m_cur = self.m_base
-        self.m_tgt = self.m_base
-        self.override_until = self.now + duration
-
 
 class OracleGrid:
     """A row-major grid of ``PixelIntegrator``s behind the transcoder's
-    ``integrate_frame``/``flush_all``/``set_sensitivity`` interface; its
-    events are ``(x, y, d, t)`` tuples."""
+    ``integrate_frame``/``flush_all`` interface; its events are
+    ``(x, y, d, t)`` tuples."""
 
     def __init__(self, header, params: ParamSet):
-        self.header = header
         self.width = header.width
         self.height = header.height
         self.pixels = [PixelIntegrator(params, header.dt_ref)
@@ -173,12 +160,3 @@ class OracleGrid:
 
     def flush_all(self) -> list[tuple]:
         return self._emit(lambda i, px: px.flush())
-
-    def set_sensitivity(self, x, y, radius, duration=None) -> None:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return
-        if duration is None:
-            duration = 2 * self.header.dt_max
-        for yy in range(max(0, y - radius), min(self.height, y + radius + 1)):
-            for xx in range(max(0, x - radius), min(self.width, x + radius + 1)):
-                self.pixels[yy * self.width + xx].sensitize(duration)
