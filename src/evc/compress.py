@@ -5,13 +5,19 @@ coded on its own, its events sorted by pixel in raster order, then by t.
 Every value is coded exactly, so a unit decodes to its own events at
 every CRF: the loss CRF buys happens in the transcoder alone.
 
-A unit is a prefix (start tick, pixel count, event count) and six
+A unit is a prefix (start tick, pixel count, event count) and eight
 columns: each pixel's raster-index gap from the previous pixel with
 events, and its event count, both minus 1; the zigzag steps of coded d,
 at each pixel's first event from the previous pixel's first and at each
 later event from the pixel's previous one; each pixel's first tick from
-the unit's start, and each later event's interval minus 1.  A coded d is
-``(d + 1) & 0xFF``, which puts ``EMPTY`` at 0, next to the decimations.
+the unit's start; each later event's interval minus 1, for the events
+that are not gap markers; and for each later marker, the frame index
+``t // dt_ref`` less its previous event's, then its phase
+``t mod dt_ref``.  A coded d is ``(d + 1) & 0xFF``, which puts ``EMPTY``
+at 0, next to the decimations, so the decoder knows the markers from the
+d columns and no flag is coded.  The transcoder puts every marker on the
+frame grid, so a marker costs a small frame step and a near-constant
+phase where an interval would spread over a frame's ticks.
 The values go out as unsigned LEB128 varints under raw LZMA1 (the
 stdlib's ``lzma``: an adaptive binary range coder with context-modelled
 literals and LZ matches).  ``decode_adu`` inflates no more than the
@@ -29,6 +35,7 @@ import numpy as np
 from .events import (
     CODEC_COMPRESSED,
     D_MAX,
+    EMPTY,
     EVENT,
     HEADER_SIZE,
     StreamFormatError,
@@ -168,15 +175,44 @@ def _values(body):
 def _restart_cumsum(x, at, heads):
     """Cumulative sum of x in place, restarted at each index of ``at``
     (ascending, from 0) from the matching entry of ``heads`` in place of
-    x's own value there."""
+    x's own value there.  ``heads`` is overwritten."""
     if not len(at):
         return
     x[at] = 0
     ends = np.add.reduceat(x, at)
     ends += heads
+    heads[1:] -= ends[:-1]
     x[at] = heads
-    x[at[1:]] -= ends[:-1]
     np.cumsum(x, out=x)
+
+
+def _marker_bases(offsets, segments, on_marker, frame_steps, dt_ref):
+    """The tick of each segment's frame base: 0 for a pixel's first
+    segment, and for a marker's, its frame times dt_ref.  ``offsets``
+    holds each segment's head and its intervals: the first tick, or the
+    marker's phase.
+
+    A marker's frame is its previous event's plus its frame step, and
+    that event's frame is its segment's base plus the segment's last
+    offset over dt_ref.  So the bases are a cumulative sum over the
+    segments, restarted at each pixel's first.  From ``limit`` frames on
+    every tick is past the range, so each step and base is clipped there,
+    and no sum wraps.  ``frame_steps`` is clipped in place."""
+    limit = -(-_T_LIMIT // dt_ref)
+    base = np.add.reduceat(offsets, segments)
+    np.minimum(base, _T_LIMIT, out=base)
+    base //= dt_ref
+    np.minimum(frame_steps, limit, out=frame_steps)
+    steps = base[:-1][on_marker[1:]]
+    steps += frame_steps.view(np.uint64)
+    base[on_marker] = steps
+    del steps
+    np.minimum(base, limit, out=base)
+    firsts = np.flatnonzero(~on_marker)
+    _restart_cumsum(base, firsts, np.zeros(len(firsts), np.uint64))
+    np.minimum(base, limit, out=base)
+    base *= dt_ref
+    return base
 
 
 def encode_adu(adu, header):
@@ -190,7 +226,10 @@ def encode_adu(adu, header):
     later = ~first
     starts = np.flatnonzero(first)
     pixels = len(starts)
-    seq = np.empty(2 * (pixels + n), np.int64)
+    marker = later & (d == EMPTY)    # the later gap markers
+    at = np.flatnonzero(marker)
+    markers = len(at)
+    seq = np.empty(2 * (pixels + n) + markers, np.int64)
     index = y[starts].astype(np.int64) * header.width + x[starts]
     seq[:pixels] = np.diff(index, prepend=-1) - 1
     seq[pixels:2 * pixels] = np.diff(starts, append=n) - 1
@@ -204,15 +243,19 @@ def encode_adu(adu, header):
     seq[2 * pixels:3 * pixels] = step[first]
     seq[3 * pixels:2 * pixels + n] = step[later]
 
-    # the first ticks and the later intervals, worked out in the last n
-    dt = seq[2 * pixels + n:]
+    # the first ticks, the later intervals and the marker frame steps,
+    # worked out in the next n values, then the marker phases
+    dt = seq[2 * pixels + n:2 * (pixels + n)]
     np.subtract(t[1:], t[:-1], out=dt[1:], dtype=np.int64)
     bad = np.flatnonzero(later & (dt <= 0))
     if len(bad):
         k = bad[0]
         raise ValueError(f"pixel ({x[k]}, {y[k]}): tick {t[k]} does not "
                          f"follow its previous event's {t[k - 1]}")
-    dt[pixels:] = dt[later] - 1
+    np.subtract(dt[later ^ marker], 1, out=dt[pixels:n - markers])
+    np.divmod(t[at], header.dt_ref, out=(dt[n - markers:],
+                                         seq[2 * (pixels + n):]))
+    dt[n - markers:] -= t[at - 1] // header.dt_ref
     dt[:pixels] = t[starts] - np.int64(adu.start_t)
     # a pixel gap or first tick below 0: events not in build_adus's order
     if seq.min(initial=0) < 0:
@@ -232,13 +275,14 @@ def decode_adu(payload, header, adu_index=0):
         raise DecodeError(f"prefix declares {pixels} pixels for {n} events "
                           f"in a {header.width}x{header.height} frame",
                           adu_index)
-    count = 2 * (pixels + n)
+    # every later event may be a marker, which takes one value more
+    least, most = 2 * (pixels + n), pixels + 3 * n
     inflate = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=_FILTERS)
     try:
         # no varint is wider than _VARINT_BYTES, so a body that goes on
-        # past _VARINT_BYTES * count bytes holds more than count values
+        # past _VARINT_BYTES * most bytes holds more than most values
         body = inflate.decompress(payload[_ADU_PREFIX.size:],
-                                  max_length=_VARINT_BYTES * count)
+                                  max_length=_VARINT_BYTES * most)
         # every value is below 2**63, so the int64 view reads them all
         values = _values(body).view(np.int64) if inflate.eof else None
     except (ValueError, lzma.LZMAError) as exc:
@@ -249,8 +293,8 @@ def decode_adu(payload, header, adu_index=0):
     if inflate.unused_data:
         raise DecodeError("bytes left over after the end of the body",
                           adu_index)
-    if len(values) != count:
-        raise DecodeError(_SHORT if len(values) < count else _LONG, adu_index)
+    if not least <= len(values) <= most:
+        raise DecodeError(_SHORT if len(values) < least else _LONG, adu_index)
     gaps, counts = values[:pixels], values[pixels:2 * pixels]
     d_steps = values[2 * pixels:2 * pixels + n]
     t_steps = values[2 * pixels + n:]
@@ -284,24 +328,64 @@ def decode_adu(payload, header, adu_index=0):
     if len(bad):
         raise DecodeError(f"coded decimation {coded[bad[0]]} outside "
                           f"0..{D_MAX + 1}", adu_index)
+
+    # the d columns tell the later markers, which fix the value count
+    marker = later & (coded == 0)
+    markers = np.count_nonzero(marker)
+    if len(values) != least + markers:
+        raise DecodeError(_SHORT if len(values) < least + markers else _LONG,
+                          adu_index)
     coded -= 1
     coded &= 0xFF
     out["d"] = coded
+    del coded
+    dt_ref = header.dt_ref
+    intervals = t_steps[pixels:n - markers]
+    frame_steps, phases = t_steps[n - markers:n], t_steps[n:]
+    bad = np.flatnonzero(phases >= dt_ref)
+    if len(bad):
+        raise DecodeError(f"marker phase {phases[bad[0]]} not below dt_ref "
+                          f"{dt_ref}", adu_index)
 
-    # A pixel's first tick is below 2**33 and it has fewer than 2**32 - 1
-    # intervals, each clipped to 2**32, so its ticks sum in uint64 without
-    # wrapping; they take over coded d's memory.
-    heads = np.minimum(t_steps[:pixels], _T_LIMIT) + start_t
-    intervals = t_steps[pixels:]
+    # Each segment, a pixel's first event or a marker up to the pixel's
+    # next marker, sums its intervals from its head: the first tick, or
+    # the marker's frame start plus its phase.  A head is clipped to
+    # 2**32 and a pixel has fewer than 2**32 - 1 intervals, each clipped
+    # to 2**32, so its ticks sum in uint64 without wrapping; they take
+    # over the d steps' memory.
     np.minimum(intervals, _T_LIMIT - 1, out=intervals)
     intervals += 1
-    ticks = coded.view(np.uint64)
-    ticks[later] = intervals
-    _restart_cumsum(ticks, starts, heads.view(np.uint64))
+    ticks = d_steps.view(np.uint64)
+    plain = later
+    plain ^= marker
+    ticks[plain] = intervals
+    ticks[starts] = np.minimum(t_steps[:pixels], _T_LIMIT) + start_t
+    at = np.flatnonzero(marker)
+    ticks[at] = phases
+    # a marker a frame or more after its previous event follows it
+    same_frame = at[frame_steps == 0]
+    del at
+    segments = np.flatnonzero(~plain)
+    del later, plain
+    bases = (_marker_bases(ticks, segments, marker[segments], frame_steps,
+                           dt_ref) if markers else 0)
+    del marker
+    heads = ticks[segments]
+    heads += bases
+    del bases
+    np.minimum(heads, _T_LIMIT, out=heads)
+    _restart_cumsum(ticks, segments, heads)
+    del segments, heads
     bad = np.flatnonzero(ticks >= _T_LIMIT)
     if len(bad):
         raise DecodeError(f"timestamp {ticks[bad[0]]} outside the tick range",
                           adu_index)
+    bad = same_frame[ticks[same_frame] <= ticks[same_frame - 1]]
+    if len(bad):
+        k = bad[0]
+        raise DecodeError(f"pixel ({out['x'][k]}, {out['y'][k]}): tick "
+                          f"{ticks[k]} does not follow its previous event's "
+                          f"{ticks[k - 1]}", adu_index)
     out["t"] = ticks
     return out
 

@@ -29,12 +29,13 @@ VERSION = 1
 
 # Source codec ids carried in the stream header.  Ids 1 (a binary
 # arithmetic coder), 2 (the range coder with lossy timestamp shifts), 3
-# (that range coder on exact residuals) and 4 (raw LZMA over codec 3's
-# cube model) belong to earlier codecs, whose streams no longer decode;
+# (that range coder on exact residuals), 4 (raw LZMA over codec 3's cube
+# model) and 5 (codec 6's columns with each gap marker's tick coded as an
+# interval) belong to earlier codecs, whose streams no longer decode;
 # bumping the codec id rather than VERSION leaves raw streams
 # byte-identical.
 CODEC_RAW = 0
-CODEC_COMPRESSED = 5
+CODEC_COMPRESSED = 6
 
 DEFAULT_DT_REF = 255
 

@@ -36,15 +36,17 @@ def leb128(values):
 
 
 def reference_sequence(adu, header):
-    """The unit's six columns, one after the other: pixel gaps, event
-    counts, first d steps, later d steps, first ticks, later intervals."""
+    """The unit's eight columns, one after the other: pixel gaps, event
+    counts, first d steps, later d steps, first ticks, the intervals of
+    later events that are not gap markers, and each later marker's frame
+    step from its previous event, then its phase in the frame."""
     queues = {}
     for x, y, d, t in adu.events.tolist():
         # the coded d puts EMPTY at 0, next to the decimations
         queues.setdefault((y * header.width + x, x, y), []).append(
             ((d + 1) & 0xFF, t))
-    columns = gaps, counts, d_first, d_later, t_first, t_later = (
-        [], [], [], [], [], [])
+    columns = (gaps, counts, d_first, d_later, t_first, t_later, frames,
+               phases) = ([], [], [], [], [], [], [], [])
     prev_index, prev_d = -1, 0
     for (index, x, y), queue in sorted(queues.items()):
         gaps.append(index - prev_index - 1)
@@ -58,7 +60,11 @@ def reference_sequence(adu, header):
                 raise ValueError(f"pixel ({x}, {y}): tick {t} does not "
                                  f"follow its previous event's {prev_t}")
             d_later.append(zigzag(d - prev_d_px))
-            t_later.append(t - prev_t - 1)
+            if d:
+                t_later.append(t - prev_t - 1)
+            else:
+                frames.append(t // header.dt_ref - prev_t // header.dt_ref)
+                phases.append(t % header.dt_ref)
     return [value for column in columns for value in column]
 
 

@@ -381,8 +381,72 @@ def test_sequence_matches_the_per_event_reference(case):
         assert decoded.dtype == EVENT and np.array_equal(decoded, adu.events)
 
 
+@st.composite
+def marker_streams(draw):
+    """(dt_ref, dt_adu, width, height, rows) of a stream whose later events
+    are plain events or gap markers: on the frame grid (a phase of 0 or
+    1, a frame or more on), off it, or later in their previous event's
+    frame, in runs of any length and right after a pixel's first event.
+    Units run from shorter than a frame to many frames."""
+    dt_ref = draw(st.sampled_from((1, 2, 7, 255)))
+    # an eighth of a frame to ten frames, so that at most a few hundred
+    # units hold the ticks below
+    dt_adu = max(1, dt_ref * draw(st.sampled_from((1, 4, 8, 24, 80))) // 8)
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixels = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    decimations = st.one_of(st.sampled_from((0, 127, EMPTY)),
+                            st.integers(0, 127))
+    kinds = st.sampled_from(("plain", "grid", "off", "same"))
+    rows = []
+    for x, y in draw(st.lists(pixels, unique=True, max_size=8)):
+        t = draw(st.integers(1, 3 * dt_ref))
+        rows.append((x, y, draw(decimations), t))
+        for kind in draw(st.lists(kinds, max_size=12)):
+            d = EMPTY
+            if kind == "plain":
+                t += draw(st.integers(1, 2 * dt_ref))
+                d = draw(st.integers(0, 127))
+            elif kind == "grid":
+                t = ((t // dt_ref + draw(st.integers(1, 3))) * dt_ref
+                     + draw(st.integers(0, min(1, dt_ref - 1))))
+            elif kind == "off":
+                t += draw(st.integers(1, 4 * dt_ref))
+            else:
+                # the same frame where one is left, else the next tick
+                t += draw(st.integers(1, max(1, dt_ref - 1 - t % dt_ref)))
+            rows.append((x, y, d, t))
+    return dt_ref, dt_adu, width, height, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=marker_streams())
+# a marker right after a pixel's first event, on and off the grid
+@example(case=(255, 2550, 4, 4, [(1, 2, 5, 100), (1, 2, EMPTY, 256),
+                                 (2, 2, 6, 40), (2, 2, EMPTY, 700)]))
+# back-to-back markers, then a plain event
+@example(case=(255, 2550, 4, 4, [(0, 0, 5, 100), (0, 0, EMPTY, 256),
+                                 (0, 0, EMPTY, 511), (0, 0, EMPTY, 1276),
+                                 (0, 0, 7, 1400)]))
+# a frame step of 0 with a later phase, after a plain event and a marker
+@example(case=(255, 2550, 4, 4, [(3, 1, 5, 100), (3, 1, 5, 300),
+                                 (3, 1, EMPTY, 400), (3, 1, EMPTY, 500)]))
+# units shorter than a frame, and a frame of one tick
+@example(case=(255, 50, 4, 4, [(0, 0, 5, 10), (0, 0, EMPTY, 256),
+                               (0, 0, EMPTY, 290), (0, 0, EMPTY, 511)]))
+@example(case=(1, 3, 4, 4, [(0, 0, EMPTY, 1), (0, 0, EMPTY, 2),
+                            (0, 0, 4, 3), (0, 0, EMPTY, 9)]))
+def test_markers_on_and_off_the_grid_round_trip(case):
+    dt_ref, dt_adu, width, height, rows = case
+    hdr = header(width, height, dt_ref=dt_ref, dt_max=max(2550, dt_ref))
+    adus = build_adus(events_of(rows), hdr, dt_adu)
+    for k, adu in enumerate(adus):
+        payload = encode_adu(adu, hdr)
+        assert body_of(payload) == leb128(reference_sequence(adu, hdr))
+        assert np.array_equal(decode_adu(payload, hdr, k), adu.events)
+
+
 def _coded(columns, prefix=None, tail=b""):
-    """An ADU payload whose body is the six ``columns`` as LEB128, then
+    """An ADU payload whose body is the ``columns`` as LEB128, then
     ``tail``; its prefix declares the columns' own pixel and event counts
     unless ``prefix`` (start_t, pixels, events) replaces them."""
     if prefix is None:
@@ -399,6 +463,14 @@ def _pixel(gap=0, count=1, d_first=zigzag(4), d_later=0, t_first=100,
     holds two events, by default (3, 100) and (3, 355), each column
     replaceable by a damaged value."""
     return [[gap], [count], [d_first], [d_later], [t_first], [t_later]]
+
+
+def _marker(frame=1, phase=100):
+    """The columns of a unit whose one pixel holds (3, 100) and then a gap
+    marker, by default at (EMPTY, 355): ``frame`` frames of 255 ticks on
+    from the first event's frame, at tick ``phase`` in its frame."""
+    return [[0], [1], [zigzag(4)], [zigzag(-4)], [100], [], [frame],
+            [phase]]
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -430,9 +502,18 @@ def _pixel(gap=0, count=1, d_first=zigzag(4), d_later=0, t_first=100,
      "timestamp 4294967296 outside the tick range"),
     (_coded(_pixel(t_later=1 << 40)),
      "timestamp 4294967396 outside the tick range"),
+    (_coded(_marker()[:-1]), "read past the end of the payload"),
+    (_coded(_marker(phase=255)), "marker phase 255 not below dt_ref 255"),
+    (_coded(_marker(frame=0, phase=100)),
+     r"pixel \(0, 0\): tick 100 does not follow its previous event's 100"),
+    (_coded(_marker(frame=0, phase=40)),
+     r"pixel \(0, 0\): tick 40 does not follow its previous event's 100"),
+    (_coded(_marker(frame=1 << 40)),
+     "timestamp 4294967296 outside the tick range"),
 ], ids=["counts", "no-pixel", "area", "short", "extra-value", "over-limit",
         "left-over", "cut-varint", "pixel", "count-sum", "intra-d", "inter-d",
-        "huge-d", "intra-t", "huge-t", "inter-t", "huge-interval"])
+        "huge-d", "intra-t", "huge-t", "inter-t", "huge-interval",
+        "no-phase", "phase", "marker-tick", "marker-before", "huge-frame"])
 def test_each_decode_error_names_its_case(payload, message):
     hdr = header(16, 16)
     with pytest.raises(DecodeError, match=f"ADU 4: {message}"):
@@ -442,6 +523,8 @@ def test_each_decode_error_names_its_case(payload, message):
     # the same unit, well formed, decodes
     assert decode_adu(_coded(_pixel()), hdr).tolist() == [(0, 0, 3, 100),
                                                          (0, 0, 3, 355)]
+    assert decode_adu(_coded(_marker()), hdr).tolist() == [
+        (0, 0, 3, 100), (0, 0, EMPTY, 355)]
 
 
 def test_inflation_stops_at_the_declared_counts():
@@ -494,6 +577,28 @@ def test_a_deep_pixel_decodes_in_one_pass():
     t = np.cumsum([1] + [rng.randrange(200, 300) for _ in range(19_999)])
     events = np.zeros(len(t), EVENT)
     events["d"], events["t"] = 6, t
+    hdr = header(1, 1)
+    (payload,) = encode_stream(events, hdr, (1 << 32) - 1)
+    start = time.perf_counter()
+    decoded = decode_adu(payload, hdr)
+    assert time.perf_counter() - start < 0.2
+    assert np.array_equal(decoded, events)
+
+
+def test_a_deep_pixel_of_markers_decodes_in_one_pass():
+    # 20,000 events of one pixel, every other one a gap marker on the
+    # frame grid: the marker frames are one more cumulative sum over the
+    # pixel's segments, so decoding still takes no step per marker rank
+    rng = random.Random(21)
+    t, rows = 0, []
+    for k in range(20_000):
+        if k % 2:
+            t = (t // 255 + rng.randrange(1, 3)) * 255 + 1
+            rows.append((0, 0, EMPTY, t))
+        else:
+            t += rng.randrange(200, 300)
+            rows.append((0, 0, 6, t))
+    events = events_of(rows)
     hdr = header(1, 1)
     (payload,) = encode_stream(events, hdr, (1 << 32) - 1)
     start = time.perf_counter()

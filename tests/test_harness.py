@@ -200,15 +200,16 @@ def test_pipeline_is_deterministic(tmp_path):
 
 
 # sha256 of a small run's reconstructions, metrics and played clip, as
-# the per-frame replay and metrics wrote them before the one-pass replay;
-# feature adaptation is ignored, so both settings give these
+# the per-frame replay and metrics wrote them before the one-pass replay
+# (the metrics as codec 6 sets their comp_bits column); feature
+# adaptation is ignored, so both settings give these
 PINNED = {
     "recon_raw":
         "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
     "recon_comp":
         "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
     "metrics":
-        "eca30bf839e50f0eee7e1d00a82281ba98fb3b7a3f8ad045001f3e4b9647edef",
+        "9e771c6e13ba2c423dc5d01f1ac48c158becce8d6ffa4dacb5f4bd491483d43a",
     "play":
         "b0e7ee0b2afa98ba1f87cc8e237b5134ab936855bc2e0393b40d60aa6817a35b",
 }
