@@ -14,6 +14,8 @@ from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .compress import read_compressed
 from .events import (
     CODEC_COMPRESSED,
@@ -132,11 +134,12 @@ def cmd_detect(args) -> int:
         writer.writerow(("frame", "x", "y"))
         for k, _ in enumerate(detect_at_boundaries(detector, events, images,
                                                    header.dt_ref)):
-            for x, y in sorted(detector.features):
-                writer.writerow((k, x, y))
+            # the transposed mask lists the corners in (x, y) order
+            xs, ys = np.nonzero(detector.corners.T)
+            writer.writerows(zip(repeat(k), xs.tolist(), ys.tolist()))
     pixels = header.width * header.height
-    print(f"{out}: {len(detector.features)} features at the last boundary, "
-          f"{detector.test_count} tests "
+    print(f"{out}: {int(detector.corners.sum())} features at the last "
+          f"boundary, {detector.test_count} tests "
           f"(work ratio {detector.test_count / (pixels * n_frames):.4f})")
     return 0
 

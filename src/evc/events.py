@@ -101,6 +101,20 @@ def window_of(t, span: int):
     return (np.maximum(t, 1) - 1) // span
 
 
+def frame_groups(counts, bound: int):
+    """Cut frames into groups of consecutive frames whose ``counts`` sum
+    to at most ``bound``; a frame over the bound is a group of its own.
+    Yields each group's (first, end) frame indices, and (0, 0) for no
+    frames."""
+    lo, total = 0, 0
+    for k, count in enumerate(np.asarray(counts).tolist()):
+        if total + count > bound and k > lo:
+            yield lo, k
+            lo, total = k, 0
+        total += count
+    yield lo, len(counts)
+
+
 @dataclass(frozen=True, slots=True)
 class ParamSet:
     """Transcoder contrast-threshold parameters selected by a quality preset.

@@ -11,22 +11,29 @@ themselves, in exact mode also every pixel whose ring passes through one
 of them, which keeps the set equal to a full scan of the boundary image.
 ``detect_frame`` is that full scan, one update of every pixel.
 
-``Detector.update`` tests each distinct candidate of a frame once, in one
-numpy step: a 4-compass screen, then the full arc test (``ring_corners``)
-where two compass points are bright or two dark.  It returns the corners
-it freshly inserted, the detector's asynchronous output.
+One kernel tests candidates given as flat indices into a stack of uint8
+images, each distinct candidate of a frame once: a compass screen, which
+passes a candidate where two compass points four apart are both bright or
+both dark, as every 9-long arc covers such a pair, then the full arc test
+as a lookup of the ring's 16 flags in a 65,536-entry table.  The
+thresholds are clamped to 0..255 in uint8, which keeps every comparison
+exact.  ``Detector.update`` is the kernel's one-frame case and returns
+the corners it freshly inserted, the detector's asynchronous output.
 ``detect_at_boundaries`` runs a detector over a stream's reconstructed
 boundary images, each frame's candidates the pixels of its events, found
-with one scatter over the stream.
+with one scatter over the stream.  It tests consecutive boundaries in
+batches of a bounded number of candidates, one kernel call each, then
+applies each boundary's results in order, as ``update`` would.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 
 import numpy as np
 
-from .events import StreamHeader, window_of
+from .events import StreamHeader, frame_groups, window_of
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
 RING = (
@@ -42,25 +49,66 @@ DEFAULT_STREAK = 9
 MODES = ("paper", "exact")
 
 
+# Candidates one kernel call tests at most: a batch of boundaries stops
+# below it, though a boundary with more is a batch of its own.
+_BATCH = 1 << 13
+
+
+@cache
+def _arc_table() -> np.ndarray:
+    """Whether each 16-bit ring code holds ``DEFAULT_STREAK`` circularly
+    contiguous set bits, for every code.  Built on first use."""
+    table = np.empty(1 << 16, bool)
+    # a chunk of codes at a time keeps the temporaries small; each code
+    # twice over, so that an arc may wrap past bit 15
+    for lo in range(0, 1 << 16, 1 << 12):
+        bits = np.arange(lo, lo + (1 << 12), dtype=np.uint32) * 0x10001
+        run = bits.copy()
+        for shift in range(1, DEFAULT_STREAK):
+            run &= bits >> shift
+        table[lo:lo + (1 << 12)] = run != 0
+    table.flags.writeable = False
+    return table
+
+
+def _bounds(center, threshold: int):
+    """``center`` plus and minus ``threshold``, clamped to 0..255: a value
+    in 0..255 cannot pass a bound outside that range, so comparisons with
+    the clamped bounds are exact, and in uint8 nothing wraps."""
+    t = min(threshold, 255)
+    return np.minimum(center, 255 - t) + t, np.maximum(center, t) - t
+
+
 def ring_corners(center: np.ndarray, ring: np.ndarray,
                  threshold: int) -> np.ndarray:
-    """The arc test over gathered values: whether each row of ``ring``
-    (16 values in ``RING`` order) holds ``DEFAULT_STREAK`` circularly
-    contiguous values all above its ``center`` plus the threshold, or all
-    below it minus the threshold."""
-    center = np.asarray(center, np.int64)[:, None]
-    return (_has_arc(ring > center + threshold)
-            | _has_arc(ring < center - threshold))
+    """The arc test over gathered values in 0..255: whether each row of
+    ``ring`` (16 values in ``RING`` order) holds ``DEFAULT_STREAK``
+    circularly contiguous values all above its ``center`` plus the
+    threshold, or all below it minus the threshold."""
+    high, low = _bounds(np.asarray(center), threshold)
+    return (_has_arc(ring > high[:, None])
+            | _has_arc(ring < low[:, None]))
 
 
 def _has_arc(flags: np.ndarray) -> np.ndarray:
-    # the 16 flags as bits, twice over, so that an arc may wrap past bit 15
-    bits = np.packbits(flags, axis=1, bitorder="little").view("<u2")[:, 0]
-    bits = bits.astype(np.uint32) * 0x10001
-    run = bits
-    for shift in range(1, DEFAULT_STREAK):
-        run = run & (bits >> shift)
-    return run != 0
+    # each row's 16 flags as one code, bit i for ring point i: the rows
+    # are whole byte pairs, so packing them flat keeps them apart
+    flags = np.ascontiguousarray(flags).reshape(-1)
+    return _arc_table()[np.packbits(flags, bitorder="little").view("<u2")]
+
+
+def _uint8_images(images, shape) -> np.ndarray:
+    """``images`` as a uint8 array of ``shape``, refusing another shape
+    or a value outside 0..255 with ValueError."""
+    images = np.asarray(images)
+    if images.shape != shape:
+        raise ValueError(f"images of shape {images.shape} do not fit "
+                         f"the detector's {shape}")
+    if images.dtype != np.uint8:
+        if images.size and (images.min() < 0 or images.max() > 255):
+            raise ValueError("image values must lie in 0..255")
+        images = images.astype(np.uint8)
+    return images
 
 
 class Detector:
@@ -81,6 +129,8 @@ class Detector:
         if mode not in MODES:
             raise ValueError(f"unknown detector mode {mode!r}; expected one "
                              f"of {', '.join(MODES)}")
+        if threshold < 0:
+            raise ValueError(f"FAST threshold {threshold} is negative")
         self.width = header.width
         self.height = header.height
         self.threshold = threshold
@@ -89,8 +139,7 @@ class Detector:
         # a changed pixel's candidates: itself, then in exact mode the 16
         # whose ring passes through it, which are its own ring offsets
         self._retested = ((0, 0),) + RING if mode == "exact" else ((0, 0),)
-        self._ring = np.array([dx + dy * self.width for dx, dy in RING],
-                              np.int64)
+        self._ring = [dx + dy * self.width for dx, dy in RING]
 
     @property
     def features(self) -> set[tuple[int, int]]:
@@ -101,51 +150,81 @@ class Detector:
     def update(self, image, pixels) -> np.ndarray:
         """Retest the candidates of the changed ``pixels`` on ``image``.
 
-        ``image`` holds the frame's values (height x width, or flat in
-        row-major order) and ``pixels`` the row-major indices of the
-        pixels that changed since the previous call, repeats allowed.  The
-        candidates are those pixels, and in exact mode every pixel whose
-        ring passes through one of them; each candidate inside the 3-pixel
-        border is tested once and counted in ``test_count``.  So in exact
-        mode, when ``pixels`` covers every change, ``corners`` ends equal
-        to ``detect_frame(image)``.  Returns the row-major indices of the
-        corners this call freshly inserted, in ascending order.
+        ``image`` holds the frame's values (height x width, in 0..255)
+        and ``pixels`` the row-major indices of the pixels that changed
+        since the previous call, repeats allowed; anything else raises
+        ValueError.  The candidates are those pixels, and in exact mode
+        every pixel whose ring passes through one of them; each candidate
+        inside the 3-pixel border is tested once and counted in
+        ``test_count``.  So in exact mode, when ``pixels`` covers every
+        change, ``corners`` ends equal to ``detect_frame(image)``.  Returns
+        the row-major indices of the corners this call freshly inserted,
+        in ascending order.
         """
-        width, height = self.width, self.height
-        if not len(pixels) or width < 7 or height < 7:
-            return np.empty(0, np.int64)
-        changed = np.zeros((height, width), bool)
+        image = _uint8_images(image, self.corners.shape)
+        pixels = np.asarray(pixels, np.int64)
+        if pixels.size and (pixels.min() < 0
+                            or pixels.max() >= self.corners.size):
+            raise ValueError(f"pixel indices must lie in "
+                             f"0..{self.corners.size - 1}")
+        changed = np.zeros((1,) + self.corners.shape, bool)
         changed.reshape(-1)[pixels] = True
-        # an interior pixel is a candidate when one of its retested
-        # offsets is a changed pixel; those offsets stay inside the frame
-        candidate = np.zeros((height - 6, width - 6), bool)
-        for dx, dy in self._retested:
-            candidate |= changed[3 + dy:height - 3 + dy, 3 + dx:width - 3 + dx]
-        ys, xs = np.nonzero(candidate)
-        q = (ys + 3) * width + xs + 3
-        self.test_count += len(q)
+        q = np.flatnonzero(self._candidates(changed))
+        return self._apply(q, self._arc_test(image.reshape(-1), q))
 
-        # any 9-long arc covers two of the four compass points, so test the
-        # full ring only where two compass points are bright or two dark
-        image = np.asarray(image).reshape(-1)
-        center = image[q].astype(np.int64)
-        compass = image[q[:, None] + self._ring[::4]]
+    def _candidates(self, changed: np.ndarray) -> np.ndarray:
+        """The candidate mask of a stack of changed-pixel masks: an
+        interior pixel is a candidate when one of its retested offsets
+        changed, and those offsets stay inside the frame."""
+        _, height, width = changed.shape
+        candidate = np.zeros_like(changed)
+        if width >= 7 and height >= 7:
+            inner = candidate[:, 3:height - 3, 3:width - 3]
+            for dx, dy in self._retested:
+                inner |= changed[:, 3 + dy:height - 3 + dy,
+                                 3 + dx:width - 3 + dx]
+        return candidate
+
+    def _arc_test(self, pixels: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether each candidate ``q``, a flat index into the uint8 image
+        stack ``pixels``, is a corner of its image."""
+        center = pixels[q]
+        high, low = _bounds(center, self.threshold)
+        # any 9-long arc covers two compass points four apart, one of
+        # each pair (0, 8) and (4, 12)
+        bright, dark = [], []
+        for offset in self._ring[::4]:
+            values = pixels[q + offset]
+            bright.append(values > high)
+            dark.append(values < low)
         maybe = np.flatnonzero(
-            ((compass > center[:, None] + self.threshold).sum(1) >= 2)
-            | ((compass < center[:, None] - self.threshold).sum(1) >= 2))
-        found = np.zeros(len(q), bool)
-        found[maybe] = ring_corners(
-            center[maybe], image[q[maybe, None] + self._ring], self.threshold)
+            ((bright[0] | bright[2]) & (bright[1] | bright[3]))
+            | ((dark[0] | dark[2]) & (dark[1] | dark[3])))
+        q = q[maybe]
+        ring = np.empty((len(q), len(self._ring)), np.uint8)
+        for i, offset in enumerate(self._ring):
+            ring[:, i] = pixels[q + offset]
+        found = np.zeros(len(center), bool)
+        found[maybe] = ring_corners(center[maybe], ring, self.threshold)
+        return found
+
+    def _apply(self, q: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """Set the membership of the candidates ``q`` (ascending row-major
+        indices) to ``found``, count their tests, and return the fresh
+        corners."""
+        if not len(q):
+            return q
         corners = self.corners.reshape(-1)
+        self.test_count += len(q)
         fresh = q[found & ~corners[q]]
         corners[q] = found
         return fresh
 
 
 def detect_frame(image, threshold: int) -> np.ndarray:
-    """Full-frame scan of ``image`` (a 2-D array or rows of ints): one
-    paper-mode ``Detector.update`` of every pixel.  Returns the
-    (height, width) bool corner mask, all False for an image under 7
+    """Full-frame scan of ``image`` (a 2-D array or rows of ints in
+    0..255): one paper-mode ``Detector.update`` of every pixel.  Returns
+    the (height, width) bool corner mask, all False for an image under 7
     pixels on a side."""
     image = np.asarray(image)
     height, width = image.shape
@@ -161,13 +240,28 @@ def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
     ``images[k]`` is the image reconstructed from ``events`` at boundary
     k, and the candidates of step k are the distinct pixels of the events
     of frame k (``window_of(t, dt_ref) == k``), in any stream order.
-    Yields each step's freshly inserted corners.  The events after the
-    last boundary are not detected: no image shows them.
+    Yields each step's freshly inserted corners, as ``update`` would.  The
+    events after the last boundary are not detected: no image shows them.
+
+    The boundaries are tested in batches of consecutive ones, up to a
+    bounded number of candidates, by one kernel call each; each step then
+    applies its own results in order.
     """
+    n_images, shape = len(images), detector.corners.shape
+    area = detector.corners.size
     frame = window_of(events["t"], dt_ref)
-    kept = frame < len(images)
+    kept = frame < n_images
     pixel = events["y"].astype(np.int64) * detector.width + events["x"]
-    changed = np.zeros((len(images), detector.width * detector.height), bool)
-    changed[frame[kept], pixel[kept]] = True
-    for image, pixels in zip(images, changed):
-        yield detector.update(image, np.flatnonzero(pixels))
+    changed = np.zeros((n_images,) + shape, bool)
+    changed.reshape(n_images, area)[frame[kept], pixel[kept]] = True
+    candidate = detector._candidates(changed)
+    del changed
+    counts = np.count_nonzero(candidate.reshape(n_images, area), axis=1)
+    for lo, hi in frame_groups(counts, _BATCH):
+        batch = _uint8_images(images[lo:hi], (hi - lo,) + shape)
+        q = np.flatnonzero(candidate[lo:hi])
+        found = detector._arc_test(batch.reshape(-1), q)
+        q %= area
+        ends = np.cumsum(counts[lo:hi]).tolist()
+        for start, end in zip([0] + ends, ends):
+            yield detector._apply(q[start:end], found[start:end])

@@ -33,7 +33,6 @@ import numpy as np
 from .compress import build_adus, encode_adu, read_compressed, write_payloads
 from .events import (
     DEFAULT_DT_REF,
-    EVENT,
     StreamFormatError,
     StreamHeader,
     window_of,
@@ -388,13 +387,10 @@ def transcode_clip(header: StreamHeader, frames):
     that emitted it, the final flush on the last one.
     """
     transcoder = Transcoder(header)
-    chunks = [transcoder.integrate_frame(frame) for frame in frames]
+    events, counts = transcoder.integrate_frame(np.asarray(frames))
     tail = transcoder.flush_all()
-    # Naming the dtype spares numpy a field-by-field promotion per chunk.
-    events = np.concatenate(chunks + [tail], dtype=EVENT)
-    frame_events = [len(c) for c in chunks]
-    frame_events[-1] += len(tail)
-    return events, frame_events
+    counts[-1] += len(tail)
+    return np.concatenate((events, tail)), counts.tolist()
 
 
 def compress_stream(path, header: StreamHeader, events, dt_adu=None):

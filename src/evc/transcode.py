@@ -21,7 +21,10 @@ A frame of constant value adds the same units every time, so a crossing's
 tick follows in closed form from the units at the start of its span of
 frames at one value.  The transcoder integrates a pixel only when that span
 ends, and then only the crossings the queue keeps: a still pixel costs one
-comparison a frame, whatever its crossings.
+comparison a frame, whatever its crossings.  Given a stack of frames, it
+steps through the value changes by rank rather than through the frames:
+step r takes every pixel's r-th change at once, so a clip costs as many
+vector steps as its busiest pixel has changes.
 
 Zero-valued runs have no crossings to report, so they are bracketed by
 zero-span markers instead: one announcing the run when a contrast violation
@@ -43,7 +46,11 @@ from __future__ import annotations
 import numpy as np
 
 from .events import (EMPTY, EVENT, ParamSet, StreamHeader, crf_params,
-                     event_array)
+                     event_array, frame_groups)
+
+# A group of frames holds at most this many moved pixel-frames, which
+# bounds its work arrays; a frame with more is a group of its own.
+_GROUP_MOVES = 1 << 14
 
 
 def _bit_length(values):
@@ -81,12 +88,16 @@ class Transcoder:
     closes them all.
 
     The work is done once per span, not once per frame.  A pixel's span is
-    the frames since ``seg_f`` at one value ``seg_v``; ``units``,
-    ``fired``, ``first_t``, ``last_tick`` and ``levels`` hold the state as
-    of its first frame.  A frame finds the pixels whose value moved,
-    settles their spans in closed form (``_settle``) and checks their runs
-    against the contrast window, which widens with the run's age.  A
-    frame's events come in row-major pixel order; each pixel gives its
+    the frames since ``seg_f`` at one value ``seg_v``, which is also the
+    value of its latest frame; ``units``, ``fired``, ``first_t``,
+    ``last_tick`` and ``levels`` hold the state as of the span's first
+    frame.  A stack of frames finds its moves, the pixel-frames whose value
+    differs from the frame before, and cuts the frames into groups of a
+    bounded number of moves.  In a group, step r takes each pixel's r-th
+    move, settles the span it ends in closed form (``_settle``) and checks
+    the run against the contrast window, which widens with the run's age;
+    so the frame, the window's age and the ticks are per pixel.  Events
+    come in frame, then row-major pixel order; each pixel gives its
     closing events (the queue in order, or a dark run's closing marker),
     then the marker opening its new run if it needs one.
     """
@@ -107,46 +118,105 @@ class Transcoder:
          self.seg_f) = np.zeros((10, n), np.int64)
         self.levels = np.zeros((n, 8), np.int64)
 
-    def integrate_frame(self, frame) -> np.ndarray:
-        """Advance every pixel by one frame (dt_ref ticks) of ``frame``,
+    def integrate_frame(self, frames):
+        """Advance every pixel by one frame (dt_ref ticks) of ``frames``,
         a height x width grid of nonnegative values in units per frame, and
-        return the events of the runs it ends as an ``EVENT`` array."""
-        values = np.asarray(frame, dtype=np.int64)
-        if values.shape != (self.height, self.width):
+        return the events of the runs it ends as an ``EVENT`` array.
+
+        ``frames`` may also be a (k, height, width) stack.  It advances by
+        each frame in turn and returns (events, counts): the events that
+        frame-by-frame calls would return, concatenated, and the number
+        each frame emits.
+        """
+        values = np.asarray(frames)
+        if values.dtype.kind not in "iu":
+            values = values.astype(np.int64)
+        single = values.ndim == 2
+        if single:
+            values = values[None]
+        if values.ndim != 3 or values.shape[1:] != (self.height, self.width):
             raise ValueError("frame shape does not match the stream header")
-        v = values.ravel()
-        if v.size and v.min() < 0:
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
             raise ValueError("frame values must be nonnegative")
-        start = self.now
-        self.now = start + self.header.dt_ref
-        at = start // self.header.dt_ref
-        if not self.opened:
-            self._open(np.arange(v.size), v, at)
-            return np.empty(0, EVENT)
+        n_frames, area = len(values), self.width * self.height
+        values = values.reshape(n_frames, area)
+        first = self.now // self.header.dt_ref
+        self.now += n_frames * self.header.dt_ref
+        if n_frames and not self.opened:
+            self._open(np.arange(area), values[0], first)
+        # seg_v holds each pixel's value in the frame before the stack
+        moved = np.empty(values.shape, bool)
+        if n_frames:
+            np.not_equal(values[0], self.seg_v, out=moved[0])
+            np.not_equal(values[1:], values[:-1], out=moved[1:])
+        chunks, counts = zip(*(
+            self._step_moves(values[lo:hi], moved[lo:hi], first + lo)
+            for lo, hi in frame_groups(np.count_nonzero(moved, axis=1),
+                                       _GROUP_MOVES)))
+        events = chunks[0] if len(chunks) == 1 else np.concatenate(
+            chunks, dtype=EVENT)
+        return events if single else (events, np.concatenate(counts))
 
-        # Only a pixel whose value moved can close its run: its span's
-        # value lay in the window when the span began, and the window
-        # never narrows within a run.
-        moved = np.flatnonzero(v != self.seg_v)
-        if not moved.size:
-            return np.empty(0, EVENT)
-        self._settle(moved, at)
-        v = v[moved]
-        self.seg_v[moved] = v
-        # The window as of the previous frame: m_base, widened by one
-        # every m_v frames the run has lasted, up to m_max.
+    def _step_moves(self, values, moved, first: int):
+        """Advance the pixels through the ``moved`` entries of ``values``,
+        frames ``first`` on, and return the events, in frame, then
+        row-major pixel order, and the number each frame emits.
+
+        Step r takes every pixel's r-th move at once, so a step holds each
+        pixel once, and each pixel's moves come in frame order.  Only a
+        pixel whose value moved can close its run: its previous value lay
+        in the window when it came, and the window never narrows within a
+        run.
+        """
+        n_frames, area = values.shape
+        none = np.empty(0, EVENT), np.zeros(n_frames, np.int64)
+        entries = np.flatnonzero(moved)
+        if not entries.size:
+            return none
+        if n_frames == 1:
+            # every move is its pixel's first: one step, and no division
+            frame, idx = np.zeros_like(entries), entries
+            ends = [0, entries.size]
+        else:
+            # an entry's rank is its pixel's count of moves up to its frame
+            rank = np.cumsum(moved, axis=0,
+                             dtype=np.min_scalar_type(n_frames))
+            rank = rank.reshape(-1)[entries]
+            entries = entries[np.argsort(rank, kind="stable")]
+            ends = np.cumsum(np.bincount(rank)).tolist()
+            frame, idx = np.divmod(entries, area)
+        v = values.reshape(-1)[entries]
+        dt = self.header.dt_ref
         p = self.params
-        age = at - 1 - self.run_f[moved]
-        window = p.m_base + np.minimum(age // p.m_v,
-                                       max(p.m_max - p.m_base, 0))
-        breaks = np.abs(v - self.i0[moved]) > window
-        closing = moved[breaks]
-        emitted = self._close_runs(closing, start, v[breaks])
-        if closing.size:
-            self._open(closing, v[breaks], at)
-        return emitted
+        parts = []
+        for lo, hi in zip(ends, ends[1:]):
+            pix, at, val = idx[lo:hi], first + frame[lo:hi], v[lo:hi]
+            self._settle(pix, at)
+            self.seg_v[pix] = val
+            # The window as of the previous frame: m_base, widened by one
+            # every m_v frames the run has lasted, up to m_max.
+            age = at - 1 - self.run_f[pix]
+            window = p.m_base + np.minimum(age // p.m_v,
+                                           max(p.m_max - p.m_base, 0))
+            breaks = np.abs(val - self.i0[pix]) > window
+            if not breaks.any():
+                continue
+            pix, at, val = pix[breaks], at[breaks], val[breaks]
+            rows, d, t = self._close_runs(pix, at * dt, val)
+            self._open(pix, val, at)
+            parts.append((at[rows] - first, pix[rows], d, t))
+        if not parts:
+            return none
+        frame, pix, d, t = (np.concatenate(c) for c in zip(*parts))
+        if len(parts) > 1:
+            # a step's events are in order; the steps interleave
+            order = np.argsort(frame * area + pix, kind="stable")
+            frame, pix, d, t = frame[order], pix[order], d[order], t[order]
+        y, x = np.divmod(pix, self.width)
+        return event_array(x, y, d, t), np.bincount(frame,
+                                                    minlength=n_frames)
 
-    def _open(self, idx, values, at: int) -> None:
+    def _open(self, idx, values, at) -> None:
         self.opened = True
         self.i0[idx] = values
         # dark runs keep d = 0
@@ -160,9 +230,10 @@ class Transcoder:
         self.seg_v[idx] = values
         self.seg_f[idx] = at
 
-    def _settle(self, idx, upto: int) -> None:
+    def _settle(self, idx, upto) -> None:
         """Integrate the current spans of the lit pixels among ``idx`` over
-        the frames before ``upto`` and queue their crossings.
+        the frames before ``upto`` (one frame per pixel) and queue their
+        crossings.
 
         Over a span of ``k`` frames from tick ``t_s`` at value ``v``, a
         pixel goes from ``u`` units and ``a`` crossings to ``b``.  Crossing
@@ -174,7 +245,8 @@ class Transcoder:
         counter's bits during the span.  Levels of unset bits go stale;
         ``_close_runs`` never reads them.
         """
-        idx = idx[self.i0[idx] > 0]
+        lit = self.i0[idx] > 0
+        idx, upto = idx[lit], upto[lit]
         dt = self.header.dt_ref
         v, f, u, a, d = (x[idx] for x in (self.seg_v, self.seg_f, self.units,
                                           self.fired, self.d))
@@ -231,8 +303,10 @@ class Transcoder:
                                       twice_v))
             tick = np.maximum(raw(todo), lag + todo)
 
-    def _close_runs(self, idx, at: int, values=None) -> np.ndarray:
-        """End the runs of pixels ``idx`` (ascending) at tick ``at``.
+    def _close_runs(self, idx, at, values=None):
+        """End the runs of pixels ``idx`` at tick ``at`` (one per pixel, or
+        one for all) and return their events as (row of ``idx``, d, t)
+        columns, each pixel's in emission order.
 
         Each pixel's queue goes out in order, or a dark run's closing
         marker; a lit run's sub-boundary remainder (``units - fired * 2**d``,
@@ -241,8 +315,6 @@ class Transcoder:
         when the new run is dark or the old one left ticks after its last
         firing, which the new run's first event must not stretch over.
         """
-        if not idx.size:
-            return np.empty(0, EVENT)
         t_emit = self.t_emit[idx]
         fired = self.fired[idx]
         has_first = fired > 0
@@ -272,13 +344,13 @@ class Transcoder:
         count = np.maximum(fired - 1, 0)
         bits = (count[:, None] >> high_first) & 1 == 1
         present = np.column_stack((dark | has_first, bits, marks))
-        y, x = np.divmod(idx[np.nonzero(present)[0]], self.width)
-        return event_array(x, y, slots_d[present], slots_t[present])
+        return np.nonzero(present)[0], slots_d[present], slots_t[present]
 
     def flush_all(self) -> np.ndarray:
         """End every open run at the current clock and emit its queue."""
         idx = np.arange(self.width * self.height if self.opened else 0)
-        self._settle(idx, self.now // self.header.dt_ref)
-        emitted = self._close_runs(idx, self.now)
+        self._settle(idx, np.full(idx.size, self.now // self.header.dt_ref))
+        rows, d, t = self._close_runs(idx, self.now)
         self.opened = False
-        return emitted
+        y, x = np.divmod(idx[rows], self.width)
+        return event_array(x, y, d, t)

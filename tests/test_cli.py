@@ -1,4 +1,5 @@
 import csv
+import io
 import struct
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from evc import (
     write_y4m,
 )
 from evc.cli import main
-from evc.fastdet import DEFAULT_THRESHOLD
+from evc.fastdet import DEFAULT_THRESHOLD, Detector, detect_at_boundaries
 from fastdet_oracle import detect_frame
 
 
@@ -171,6 +172,38 @@ def test_exact_detect_gives_the_pipelines_feature_counts(tmp_path):
         row.features for row in result.rows]
     last = load_raw(result.paths["recon_raw"])[-1]
     assert found[n_frames - 1] == detect_frame(last, DEFAULT_THRESHOLD) != set()
+
+
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_detect_csv_is_each_boundarys_sorted_corner_set(tmp_path, capsys,
+                                                        mode):
+    # the CSV as written when each boundary's corners went out as their
+    # sorted (x, y) set, one csv row each: byte for byte, with the summary
+    config = ExperimentConfig(input="clip.y4m", crf=3, detector_mode=mode,
+                              out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=synth_clip("moving_box", 40, 32,
+                                                    12, seed=2))
+    header, events = read_stream(result.paths["raw"])
+    n_frames = int(events["t"].max()) // header.dt_ref
+    images = reconstruct_at_boundaries(events, header, n_frames)
+    detector = Detector(header, DEFAULT_THRESHOLD, mode)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(("frame", "x", "y"))
+    for k, _ in enumerate(detect_at_boundaries(detector, events, images,
+                                               header.dt_ref)):
+        for x, y in sorted(detector.features):
+            writer.writerow((k, x, y))
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["detect", result.paths["raw"], "--mode", mode,
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == want.getvalue().encode()
+    assert len(want.getvalue().splitlines()) > n_frames
+    ratio = detector.test_count / (header.width * header.height * n_frames)
+    assert capsys.readouterr().out == (
+        f"{out}: {len(detector.features)} features at the last boundary, "
+        f"{detector.test_count} tests (work ratio {ratio:.4f})\n")
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
 from evc import fastdet
+from evc.events import window_of
 from evc.fastdet import (MODES, RING, Detector, detect_at_boundaries,
                          ring_corners)
 from fastdet_oracle import candidates, detect_frame, is_feature
@@ -221,6 +223,78 @@ def test_detect_at_boundaries_retests_each_frames_event_pixels(
     assert steps == n_frames
 
 
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(7, 12), height=st.integers(7, 10),
+       dt_ref=st.integers(1, 3), n_frames=st.integers(1, 8),
+       exact=st.booleans(), threshold=st.sampled_from((0, 1, 10, 254, 255,
+                                                       300)),
+       batch=st.sampled_from((1, 5, 40, fastdet._BATCH)), data=st.data())
+def test_batched_boundaries_equal_one_update_each(width, height, dt_ref,
+                                                  n_frames, exact, threshold,
+                                                  batch, data):
+    # whatever the candidate bound cuts, each step yields what one
+    # ``update`` on its boundary would, and leaves the same corners and
+    # test count; centers lie within the threshold of 0 and 255, where
+    # the clamped uint8 bounds take over
+    cells = data.draw(st.lists(st.tuples(
+        st.integers(0, width - 1), st.integers(0, height - 1),
+        st.integers(0, (n_frames + 1) * dt_ref)), max_size=60))
+    events = np.array([(x, y, 5, t) for x, y, t in cells], EVENT)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    t = min(threshold, 255)
+    palette = np.unique(np.clip(np.array(
+        (0, t - 1, t, t + 1, 254 - t, 255 - t, 256 - t, 255)), 0, 255))
+    images = np.where(rng.random((n_frames, height, width)) < 0.8,
+                      rng.choice(palette, (n_frames, height, width)),
+                      rng.integers(0, 256, (n_frames, height, width)))
+    images = images.astype(np.uint8)
+    batched = Detector(header(width, height), threshold, MODES[exact])
+    stepwise = Detector(header(width, height), threshold, MODES[exact])
+    frame = window_of(events["t"], dt_ref)
+    pixel = events["y"].astype(np.int64) * width + events["x"]
+    steps = 0
+    with mock.patch.object(fastdet, "_BATCH", batch):
+        for k, fresh in enumerate(detect_at_boundaries(batched, events,
+                                                       images, dt_ref)):
+            pixels = pixel[frame == k]
+            before = stepwise.features
+            assert fresh.tolist() == stepwise.update(images[k],
+                                                     pixels).tolist()
+            assert np.array_equal(batched.corners, stepwise.corners)
+            assert batched.test_count == stepwise.test_count
+            tested = candidates(pixels.tolist(), width, height, exact)
+            assert stepwise.features == (before - tested) | {
+                q for q in tested if is_feature(images[k], *q, threshold)}
+            steps += 1
+    assert steps == n_frames
+
+
+def test_update_refuses_an_image_or_pixel_that_does_not_fit():
+    # a 16x20 image used to give 27 corners from misaligned rings, and
+    # pixel -52 to test pixel 204
+    det = Detector(header(16, 16), threshold=10, mode="exact")
+    with pytest.raises(ValueError, match="shape"):
+        det.update(np.zeros((16, 20), np.uint8), [100])
+    with pytest.raises(ValueError, match="shape"):
+        det.update(np.zeros(256, np.uint8), [100])
+    for pixel in (-52, -1, 256):
+        with pytest.raises(ValueError, match="pixel indices"):
+            det.update(np.zeros((16, 16), np.uint8), [5, pixel])
+    with pytest.raises(ValueError, match="image values"):
+        det.update(np.full((16, 16), 256), [100])
+    assert det.test_count == 0 and not det.corners.any()
+    with pytest.raises(ValueError, match="negative"):
+        Detector(header(16, 16), threshold=-1)
+
+
+def test_boundary_images_that_do_not_fit_are_refused():
+    events = np.array([(8, 8, 5, 100)], EVENT)
+    det = Detector(header(16, 16), threshold=10)
+    with pytest.raises(ValueError, match="shape"):
+        list(detect_at_boundaries(det, events, np.zeros((2, 16, 20),
+                                                        np.uint8), 255))
+
+
 def pixels_of(stream, width):
     return np.array([y * width + x for x, y, _, _ in stream], np.int64)
 
@@ -289,7 +363,7 @@ def test_on_event_reports_feature_insertion_and_removal():
     assert det.features == detect_frame(image, 10)
 
 
-def test_apply_batch_reports_corners_freshly_inserted_within_it():
+def test_update_reports_corners_freshly_inserted_within_it():
     # ``update`` returns the corners found while not in the set before it
     det = Detector(header(16, 16), threshold=10, mode="exact")
     image, ring = bright_ring()
@@ -308,7 +382,7 @@ def boundary_steps(rng, width, height, n_steps):
     step gets: none, some border pixels, the whole frame, or a random
     draw with repeats.  Only listed pixels change, though a listed pixel
     may keep its value.  Yields (kind, image, pixels), the image as uint8
-    rows or, like the transcoder's run values, as a flat int64 array."""
+    or as int64 rows."""
     palette = np.array((0, 255, 0, 255, 100, 120, 140))
     n = width * height
     ys, xs = np.divmod(np.arange(n), width)
@@ -329,17 +403,18 @@ def boundary_steps(rng, width, height, n_steps):
         image = image.copy()
         image[pixels] = np.where(rng.random(k) < 0.6, rng.choice(palette, k),
                                  rng.integers(0, 256, k))
+        rows = image.reshape(height, width)
         if rng.random() < 0.5:
-            yield kind, image.reshape(height, width), pixels
+            yield kind, rows, pixels
         else:
-            yield kind, image.astype(np.int64), pixels
+            yield kind, rows.astype(np.int64), pixels
 
 
 @settings(max_examples=150, deadline=None)
 @given(width=st.integers(1, 14), height=st.integers(1, 14),
        exact=st.booleans(), threshold=st.sampled_from((0, 10, 40)),
        seed=st.integers(0, 2**32 - 1))
-def test_apply_batch_equals_the_per_event_oracle(width, height, exact,
+def test_update_equals_the_per_event_oracle(width, height, exact,
                                                  threshold, seed):
     # the frame step against the scalar test of its candidates: each
     # candidate's membership becomes ``is_feature`` of it, every other
@@ -348,9 +423,8 @@ def test_apply_batch_equals_the_per_event_oracle(width, height, exact,
     det = Detector(header(width, height), threshold, MODES[exact])
     corners = set()
     for _, image, pixels in boundary_steps(rng, width, height, 5):
-        rows = image.reshape(height, width)
         tested = candidates(pixels, width, height, exact)
-        found = {q for q in tested if is_feature(rows, *q, threshold)}
+        found = {q for q in tested if is_feature(image, *q, threshold)}
         expected = (corners - tested) | found
         seen = det.test_count
         fresh = det.update(image, pixels)
@@ -359,7 +433,7 @@ def test_apply_batch_equals_the_per_event_oracle(width, height, exact,
         assert fresh.tolist() == sorted(y * width + x
                                         for x, y in expected - corners)
         if exact:
-            assert det.features == detect_frame(rows, threshold)
+            assert det.features == detect_frame(image, threshold)
         corners = expected
 
 
@@ -374,7 +448,7 @@ def test_oracle_stream_reaches_the_cases_the_property_names():
             det = Detector(header(width, height), 10, MODES[exact])
             for kind, image, pixels in boundary_steps(rng, width, height, 40):
                 seen.add(kind)
-                seen.add(image.ndim)
+                seen.add(image.dtype.name)
                 if len(pixels) > len(set(pixels.tolist())):
                     seen.add("repeats")
                 seen.update({"black", "white"} & {
@@ -385,7 +459,8 @@ def test_oracle_stream_reaches_the_cases_the_property_names():
                     seen.add(f"fresh {exact} {height}")
                 if (before & ~det.corners).any():
                     seen.add(f"removal {exact}")
-    assert seen == {"empty", "border", "whole", "some", 1, 2, "repeats",
+    assert seen == {"empty", "border", "whole", "some", "uint8", "int64",
+                    "repeats",
                     "black", "white", "fresh False 14", "fresh True 14",
                     "removal False", "removal True"}
 

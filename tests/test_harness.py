@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from evc import (
     ExperimentConfig,
     PipelineError,
     StreamFormatError,
+    Transcoder,
     ingest_y4m,
     load_frames,
     load_raw,
     read_stream,
+    reconstruct_at_boundaries,
     report,
     run_pipeline,
     save_frames,
@@ -29,7 +32,8 @@ from evc import (
 )
 from evc import cli, harness
 from evc.cli import main
-from evc.events import HEADER_SIZE
+from evc.events import HEADER_SIZE, window_of
+from evc.fastdet import Detector, detect_at_boundaries
 from evc.reconstruct import PSNR_CAP
 
 
@@ -350,6 +354,58 @@ def test_worker_count_env_override(monkeypatch):
     assert worker_count() >= 1
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_stages_peak_near_one_call_per_frame():
+    # the transcoder's groups and the detector's batches are bounded, so
+    # on 64x64x60 noise, where every pixel moves every frame, neither
+    # stage's peak passes 1.25 times that of one call per frame
+    frames, header = harness.ingest(ExperimentConfig(crf=3),
+                                    synth_clip("noise", 64, 64, 60, seed=1))
+
+    def per_frame():
+        coder = Transcoder(header)
+        chunks = [coder.integrate_frame(frame) for frame in frames]
+        return np.concatenate(chunks + [coder.flush_all()])
+
+    events, stepped = traced_peak(per_frame)
+    (batched_events, _), batched = traced_peak(
+        lambda: harness.transcode_clip(header, frames))
+    assert np.array_equal(batched_events, events)
+    assert batched <= 1.25 * stepped
+    images = reconstruct_at_boundaries(events, header, len(frames))
+
+    def per_boundary():
+        detector = Detector(header, mode="exact")
+        frame = window_of(events["t"], header.dt_ref)
+        kept = frame < len(images)
+        pixel = events["y"].astype(np.int64) * header.width + events["x"]
+        changed = np.zeros((len(images), header.width * header.height), bool)
+        changed[frame[kept], pixel[kept]] = True
+        for image, pixels in zip(images, changed):
+            detector.update(image, np.flatnonzero(pixels))
+        return detector.corners
+
+    def batched_detect():
+        detector = Detector(header, mode="exact")
+        for _ in detect_at_boundaries(detector, events, images,
+                                      header.dt_ref):
+            pass
+        return detector.corners
+
+    corners, stepped = traced_peak(per_boundary)
+    batched_corners, batched = traced_peak(batched_detect)
+    assert np.array_equal(batched_corners, corners) and corners.any()
+    assert batched <= 1.25 * stepped
+
+
 # the names the benchmark's span tracer swaps in each module for wrappers:
 # a stage that stops looking one up there goes untraced
 TRACED = {
@@ -373,6 +429,13 @@ def test_pipeline_and_play_call_each_traced_name(tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return counted
 
+    # the tracer also wraps these methods of the class it finds there
+    methods = [(harness.Transcoder, name)
+               for name in ("integrate_frame", "flush_all")]
+    for cls, name in methods:
+        calls[cls.__name__, name] = 0
+        monkeypatch.setattr(cls, name, counting((cls.__name__, name),
+                                                getattr(cls, name)))
     for module, names in TRACED.items():
         for name in names:
             monkeypatch.setattr(module, name, counting(
@@ -382,6 +445,8 @@ def test_pipeline_and_play_call_each_traced_name(tmp_path, monkeypatch,
     result = run_pipeline(config, frames=small_clip())
     assert main(["play", result.paths["compressed"],
                  "--out", str(tmp_path / "play.y4m")]) == 0
+    for cls, name in methods:
+        assert calls.pop((cls.__name__, name)) >= 1, name
     assert calls == {
         ("evc.harness", "Transcoder"): 1,
         ("evc.harness", "write_stream"): 1,

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from evc import (
     crf_params,
     starting_decimation,
 )
+from evc import transcode
 from evc.harness import transcode_clip
 from transcode_oracle import OracleGrid, PixelIntegrator
 
@@ -344,6 +346,85 @@ def transcoder_runs(draw):
 def test_array_transcoder_matches_oracle_grid(run):
     got, want = run_both(*run)
     assert got == want
+
+
+@st.composite
+def stacked_clips(draw):
+    """A clip of spans of repeated frames, a frame to split it at, and a
+    bound on a group's moved pixel-frames."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    dt_ref = draw(st.sampled_from([1, 2, 7, 255]))
+    hdr = header(width, height, dt_ref=dt_ref, crf=draw(st.integers(0, 9)))
+    params = None
+    if draw(st.booleans()):
+        m_base = draw(st.integers(0, 12))
+        params = ParamSet(m_base, m_base + draw(st.integers(0, 20)),
+                          draw(st.integers(1, 5)))
+    # dark pixels, small and display-range values, and values past 255
+    value = (st.sampled_from([0, 0, 1, 255, 256, 1000])
+             | st.integers(0, 1000))
+    grid = st.lists(st.lists(value, min_size=width, max_size=width),
+                    min_size=height, max_size=height)
+    frames = []
+    for frame, repeats in draw(st.lists(
+            st.tuples(grid, st.integers(1, 8)), min_size=1, max_size=10)):
+        frames += [frame] * repeats
+    split = draw(st.integers(0, len(frames)))
+    bound = draw(st.sampled_from([1, 2, 3, 7, 20, transcode._GROUP_MOVES]))
+    return hdr, params, np.array(frames), split, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_clips())
+def test_stacks_give_the_events_of_frame_by_frame_calls(clip):
+    # one stack, or two split at any frame, against one call per frame
+    # and the oracle grid: the same events, each frame's count and flush,
+    # whatever the group bound cuts
+    hdr, params, frames, split, bound = clip
+    single = Transcoder(hdr, params)
+    oracle = OracleGrid(hdr, params if params is not None
+                        else crf_params(hdr.crf))
+    per_frame = [single.integrate_frame(f) for f in frames]
+    assert [e.tolist() for e in per_frame] == [oracle.integrate_frame(f)
+                                               for f in frames]
+    tail = single.flush_all()
+    assert tail.tolist() == oracle.flush_all()
+    want = np.concatenate(per_frame)
+    for cuts in ([0, len(frames)], [0, split, len(frames)]):
+        coder = Transcoder(hdr, params)
+        with mock.patch.object(transcode, "_GROUP_MOVES", bound):
+            parts = [coder.integrate_frame(frames[lo:hi])
+                     for lo, hi in zip(cuts, cuts[1:])]
+        events = np.concatenate([e for e, _ in parts])
+        assert events.dtype == EVENT and np.array_equal(events, want)
+        counts = np.concatenate([c for _, c in parts]).tolist()
+        assert counts == [len(e) for e in per_frame]
+        assert coder.now == single.now
+        assert np.array_equal(coder.flush_all(), tail)
+
+
+def test_a_stack_over_the_group_bound_equals_frame_by_frame_calls():
+    # 64x64 noise moves 4,096 pixels a frame, so the bound cuts this clip
+    # into groups of a few frames
+    rng = np.random.default_rng(3)
+    frames = rng.integers(0, 256, (12, 64, 64), dtype=np.uint8)
+    hdr = header(64, 64, crf=3)
+    assert frames.size > transcode._GROUP_MOVES
+    single = Transcoder(hdr)
+    per_frame = [single.integrate_frame(f) for f in frames]
+    coder = Transcoder(hdr)
+    events, counts = coder.integrate_frame(frames)
+    assert np.array_equal(events, np.concatenate(per_frame))
+    assert counts.tolist() == [len(e) for e in per_frame]
+    assert np.array_equal(coder.flush_all(), single.flush_all())
+
+
+def test_a_stack_with_a_negative_value_changes_nothing():
+    coder = Transcoder(header(2, 1))
+    coder.integrate_frame([[3, 4]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        coder.integrate_frame([[[5, 4]], [[5, -1]]])
+    assert coder.now == 255 and coder.seg_v.tolist() == [3, 4]
 
 
 def test_long_constant_run_grows_the_level_table():
