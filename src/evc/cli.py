@@ -84,7 +84,7 @@ def cmd_transcode(args) -> int:
                               dt_ref=args.dt_ref, dt_max=args.dt_max,
                               fps=args.fps)
     frames, header = ingest(config)
-    events = transcode_clip(header, frames)[0]
+    events = transcode_clip(header, frames)
     out = args.out or f"{Path(args.input).stem}.adder"
     size = write_stream(out, header, events)
     print(f"{out}: {len(events)} events, {size} bytes "

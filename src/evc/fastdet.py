@@ -249,12 +249,13 @@ def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
     """
     n_images, shape = len(images), detector.corners.shape
     area = detector.corners.size
+    # the events after the last boundary mark a spare row
     frame = window_of(events["t"], dt_ref)
-    kept = frame < n_images
-    pixel = events["y"].astype(np.int64) * detector.width + events["x"]
-    changed = np.zeros((n_images,) + shape, bool)
-    changed.reshape(n_images, area)[frame[kept], pixel[kept]] = True
-    candidate = detector._candidates(changed)
+    np.minimum(frame, n_images, out=frame)
+    pixel = events["y"].astype(np.uint32) * detector.width + events["x"]
+    changed = np.zeros((n_images + 1,) + shape, bool)
+    changed.reshape(n_images + 1, area)[frame, pixel] = True
+    candidate = detector._candidates(changed[:n_images])
     del changed
     counts = np.count_nonzero(candidate.reshape(n_images, area), axis=1)
     for lo, hi in frame_groups(counts, _BATCH):

@@ -95,7 +95,10 @@ class ExperimentConfig:
 
 @dataclass(slots=True)
 class MetricsRow:
-    """Per-frame measurements taken at the frame's boundary."""
+    """Per-frame measurements taken at the frame's boundary.  ``events``
+    counts the events whose tick falls in the frame (``window_of``), the
+    ticks past the last boundary on the last frame, and ``raw_bits`` is
+    their raw record size."""
 
     frame: int
     events: int
@@ -381,16 +384,11 @@ def ingest(config: ExperimentConfig,
 
 def transcode_clip(header: StreamHeader, frames):
     """Transcode the frames under ``header``, whose CRF picks the
-    transcoder's parameters.
-
-    Returns (events, per-frame event counts): an event counts on the frame
-    that emitted it, the final flush on the last one.
-    """
+    transcoder's parameters, and return the events, the final flush's
+    last."""
     transcoder = Transcoder(header)
-    events, counts = transcoder.integrate_frame(np.asarray(frames))
-    tail = transcoder.flush_all()
-    counts[-1] += len(tail)
-    return np.concatenate((events, tail)), counts.tolist()
+    events = transcoder.integrate_frame(np.asarray(frames))
+    return np.concatenate((events, transcoder.flush_all()))
 
 
 def compress_stream(path, header: StreamHeader, events, dt_adu=None):
@@ -419,7 +417,7 @@ def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
     n_frames = len(frames)
 
     with _stage("transcode"):
-        events, frame_events = transcode_clip(header, frames)
+        events = transcode_clip(header, frames)
 
     paths = _artifact_paths(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -465,6 +463,11 @@ def run_pipeline(config: ExperimentConfig, frames=None) -> PipelineResult:
                                n_frames - 1)]
             for k in covered:
                 comp_bits[k] += 8 * (len(payload) + 4) / len(covered)
+        # each event on the frame its tick falls in, the ticks past the
+        # last boundary on the last frame
+        frame_events = np.bincount(
+            np.minimum(window_of(events["t"], header.dt_ref), n_frames - 1),
+            minlength=n_frames).tolist()
         event_bits = 8 * header.event_size
         rows = [
             MetricsRow(k, frame_events[k], frame_events[k] * event_bits,

@@ -124,15 +124,13 @@ class Transcoder:
         return the events of the runs it ends as an ``EVENT`` array.
 
         ``frames`` may also be a (k, height, width) stack.  It advances by
-        each frame in turn and returns (events, counts): the events that
-        frame-by-frame calls would return, concatenated, and the number
-        each frame emits.
+        each frame in turn and returns the events that frame-by-frame calls
+        would return, concatenated.
         """
         values = np.asarray(frames)
         if values.dtype.kind not in "iu":
             values = values.astype(np.int64)
-        single = values.ndim == 2
-        if single:
+        if values.ndim == 2:
             values = values[None]
         if values.ndim != 3 or values.shape[1:] != (self.height, self.width):
             raise ValueError("frame shape does not match the stream header")
@@ -149,18 +147,16 @@ class Transcoder:
         if n_frames:
             np.not_equal(values[0], self.seg_v, out=moved[0])
             np.not_equal(values[1:], values[:-1], out=moved[1:])
-        chunks, counts = zip(*(
-            self._step_moves(values[lo:hi], moved[lo:hi], first + lo)
-            for lo, hi in frame_groups(np.count_nonzero(moved, axis=1),
-                                       _GROUP_MOVES)))
-        events = chunks[0] if len(chunks) == 1 else np.concatenate(
+        chunks = [self._step_moves(values[lo:hi], moved[lo:hi], first + lo)
+                  for lo, hi in frame_groups(np.count_nonzero(moved, axis=1),
+                                             _GROUP_MOVES)]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(
             chunks, dtype=EVENT)
-        return events if single else (events, np.concatenate(counts))
 
     def _step_moves(self, values, moved, first: int):
         """Advance the pixels through the ``moved`` entries of ``values``,
         frames ``first`` on, and return the events, in frame, then
-        row-major pixel order, and the number each frame emits.
+        row-major pixel order.
 
         Step r takes every pixel's r-th move at once, so a step holds each
         pixel once, and each pixel's moves come in frame order.  Only a
@@ -169,10 +165,9 @@ class Transcoder:
         run.
         """
         n_frames, area = values.shape
-        none = np.empty(0, EVENT), np.zeros(n_frames, np.int64)
         entries = np.flatnonzero(moved)
         if not entries.size:
-            return none
+            return np.empty(0, EVENT)
         if n_frames == 1:
             # every move is its pixel's first: one step, and no division
             frame, idx = np.zeros_like(entries), entries
@@ -206,15 +201,14 @@ class Transcoder:
             self._open(pix, val, at)
             parts.append((at[rows] - first, pix[rows], d, t))
         if not parts:
-            return none
+            return np.empty(0, EVENT)
         frame, pix, d, t = (np.concatenate(c) for c in zip(*parts))
         if len(parts) > 1:
             # a step's events are in order; the steps interleave
             order = np.argsort(frame * area + pix, kind="stable")
-            frame, pix, d, t = frame[order], pix[order], d[order], t[order]
+            pix, d, t = pix[order], d[order], t[order]
         y, x = np.divmod(pix, self.width)
-        return event_array(x, y, d, t), np.bincount(frame,
-                                                    minlength=n_frames)
+        return event_array(x, y, d, t)
 
     def _open(self, idx, values, at) -> None:
         self.opened = True

@@ -165,7 +165,7 @@ def test_event_spans_stay_within_dt_max():
         header = StreamHeader(2, 2, dt_ref=DT_REF, dt_max=30 * DT_REF,
                               dt_s=30 * DT_REF, crf=0)
         frames = [np.full((2, 2), 100, np.uint8)] * 400
-        for seq in by_pixel(transcode_clip(header, frames)[0]).values():
+        for seq in by_pixel(transcode_clip(header, frames)).values():
             prev = 0
             for d, t in seq:
                 if d != EMPTY:
@@ -180,7 +180,7 @@ def test_mid_stream_join_recovers_within_its_window():
         header = StreamHeader(24, 16, dt_ref=DT_REF, dt_max=30 * DT_REF,
                               dt_s=30 * DT_REF, crf=3)
         frames = synth_clip("walk", 24, 16, 90, seed=0)
-        payloads = encode_stream(transcode_clip(header, frames)[0], header)
+        payloads = encode_stream(transcode_clip(header, frames), header)
         assert len(payloads) == 3
         decoded = [decode_adu(p, header, k) for k, p in enumerate(payloads)]
         full = reconstruct_at_boundaries(np.concatenate(decoded), header, 90)

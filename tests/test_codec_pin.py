@@ -192,7 +192,7 @@ def test_codec5_payloads_of_a_transcoded_clip_are_pinned(case):
     kind, width, height, frames, seed = case
     hdr = header(width, height, 0)
     events = transcode_clip(hdr, synth_clip(kind, width, height, frames,
-                                            seed))[0]
+                                            seed))
     markers = events["t"][events["d"] == EMPTY]
     assert len(markers) > len(events) // 4
     assert (markers % DT_REF == 1).all()

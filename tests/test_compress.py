@@ -303,7 +303,7 @@ def test_coding_one_adu_holds_a_few_bytes_per_event():
     # grow with the unit: it is measured on an empty unit, bounded on its
     # own, and left out of the per-event bound.
     hdr = header(16, 16, dt_max=30 * 255)
-    events = transcode_clip(hdr, synth_clip("walk", 16, 16, 30))[0]
+    events = transcode_clip(hdr, synth_clip("walk", 16, 16, 30))
     (adu,) = build_adus(events, hdr)
     assert len(adu.events) > 10_000
     empty = Adu(0, adu.span, events_of([]))

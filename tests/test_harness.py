@@ -205,15 +205,16 @@ def test_pipeline_is_deterministic(tmp_path):
 
 # sha256 of a small run's reconstructions, metrics and played clip, as
 # the per-frame replay and metrics wrote them before the one-pass replay
-# (the metrics as codec 6 sets their comp_bits column); feature
-# adaptation is ignored, so both settings give these
+# (the metrics as codec 6 sets their comp_bits column, and with events
+# and raw_bits counted by tick); feature adaptation is ignored, so both
+# settings give these
 PINNED = {
     "recon_raw":
         "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
     "recon_comp":
         "9ac7909ceb3412af99f4825cc1dd273605da18f6c7357126a40bbfeffb9aeb5a",
     "metrics":
-        "9e771c6e13ba2c423dc5d01f1ac48c158becce8d6ffa4dacb5f4bd491483d43a",
+        "67e77dfa1f3b6954b597f7e854a61ccc7168de1f782aab61fe868253268dfdbe",
     "play":
         "b0e7ee0b2afa98ba1f87cc8e237b5134ab936855bc2e0393b40d60aa6817a35b",
 }
@@ -317,6 +318,44 @@ def test_unit_without_a_boundary_charges_the_frame_it_ends_in(tmp_path):
     assert result.rows[-1].comp_bits < sum(expected) / 4
 
 
+def metrics_column(path, name):
+    with open(path) as fp:
+        return [int(row[name]) for row in csv.DictReader(fp)]
+
+
+def test_events_count_on_the_frame_their_tick_falls_in(tmp_path):
+    # a still clip's runs close only at the flush, after the last frame,
+    # but their ticks spread from frame 0 on; each event counts on the
+    # frame its tick falls in, as comp_bits and the replay place it
+    n_frames = 40
+    config = ExperimentConfig(crf=3, out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=synth_clip("static", 24, 16,
+                                                    n_frames))
+    header, events = read_stream(result.paths["raw"])
+    by_tick = np.bincount(
+        np.minimum(window_of(events["t"], header.dt_ref), n_frames - 1),
+        minlength=n_frames).tolist()
+    counts = metrics_column(result.paths["metrics"], "events")
+    assert counts == by_tick and sum(counts) == len(events)
+    assert counts[0] and counts[-1] < len(events)
+    assert metrics_column(result.paths["metrics"], "raw_bits") == [
+        72 * count for count in counts]
+
+
+def test_ticks_past_the_last_boundary_count_on_the_last_frame(tmp_path):
+    # at dt_ref 1 each pixel's events land at ticks 1 and 3 (its queue)
+    # and 4 (the marker opening its dark run on the last frame), and the
+    # flush's marker closing that run at tick 5, past the 4-tick clock
+    frames = [np.full((2, 2), 9, np.uint8)] * 3 + [np.zeros((2, 2),
+                                                            np.uint8)]
+    config = ExperimentConfig(crf=0, dt_ref=1, dt_max=1,
+                              out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=frames)
+    _, events = read_stream(result.paths["raw"])
+    assert events["t"].max() == 5
+    assert metrics_column(result.paths["metrics"], "events") == [4, 0, 4, 8]
+
+
 def test_ticks_past_32_bits_fail_the_run(tmp_path):
     # frame 3 ends at tick 3 * 2**31, past the 32-bit timestamp field
     config = ExperimentConfig(crf=0, dt_ref=1 << 31, dt_max=1 << 31,
@@ -376,7 +415,7 @@ def test_batched_stages_peak_near_one_call_per_frame():
         return np.concatenate(chunks + [coder.flush_all()])
 
     events, stepped = traced_peak(per_frame)
-    (batched_events, _), batched = traced_peak(
+    batched_events, batched = traced_peak(
         lambda: harness.transcode_clip(header, frames))
     assert np.array_equal(batched_events, events)
     assert batched <= 1.25 * stepped

@@ -137,7 +137,7 @@ def test_lossless_static_reconstruction_is_exact():
                      dtype=np.uint8)
     hdr = header(8, 6)
     frames = [frame] * 20
-    events = transcode_clip(hdr, frames)[0]
+    events = transcode_clip(hdr, frames)
     for snap in reconstruct_at_boundaries(events, hdr, 20):
         assert np.array_equal(snap, frame)
 
@@ -149,7 +149,7 @@ def test_step_between_power_of_two_values_is_exact():
     f1 = np.full((2, 2), 32, dtype=np.uint8)
     f2 = np.full((2, 2), 128, dtype=np.uint8)
     frames = [f1] * 5 + [f2] * 5
-    events = transcode_clip(hdr, frames)[0]
+    events = transcode_clip(hdr, frames)
     snaps = reconstruct_at_boundaries(events, hdr, 10)
     for k in range(5):
         assert np.array_equal(snaps[k], f1)
@@ -165,7 +165,7 @@ def test_step_between_unaligned_values_tracks_within_rounding():
     f1 = np.full((2, 2), 48, dtype=np.uint8)
     f2 = np.full((2, 2), 192, dtype=np.uint8)
     frames = [f1] * 5 + [f2] * 5
-    events = transcode_clip(hdr, frames)[0]
+    events = transcode_clip(hdr, frames)
     gaps = events[events["d"] == EMPTY]
     assert len(gaps) == 4 and np.all(gaps["t"] == 5 * 255 + 1)
     snaps = reconstruct_at_boundaries(events, hdr, 10)
@@ -180,7 +180,7 @@ def test_static_reconstruction_within_one_unit_for_all_values():
     for v in range(0, 256, 7):
         hdr = header(1, 1)
         frames = [np.full((1, 1), v, dtype=np.uint8)] * 12
-        events = transcode_clip(hdr, frames)[0]
+        events = transcode_clip(hdr, frames)
         for snap in reconstruct_at_boundaries(events, hdr, 12):
             assert abs(int(snap[0, 0]) - v) <= 1
 
@@ -290,7 +290,7 @@ def test_replay_peak_memory_is_the_output_plus_a_bound_per_event(kind, size):
     # events, so a frame-sized buffer wider than uint8 would break the bound
     frames = synth_clip(kind, *size, seed=1)
     hdr = header(*size[:2])
-    events = transcode_clip(hdr, frames)[0]
+    events = transcode_clip(hdr, frames)
     tracemalloc.start()
     try:
         out = reconstruct_at_boundaries(events, hdr, len(frames))

@@ -129,7 +129,7 @@ def test_zero_frames_emit_single_empty_per_flush():
 
 def test_every_pixel_emits_after_constant_frame():
     hdr = header(5, 4)
-    events = transcode_clip(hdr, [np.full((4, 5), 17, dtype=np.uint8)])[0]
+    events = transcode_clip(hdr, [np.full((4, 5), 17, dtype=np.uint8)])
     assert set(zip(events["x"].tolist(), events["y"].tolist())) == \
         {(x, y) for x in range(5) for y in range(4)}
 
@@ -138,7 +138,7 @@ def test_per_pixel_timestamps_strictly_increase():
     rng = np.random.default_rng(5)
     frames = [rng.integers(0, 256, size=(6, 7), dtype=np.uint8) for _ in range(20)]
     for crf in (0, 3, 9):
-        events = transcode_clip(header(7, 6, crf=crf), frames)[0]
+        events = transcode_clip(header(7, 6, crf=crf), frames)
         last = {}
         for x, y, _, t in events.tolist():
             assert t > last.get((x, y), 0)
@@ -149,7 +149,7 @@ def test_constant_run_accounting():
     for value in (1, 17, 48, 223, 255):
         hdr = header(1, 1)
         frames = [np.full((1, 1), value, dtype=np.uint8)] * 12
-        events = transcode_clip(hdr, frames)[0]
+        events = transcode_clip(hdr, frames)
         emitted_units = sum(1 << d for d in events["d"].tolist())
         total = 12 * value
         d = value.bit_length() - 1
@@ -209,8 +209,8 @@ def test_transcode_deterministic():
     rng = np.random.default_rng(9)
     frames = [rng.integers(0, 256, size=(8, 9), dtype=np.uint8) for _ in range(12)]
     hdr = header(9, 8, crf=4)
-    a = transcode_clip(hdr, frames)[0]
-    b = transcode_clip(hdr, frames)[0]
+    a = transcode_clip(hdr, frames)
+    b = transcode_clip(hdr, frames)
     assert a.dtype == EVENT and len(a) > 0
     assert np.array_equal(a, b)
 
@@ -378,8 +378,8 @@ def stacked_clips(draw):
 @given(stacked_clips())
 def test_stacks_give_the_events_of_frame_by_frame_calls(clip):
     # one stack, or two split at any frame, against one call per frame
-    # and the oracle grid: the same events, each frame's count and flush,
-    # whatever the group bound cuts
+    # and the oracle grid: the same events and flush, whatever the group
+    # bound cuts
     hdr, params, frames, split, bound = clip
     single = Transcoder(hdr, params)
     oracle = OracleGrid(hdr, params if params is not None
@@ -395,10 +395,8 @@ def test_stacks_give_the_events_of_frame_by_frame_calls(clip):
         with mock.patch.object(transcode, "_GROUP_MOVES", bound):
             parts = [coder.integrate_frame(frames[lo:hi])
                      for lo, hi in zip(cuts, cuts[1:])]
-        events = np.concatenate([e for e, _ in parts])
+        events = np.concatenate(parts)
         assert events.dtype == EVENT and np.array_equal(events, want)
-        counts = np.concatenate([c for _, c in parts]).tolist()
-        assert counts == [len(e) for e in per_frame]
         assert coder.now == single.now
         assert np.array_equal(coder.flush_all(), tail)
 
@@ -413,9 +411,8 @@ def test_a_stack_over_the_group_bound_equals_frame_by_frame_calls():
     single = Transcoder(hdr)
     per_frame = [single.integrate_frame(f) for f in frames]
     coder = Transcoder(hdr)
-    events, counts = coder.integrate_frame(frames)
+    events = coder.integrate_frame(frames)
     assert np.array_equal(events, np.concatenate(per_frame))
-    assert counts.tolist() == [len(e) for e in per_frame]
     assert np.array_equal(coder.flush_all(), single.flush_all())
 
 
