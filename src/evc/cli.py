@@ -25,6 +25,7 @@ from .events import (
     StreamFormatError,
     read_header,
     read_stream,
+    window_of,
     write_stream,
 )
 from .fastdet import DEFAULT_THRESHOLD, MODES, Detector, detect_at_boundaries
@@ -75,8 +76,9 @@ def _read_any_stream(path: str):
 
 
 def _frame_count(events, header) -> int:
-    """Frames a stream plays as: its whole frame intervals, at least one."""
-    return max(1, int(events["t"].max(initial=0)) // header.dt_ref)
+    """Frames a stream plays as: up to the one its last tick falls in, so
+    every event shows."""
+    return int(window_of(events["t"].max(initial=0), header.dt_ref)) + 1
 
 
 def cmd_transcode(args) -> int:

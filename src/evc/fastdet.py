@@ -14,16 +14,17 @@ of them, which keeps the set equal to a full scan of the boundary image.
 One kernel tests candidates given as flat indices into a stack of uint8
 images, each distinct candidate of a frame once: a compass screen, which
 passes a candidate where two compass points four apart are both bright or
-both dark, as every 9-long arc covers such a pair, then the full arc test
-as a lookup of the ring's 16 flags in a 65,536-entry table.  The
-thresholds are clamped to 0..255 in uint8, which keeps every comparison
-exact.  ``Detector.update`` is the kernel's one-frame case and returns
-the corners it freshly inserted, the detector's asynchronous output.
-``detect_at_boundaries`` runs a detector over a stream's reconstructed
-boundary images, each frame's candidates the pixels of its events, found
-with one scatter over the stream.  It tests consecutive boundaries in
-batches of a bounded number of candidates, one kernel call each, then
-applies each boundary's results in order, as ``update`` would.
+both dark, as every 9-long arc covers such a pair, then the full arc test,
+which packs the ring's 16 bright and 16 dark flags into two codes and
+looks each up in a 65,536-entry table.  The thresholds are clamped to
+0..255 in uint8, which keeps every comparison exact.  One stepper runs
+the kernel: it tests consecutive boundaries in batches of a bounded
+number of candidates, one kernel call each, then applies each boundary's
+results in order and yields the corners it freshly inserted, the
+detector's asynchronous output.  ``Detector.update`` is one step of it,
+on one image.  ``detect_at_boundaries`` runs it over a stream's
+reconstructed boundary images, each frame's candidates the pixels of its
+events, found with one scatter over the stream.
 """
 
 from __future__ import annotations
@@ -77,24 +78,6 @@ def _bounds(center, threshold: int):
     the clamped bounds are exact, and in uint8 nothing wraps."""
     t = min(threshold, 255)
     return np.minimum(center, 255 - t) + t, np.maximum(center, t) - t
-
-
-def ring_corners(center: np.ndarray, ring: np.ndarray,
-                 threshold: int) -> np.ndarray:
-    """The arc test over gathered values in 0..255: whether each row of
-    ``ring`` (16 values in ``RING`` order) holds ``DEFAULT_STREAK``
-    circularly contiguous values all above its ``center`` plus the
-    threshold, or all below it minus the threshold."""
-    high, low = _bounds(np.asarray(center), threshold)
-    return (_has_arc(ring > high[:, None])
-            | _has_arc(ring < low[:, None]))
-
-
-def _has_arc(flags: np.ndarray) -> np.ndarray:
-    # each row's 16 flags as one code, bit i for ring point i: the rows
-    # are whole byte pairs, so packing them flat keeps them apart
-    flags = np.ascontiguousarray(flags).reshape(-1)
-    return _arc_table()[np.packbits(flags, bitorder="little").view("<u2")]
 
 
 def _uint8_images(images, shape) -> np.ndarray:
@@ -161,7 +144,6 @@ class Detector:
         the row-major indices of the corners this call freshly inserted,
         in ascending order.
         """
-        image = _uint8_images(image, self.corners.shape)
         pixels = np.asarray(pixels, np.int64)
         if pixels.size and (pixels.min() < 0
                             or pixels.max() >= self.corners.size):
@@ -169,8 +151,27 @@ class Detector:
                              f"0..{self.corners.size - 1}")
         changed = np.zeros((1,) + self.corners.shape, bool)
         changed.reshape(-1)[pixels] = True
-        q = np.flatnonzero(self._candidates(changed))
-        return self._apply(q, self._arc_test(image.reshape(-1), q))
+        return next(self._steps(np.asarray(image)[None],
+                                self._candidates(changed)))
+
+    def _steps(self, images, candidate: np.ndarray) -> Iterator[np.ndarray]:
+        """Test the ``candidate`` masks, one per image of ``images``, and
+        yield each boundary's fresh corners in order.  Consecutive
+        boundaries are tested in batches of up to ``_BATCH`` candidates,
+        one ``_arc_test`` each, after their images are checked; then each
+        boundary's results are applied in turn."""
+        area = self.corners.size
+        counts = np.count_nonzero(candidate.reshape(len(candidate), area),
+                                  axis=1)
+        for lo, hi in frame_groups(counts, _BATCH):
+            batch = _uint8_images(images[lo:hi],
+                                  (hi - lo,) + self.corners.shape)
+            q = np.flatnonzero(candidate[lo:hi])
+            found = self._arc_test(batch.reshape(-1), q)
+            q %= area
+            ends = np.cumsum(counts[lo:hi]).tolist()
+            for start, end in zip([0] + ends, ends):
+                yield self._apply(q[start:end], found[start:end])
 
     def _candidates(self, changed: np.ndarray) -> np.ndarray:
         """The candidate mask of a stack of changed-pixel masks: an
@@ -204,8 +205,14 @@ class Detector:
         ring = np.empty((len(q), len(self._ring)), np.uint8)
         for i, offset in enumerate(self._ring):
             ring[:, i] = pixels[q + offset]
+        flags = np.empty((2,) + ring.shape, bool)
+        np.greater(ring, high[maybe][:, None], out=flags[0])
+        np.less(ring, low[maybe][:, None], out=flags[1])
+        # each row's 16 flags as one code, bit i for ring point i: the rows
+        # are whole byte pairs, so packing them flat keeps them apart
+        arc = _arc_table()[np.packbits(flags, bitorder="little").view("<u2")]
         found = np.zeros(len(center), bool)
-        found[maybe] = ring_corners(center[maybe], ring, self.threshold)
+        found[maybe] = arc[:len(q)] | arc[len(q):]
         return found
 
     def _apply(self, q: np.ndarray, found: np.ndarray) -> np.ndarray:
@@ -242,27 +249,14 @@ def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
     of frame k (``window_of(t, dt_ref) == k``), in any stream order.
     Yields each step's freshly inserted corners, as ``update`` would.  The
     events after the last boundary are not detected: no image shows them.
-
-    The boundaries are tested in batches of consecutive ones, up to a
-    bounded number of candidates, by one kernel call each; each step then
-    applies its own results in order.
     """
     n_images, shape = len(images), detector.corners.shape
-    area = detector.corners.size
     # the events after the last boundary mark a spare row
     frame = window_of(events["t"], dt_ref)
     np.minimum(frame, n_images, out=frame)
     pixel = events["y"].astype(np.uint32) * detector.width + events["x"]
     changed = np.zeros((n_images + 1,) + shape, bool)
-    changed.reshape(n_images + 1, area)[frame, pixel] = True
+    changed.reshape(n_images + 1, detector.corners.size)[frame, pixel] = True
     candidate = detector._candidates(changed[:n_images])
     del changed
-    counts = np.count_nonzero(candidate.reshape(n_images, area), axis=1)
-    for lo, hi in frame_groups(counts, _BATCH):
-        batch = _uint8_images(images[lo:hi], (hi - lo,) + shape)
-        q = np.flatnonzero(candidate[lo:hi])
-        found = detector._arc_test(batch.reshape(-1), q)
-        q %= area
-        ends = np.cumsum(counts[lo:hi]).tolist()
-        for start, end in zip([0] + ends, ends):
-            yield detector._apply(q[start:end], found[start:end])
+    yield from detector._steps(images, candidate)

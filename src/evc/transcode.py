@@ -78,25 +78,25 @@ class Transcoder:
     row-major numpy arrays.
 
     Per pixel: the run's opening value ``i0``, decimation ``d`` and first
-    frame ``run_f``, the integrated ``units`` and the crossings ``fired``,
-    and the tick of the last emitted event ``t_emit``.  The run's queue is
-    ``first_t``, the tick of its first crossing, the ``last_tick`` of the
-    latest one (the run's opening tick until it has one) and ``levels``,
-    the tick of each counter bit (grown in width as counts need more
-    bits); the counter holds ``fired - 1``.  Runs are ``opened`` all at
-    once: every pixel opens one on the first frame, and ``flush_all``
-    closes them all.
+    frame ``run_f``, the integrated ``units``, whose crossings are
+    ``units >> d``, and the tick of the last emitted event ``t_emit``.
+    The run's queue is ``first_t``, the tick of its first crossing, the
+    ``last_tick`` of the latest one (the run's opening tick until it has
+    one) and ``levels``, the tick of each counter bit (grown in width as
+    counts need more bits); the counter holds the crossings less one.
+    Runs are ``opened`` all at once: every pixel opens one on the first
+    frame, and ``flush_all`` closes them all.
 
     The work is done once per span, not once per frame.  A pixel's span is
     the frames since ``seg_f`` at one value ``seg_v``, which is also the
-    value of its latest frame; ``units``, ``fired``, ``first_t``,
-    ``last_tick`` and ``levels`` hold the state as of the span's first
-    frame.  A stack of frames finds its moves, the pixel-frames whose value
-    differs from the frame before, and cuts the frames into groups of a
-    bounded number of moves.  In a group, step r takes each pixel's r-th
-    move, settles the span it ends in closed form (``_settle``) and checks
-    the run against the contrast window, which widens with the run's age;
-    so the frame, the window's age and the ticks are per pixel.  Events
+    value of its latest frame; ``units``, ``first_t``, ``last_tick`` and
+    ``levels`` hold the state as of the span's first frame.  A stack of
+    frames finds its moves, the pixel-frames whose value differs from the
+    frame before, and cuts the frames into groups of a bounded number of
+    moves.  In a group, step r takes each pixel's r-th move, settles the
+    span it ends in closed form (``_settle``) and checks the run against
+    the contrast window, which widens with the run's age; so the frame,
+    the window's age and the ticks are per pixel.  Events
     come in frame, then row-major pixel order; each pixel gives its
     closing events (the queue in order, or a dark run's closing marker),
     then the marker opening its new run if it needs one.
@@ -113,9 +113,8 @@ class Transcoder:
         self.now = 0
         self.opened = False
         n = self.width * self.height
-        (self.i0, self.d, self.run_f, self.units, self.fired, self.t_emit,
-         self.first_t, self.last_tick, self.seg_v,
-         self.seg_f) = np.zeros((10, n), np.int64)
+        (self.i0, self.d, self.run_f, self.units, self.t_emit, self.first_t,
+         self.last_tick, self.seg_v, self.seg_f) = np.zeros((9, n), np.int64)
         self.levels = np.zeros((n, 8), np.int64)
 
     def integrate_frame(self, frames):
@@ -217,7 +216,6 @@ class Transcoder:
         self.d[idx] = starting_decimation(np.maximum(values, 1))
         self.run_f[idx] = at
         self.units[idx] = 0
-        self.fired[idx] = 0
         # The run's first crossing, in this frame since 2**d <= i0, need
         # only follow the frame's start.
         self.last_tick[idx] = at * self.header.dt_ref
@@ -242,13 +240,12 @@ class Transcoder:
         lit = self.i0[idx] > 0
         idx, upto = idx[lit], upto[lit]
         dt = self.header.dt_ref
-        v, f, u, a, d = (x[idx] for x in (self.seg_v, self.seg_f, self.units,
-                                          self.fired, self.d))
+        v, f, u, d = (x[idx] for x in (self.seg_v, self.seg_f, self.units,
+                                       self.d))
         units = u + (upto - f) * v
         self.units[idx] = units
         self.seg_f[idx] = upto
-        b = units >> d
-        self.fired[idx] = b
+        a, b = u >> d, units >> d
         new = (b > a).nonzero()[0]
         if not new.size:
             return
@@ -303,14 +300,17 @@ class Transcoder:
         columns, each pixel's in emission order.
 
         Each pixel's queue goes out in order, or a dark run's closing
-        marker; a lit run's sub-boundary remainder (``units - fired * 2**d``,
-        less than one event at its base decimation) is discarded.  With
-        ``values``, the pixels' new runs open at them, and a marker follows
-        when the new run is dark or the old one left ticks after its last
-        firing, which the new run's first event must not stretch over.
+        marker; a lit run's sub-boundary remainder (``units`` past its
+        last crossing's boundary, less than one event at its base
+        decimation) is discarded.  A run's crossings are ``units >> d``;
+        a dark run keeps both at 0.  With ``values``, the pixels' new runs
+        open at them, and a marker follows when the new run is dark or the
+        old one left ticks after its last firing, which the new run's
+        first event must not stretch over.
         """
         t_emit = self.t_emit[idx]
-        fired = self.fired[idx]
+        d = self.d[idx]
+        fired = self.units[idx] >> d
         has_first = fired > 0
         dark = self.i0[idx] == 0
         # Zero-span markers yield to whatever else fired at the same tick.
@@ -329,7 +329,6 @@ class Transcoder:
         # (the queue's first entry, or a dark run's marker), the counter
         # bits from high to low, then the opening marker.
         high_first = np.arange(self.levels.shape[1] - 1, -1, -1)
-        d = self.d[idx]
         slots_d = np.column_stack((np.where(dark, EMPTY, d),
                                    d[:, None] + high_first,
                                    np.full(len(idx), EMPTY)))

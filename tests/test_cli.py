@@ -213,12 +213,25 @@ def test_detect_csv_is_each_boundarys_sorted_corner_set(tmp_path, capsys,
 def test_play_and_detect_take_streams_of_one_or_many_events(tmp_path, rows):
     stream = tmp_path / "s.adder"
     write_stream(str(stream), StreamHeader(4, 4), np.array(rows, EVENT))
-    frames = max(t for *_, t in rows) // 255
+    # up to the frame the last tick falls in: a lone event at tick 600
+    # shows on frame 2
+    frames = (max(t for *_, t in rows) - 1) // 255 + 1
     play = tmp_path / "s.gray"
     assert main(["play", str(stream), "--out", str(play)]) == 0
     assert play.stat().st_size == frames * 16
     assert main(["detect", str(stream), "--out",
                  str(tmp_path / "f.csv")]) == 0
+
+
+def test_play_shows_the_frame_of_the_last_tick(tmp_path):
+    # a constant clip's last crossings fall inside its last frame, which
+    # whole frame intervals alone would drop
+    config = ExperimentConfig(input="clip.y4m", crf=3, out_dir=str(tmp_path))
+    result = run_pipeline(config, frames=[np.full((2, 2), 100, np.uint8)] * 4)
+    play = tmp_path / "s.gray"
+    assert main(["play", result.paths["compressed"], "--out", str(play)]) == 0
+    assert np.array_equal(load_raw(play), load_raw(result.paths["recon_comp"]))
+    assert len(load_raw(play)) == 4
 
 
 def test_play_refuses_a_stream_of_no_events(tmp_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
 from evc import fastdet
 from evc.events import window_of
-from evc.fastdet import (MODES, RING, Detector, detect_at_boundaries,
-                         ring_corners)
+from evc.fastdet import MODES, RING, Detector, detect_at_boundaries
 from fastdet_oracle import candidates, detect_frame, is_feature
 
 
@@ -108,14 +107,25 @@ def edge_image(rng, width, height, threshold):
     return image.astype(np.uint8)
 
 
-@settings(max_examples=200, deadline=None)
+def mixed_image(rng, width, height):
+    """A uint8 image, half of it display extremes and values 20 apart,
+    half any value."""
+    palette = np.array((0, 255, 0, 255, 100, 120, 140))
+    return np.where(rng.random((height, width)) < 0.5,
+                    rng.choice(palette, (height, width)),
+                    rng.integers(0, 256, (height, width))).astype(np.uint8)
+
+
+@settings(max_examples=400, deadline=None)
 @given(width=st.integers(1, 24), height=st.integers(1, 24),
-       threshold=st.integers(0, 40), rows=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       threshold=st.integers(0, 60), rows=st.booleans(),
+       mixed=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_detect_frame_equals_the_scalar_scan(width, height, threshold, rows,
-                                             seed):
+                                             mixed, seed):
     # a uint8 array or rows of ints, frames under 7 pixels on a side too
-    image = edge_image(np.random.default_rng(seed), width, height, threshold)
+    rng = np.random.default_rng(seed)
+    image = (mixed_image(rng, width, height) if mixed
+             else edge_image(rng, width, height, threshold))
     if rows:
         image = image.tolist()
     mask = fastdet.detect_frame(image, threshold)
@@ -267,6 +277,32 @@ def test_batched_boundaries_equal_one_update_each(width, height, dt_ref,
                 q for q in tested if is_feature(images[k], *q, threshold)}
             steps += 1
     assert steps == n_frames
+
+
+def test_one_stepper_tests_once_per_batch_and_applies_once_per_step(
+        monkeypatch):
+    # boundaries of 3, 3, 0, 5 and 2 candidates under a bound of 5 make
+    # the batches {0}, {1, 2}, {3} and {4}; ``update`` is one step
+    calls = []
+    for name in ("_arc_test", "_apply"):
+        def counted(self, *args, name=name, method=getattr(Detector, name)):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(Detector, name, counted)
+    monkeypatch.setattr(fastdet, "_BATCH", 5)
+    per_frame = (3, 3, 0, 5, 2)
+    events = np.array([(3 + i, 8, 5, k * 255 + 100)
+                       for k, n in enumerate(per_frame) for i in range(n)],
+                      EVENT)
+    images = np.zeros((len(per_frame), 16, 16), np.uint8)
+    det = Detector(header(16, 16), 10)
+    assert len(list(detect_at_boundaries(det, events, images, 255))) == 5
+    assert calls == ["_arc_test", "_apply", "_arc_test", "_apply", "_apply",
+                     "_arc_test", "_apply", "_arc_test", "_apply"]
+    assert det.test_count == sum(per_frame)
+    calls.clear()
+    det.update(images[0], [40, 41])
+    assert calls == ["_arc_test", "_apply"]
 
 
 def test_update_refuses_an_image_or_pixel_that_does_not_fit():
@@ -463,21 +499,3 @@ def test_oracle_stream_reaches_the_cases_the_property_names():
                     "repeats",
                     "black", "white", "fresh False 14", "fresh True 14",
                     "removal False", "removal True"}
-
-
-@settings(max_examples=200, deadline=None)
-@given(width=st.integers(7, 12), height=st.integers(7, 12),
-       threshold=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
-def test_ring_corners_match_is_feature(width, height, threshold, seed):
-    rng = np.random.default_rng(seed)
-    palette = np.array((0, 255, 0, 255, 100, 120, 140))
-    image = np.where(rng.random((height, width)) < 0.5,
-                     rng.choice(palette, (height, width)),
-                     rng.integers(0, 256, (height, width))).astype(np.uint8)
-    ys, xs = np.mgrid[3:height - 3, 3:width - 3]
-    xs, ys = xs.ravel(), ys.ravel()
-    dx, dy = np.array(RING).T
-    ring = image[ys[:, None] + dy, xs[:, None] + dx]
-    found = ring_corners(image[ys, xs], ring, threshold)
-    assert found.tolist() == [is_feature(image, x, y, threshold)
-                              for x, y in zip(xs.tolist(), ys.tolist())]

@@ -437,7 +437,7 @@ def test_long_constant_run_grows_the_level_table():
     flushed = coder.flush_all()
     bright = flushed[(flushed["x"] == 1) & (flushed["y"] == 1)]
     assert bright["d"].max() >= starting_decimation(255) + 10
-    assert coder.fired.max() > 1 << 10
+    assert (coder.units >> coder.d).max() > 1 << 10
     assert coder.levels.shape[1] > start_width
     steps = [("frame", frame)] * 140 + [("flush",)] + [("frame", frame)] * 1100
     got, want = run_both(hdr, None, steps)
