@@ -499,3 +499,18 @@ def test_oracle_stream_reaches_the_cases_the_property_names():
                     "repeats",
                     "black", "white", "fresh False 14", "fresh True 14",
                     "removal False", "removal True"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(7, 12), height=st.integers(7, 12),
+       threshold=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_ring_corners_match_is_feature(width, height, threshold, seed):
+    # the batched arc test, which packs each ring's bright and dark flags
+    # into codes itself, against the scalar test on every interior pixel
+    image = mixed_image(np.random.default_rng(seed), width, height)
+    ys, xs = np.mgrid[3:height - 3, 3:width - 3]
+    xs, ys = xs.ravel(), ys.ravel()
+    det = Detector(header(width, height), threshold)
+    found = det._arc_test(image.reshape(-1), ys * width + xs)
+    assert found.tolist() == [is_feature(image, x, y, threshold)
+                              for x, y in zip(xs.tolist(), ys.tolist())]
