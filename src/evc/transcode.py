@@ -79,11 +79,12 @@ class Transcoder:
 
     Per pixel: the run's opening value ``i0``, decimation ``d`` and first
     frame ``run_f``, the integrated ``units``, whose crossings are
-    ``units >> d``, and the tick of the last emitted event ``t_emit``.
-    The run's queue is ``first_t``, the tick of its first crossing, the
-    ``last_tick`` of the latest one (the run's opening tick until it has
-    one) and ``levels``, the tick of each counter bit (grown in width as
-    counts need more bits); the counter holds the crossings less one.
+    ``units >> d``, and ``last_tick``, the tick of the pixel's latest
+    event, emitted or queued: an event is dated at its own tick or one
+    past ``last_tick``, whichever is later.  The run's queue is
+    ``first_t``, the tick of its first crossing, and ``levels``, the tick
+    of each counter bit (grown in width as counts need more bits); the
+    counter holds the crossings less one.
     Runs are ``opened`` all at once: every pixel opens one on the first
     frame, and ``flush_all`` closes them all.
 
@@ -113,8 +114,8 @@ class Transcoder:
         self.now = 0
         self.opened = False
         n = self.width * self.height
-        (self.i0, self.d, self.run_f, self.units, self.t_emit, self.first_t,
-         self.last_tick, self.seg_v, self.seg_f) = np.zeros((9, n), np.int64)
+        (self.i0, self.d, self.run_f, self.units, self.first_t,
+         self.last_tick, self.seg_v, self.seg_f) = np.zeros((8, n), np.int64)
         self.levels = np.zeros((n, 8), np.int64)
 
     def integrate_frame(self, frames):
@@ -216,9 +217,10 @@ class Transcoder:
         self.d[idx] = starting_decimation(np.maximum(values, 1))
         self.run_f[idx] = at
         self.units[idx] = 0
-        # The run's first crossing, in this frame since 2**d <= i0, need
-        # only follow the frame's start.
-        self.last_tick[idx] = at * self.header.dt_ref
+        # The run's first crossing, in this frame since 2**d <= i0, follows
+        # the frame's start and the pixel's latest event.
+        self.last_tick[idx] = np.maximum(self.last_tick[idx],
+                                         at * self.header.dt_ref)
         self.seg_v[idx] = values
         self.seg_f[idx] = at
 
@@ -303,28 +305,26 @@ class Transcoder:
         marker; a lit run's sub-boundary remainder (``units`` past its
         last crossing's boundary, less than one event at its base
         decimation) is discarded.  A run's crossings are ``units >> d``;
-        a dark run keeps both at 0.  With ``values``, the pixels' new runs
-        open at them, and a marker follows when the new run is dark or the
-        old one left ticks after its last firing, which the new run's
-        first event must not stretch over.
+        a dark run keeps both at 0.  A lit run has fired by its close, so
+        ``last_tick`` dates its last event.  With ``values``, the pixels'
+        new runs open at them, and a marker follows when the new run is
+        dark or the old one left ticks after its last firing, which the
+        new run's first event must not stretch over.
         """
-        t_emit = self.t_emit[idx]
+        last = self.last_tick[idx]
         d = self.d[idx]
-        fired = self.units[idx] >> d
-        has_first = fired > 0
         dark = self.i0[idx] == 0
         # Zero-span markers yield to whatever else fired at the same tick.
-        dark_t = np.maximum(at, t_emit + 1)
-        t_emit = np.where(dark, dark_t,
-                          np.where(has_first, self.last_tick[idx], t_emit))
+        last = np.where(dark, np.maximum(at, last + 1), last)
+        head_t = np.where(dark, last, self.first_t[idx])
         if values is None:
             marks = np.zeros(len(idx), bool)
         else:
-            marks = (values == 0) | (t_emit < at)
+            marks = (values == 0) | (last < at)
             # An opening marker dates the tick after the violation, so a
             # snapshot taken exactly at the violation shows the old run.
-            t_emit = np.where(marks, np.maximum(at + 1, t_emit + 1), t_emit)
-        self.t_emit[idx] = t_emit
+            last = np.where(marks, np.maximum(at + 1, last + 1), last)
+        self.last_tick[idx] = last
         # One row of slots per pixel, in emission order: the closing head
         # (the queue's first entry, or a dark run's marker), the counter
         # bits from high to low, then the opening marker.
@@ -332,11 +332,10 @@ class Transcoder:
         slots_d = np.column_stack((np.where(dark, EMPTY, d),
                                    d[:, None] + high_first,
                                    np.full(len(idx), EMPTY)))
-        slots_t = np.column_stack((np.where(dark, dark_t, self.first_t[idx]),
-                                   self.levels[idx][:, ::-1], t_emit))
-        count = np.maximum(fired - 1, 0)
+        slots_t = np.column_stack((head_t, self.levels[idx][:, ::-1], last))
+        count = np.maximum((self.units[idx] >> d) - 1, 0)
         bits = (count[:, None] >> high_first) & 1 == 1
-        present = np.column_stack((dark | has_first, bits, marks))
+        present = np.column_stack((np.ones(len(idx), bool), bits, marks))
         return np.nonzero(present)[0], slots_d[present], slots_t[present]
 
     def flush_all(self) -> np.ndarray:

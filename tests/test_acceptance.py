@@ -45,8 +45,9 @@ def gate(name):
     print(f"PASS: {name}")
 
 
-def pipeline(tmp_path, crf, frames, dt_adu=None, name="run"):
+def pipeline(tmp_path, crf, frames, dt_adu=None, name="run", dt_ref=DT_REF):
     config = ExperimentConfig(input="clip.y4m", crf=crf, dt_adu=dt_adu,
+                              dt_ref=dt_ref, dt_max=30 * dt_ref,
                               out_dir=str(tmp_path / name))
     return run_pipeline(config, frames=frames)
 
@@ -82,17 +83,21 @@ def test_crf0_is_bit_lossless(tmp_path):
 
 def test_lossy_coding_keeps_every_displayed_value(tmp_path):
     # CRF is lossy in the transcoder; the coder after it keeps every event,
-    # so the compressed stream displays exactly what the raw stream does
-    with gate("compression is lossless at every CRF"):
+    # so the compressed stream displays exactly what the raw stream does.
+    # At dt_ref 1 and 2 the clamps that keep ticks strictly increasing
+    # bind most.
+    with gate("compression is lossless at every CRF and dt_ref"):
         frames = synth_clip("walk", 24, 16, 40, seed=3)
-        for crf in (0, 3, 6, 9):
-            result = pipeline(tmp_path, crf, frames, name=f"crf{crf}")
-            _, raw = read_stream(result.paths["raw"])
-            with open(result.paths["compressed"], "rb") as fp:
-                _, decoded = read_compressed(fp)
-            assert by_pixel(decoded) == by_pixel(raw)
-            assert (Path(result.paths["recon_comp"]).read_bytes()
-                    == Path(result.paths["recon_raw"]).read_bytes())
+        for dt_ref in (1, 2, DT_REF):
+            for crf in (0, 3, 6, 9):
+                result = pipeline(tmp_path, crf, frames, dt_ref=dt_ref,
+                                  name=f"dt{dt_ref}-crf{crf}")
+                _, raw = read_stream(result.paths["raw"])
+                with open(result.paths["compressed"], "rb") as fp:
+                    _, decoded = read_compressed(fp)
+                assert by_pixel(decoded) == by_pixel(raw)
+                assert (Path(result.paths["recon_comp"]).read_bytes()
+                        == Path(result.paths["recon_raw"]).read_bytes())
 
 
 def test_adus_decode_on_their_own(tmp_path):

@@ -134,15 +134,27 @@ def test_every_pixel_emits_after_constant_frame():
         {(x, y) for x in range(5) for y in range(4)}
 
 
+def ticks_strictly_increase(events):
+    """Whether each pixel's ticks strictly increase over ``events``, a list
+    of (x, y, d, t) in emission order."""
+    last = {}
+    for x, y, _, t in events:
+        if t <= last.get((x, y), 0):
+            return False
+        last[(x, y)] = t
+    return True
+
+
 def test_per_pixel_timestamps_strictly_increase():
     rng = np.random.default_rng(5)
     frames = [rng.integers(0, 256, size=(6, 7), dtype=np.uint8) for _ in range(20)]
-    for crf in (0, 3, 9):
-        events = transcode_clip(header(7, 6, crf=crf), frames)
-        last = {}
-        for x, y, _, t in events.tolist():
-            assert t > last.get((x, y), 0)
-            last[(x, y)] = t
+    # at dt_ref 1 and 2 a run's first crossing can land on the markers
+    # just before it unless it follows the pixel's latest event
+    for dt_ref in (1, 2, 7, 255):
+        for crf in (0, 3, 9):
+            hdr = header(7, 6, dt_ref=dt_ref, dt_max=30 * dt_ref, crf=crf)
+            assert ticks_strictly_increase(
+                transcode_clip(hdr, frames).tolist()), (dt_ref, crf)
 
 
 def test_constant_run_accounting():
@@ -346,6 +358,8 @@ def transcoder_runs(draw):
 def test_array_transcoder_matches_oracle_grid(run):
     got, want = run_both(*run)
     assert got == want
+    # flushes included: a run after a flush follows the flush's events
+    assert ticks_strictly_increase([e for step in got for e in step])
 
 
 @st.composite

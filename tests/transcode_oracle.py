@@ -112,7 +112,10 @@ class PixelIntegrator:
             total = self.units >> d
             if total > self.fired:
                 queue = self.queue
-                prev_t = queue[-1][1] if queue else start
+                # A run's first crossing follows the frame's start and the
+                # pixel's latest event, which markers, a flush or crossings
+                # crowded past their frame can date later.
+                prev_t = queue[-1][1] if queue else max(start, self.t_emit)
                 twice = 2 * value
                 for i in range(self.fired + 1, total + 1):
                     needed = (i << d) - u0
