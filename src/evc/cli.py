@@ -65,20 +65,22 @@ def _dt_adu(text: str) -> int:
     return value
 
 
-def _read_any_stream(path: str):
-    """Read an event stream, raw or compressed, by sniffing its header."""
+def _read_to_play(path: str):
+    """Read an event stream, raw or compressed by its header, to play or
+    detect: returns (header, events, frame count).  The frames run up to
+    the one the last tick falls in, so every event shows; a stream of no
+    events raises StreamFormatError."""
     with open(path, "rb") as fp:
         header = read_header(fp.read(HEADER_SIZE))
         if header.source_codec == CODEC_COMPRESSED:
             fp.seek(0)
-            return read_compressed(fp)
-    return read_stream(path)
-
-
-def _frame_count(events, header) -> int:
-    """Frames a stream plays as: up to the one its last tick falls in, so
-    every event shows."""
-    return int(window_of(events["t"].max(initial=0), header.dt_ref)) + 1
+            header, events = read_compressed(fp)
+        else:
+            header, events = read_stream(path)
+    if not len(events):
+        raise StreamFormatError("stream holds no events")
+    return header, events, int(window_of(events["t"].max(),
+                                         header.dt_ref)) + 1
 
 
 def cmd_transcode(args) -> int:
@@ -114,10 +116,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_play(args) -> int:
-    header, events = _read_any_stream(args.input)
-    if not len(events):
-        raise StreamFormatError("stream holds no events")
-    n_frames = _frame_count(events, header)
+    header, events, n_frames = _read_to_play(args.input)
     frames = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.gray"
     save_frames(out, frames, header.dt_s / header.dt_ref)
@@ -126,9 +125,8 @@ def cmd_play(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    header, events = _read_any_stream(args.input)
+    header, events, n_frames = _read_to_play(args.input)
     detector = Detector(header, args.fast_threshold, args.mode)
-    n_frames = _frame_count(events, header)
     images = reconstruct_at_boundaries(events, header, n_frames)
     out = args.out or f"{Path(args.input).stem}.features.csv"
     with open(out, "w", newline="") as fp:

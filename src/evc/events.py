@@ -68,6 +68,24 @@ def event_array(x, y, d, t) -> np.ndarray:
     return out
 
 
+def uint8_images(values, what: str) -> np.ndarray:
+    """``values`` as a uint8 array, not copied if it is one: the rule for
+    8-bit images.  Anything but integers in 0..255 (floats, bools, values
+    outside it, ragged lists) raises StreamFormatError naming ``what``."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:
+        raise StreamFormatError(f"{what} is not an array: {exc}") from exc
+    if values.dtype == np.uint8:
+        return values
+    if values.dtype.kind not in "iu":
+        raise StreamFormatError(
+            f"{what} holds {values.dtype} values, not integers")
+    if values.size and (values.min() < 0 or values.max() > 255):
+        raise StreamFormatError(f"{what} holds values outside 0..255")
+    return values.astype(np.uint8)
+
+
 # 2**(d + 1) * dt_ref is capped at 2**42 in int64 arithmetic.  Any dt in
 # a u32 field is below 2**32, so a value past the cap is past 509 * dt,
 # where the rounded value reaches 255 and clamps; below it nothing wraps.
@@ -232,8 +250,11 @@ def read_header(data: bytes) -> StreamHeader:
 
 
 def write_stream(path: str, header: StreamHeader, events) -> int:
-    """Write a raw stream of ``EVENT``s; returns the byte count written."""
-    blob = write_header(header) + np.asarray(events, EVENT).tobytes()
+    """Write a raw stream of ``EVENT``s, other x, y, d, t records through
+    ``event_array``'s checks; returns the byte count written."""
+    if not (isinstance(events, np.ndarray) and events.dtype == EVENT):
+        events = event_array(*(events[name] for name in "xydt"))
+    blob = write_header(header) + events.tobytes()
     Path(path).write_bytes(blob)
     return len(blob)
 
@@ -243,6 +264,8 @@ def read_stream(path: str) -> tuple[StreamHeader, np.ndarray]:
     of the file's bytes."""
     data = Path(path).read_bytes()
     header = read_header(data)
+    if header.source_codec != CODEC_RAW:
+        raise StreamFormatError("not a raw stream")
     if (len(data) - HEADER_SIZE) % header.event_size:
         raise StreamFormatError("incomplete event record at end of stream")
     return header, np.frombuffer(data, EVENT, offset=HEADER_SIZE)

@@ -18,13 +18,14 @@ both dark, as every 9-long arc covers such a pair, then the full arc test,
 which packs the ring's 16 bright and 16 dark flags into two codes and
 looks each up in a 65,536-entry table.  The thresholds are clamped to
 0..255 in uint8, which keeps every comparison exact.  One stepper runs
-the kernel: it tests consecutive boundaries in batches of a bounded
-number of candidates, one kernel call each, then applies each boundary's
-results in order and yields the corners it freshly inserted, the
-detector's asynchronous output.  ``Detector.update`` is one step of it,
-on one image.  ``detect_at_boundaries`` runs it over a stream's
-reconstructed boundary images, each frame's candidates the pixels of its
-events, found with one scatter over the stream.
+the kernel: it checks the image stack once, before any boundary is
+applied, tests consecutive boundaries in batches of a bounded number of
+candidates, one kernel call each, then applies each boundary's results
+in order and yields the corners it freshly inserted, the detector's
+asynchronous output.  ``Detector.update`` is one step of it, on one
+image.  ``detect_at_boundaries`` runs it over a stream's reconstructed
+boundary images, each frame's candidates the pixels of its events, found
+with one scatter over the stream.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .events import StreamHeader, frame_groups, window_of
+from .events import StreamHeader, frame_groups, uint8_images, window_of
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
 RING = (
@@ -80,20 +81,6 @@ def _bounds(center, threshold: int):
     return np.minimum(center, 255 - t) + t, np.maximum(center, t) - t
 
 
-def _uint8_images(images, shape) -> np.ndarray:
-    """``images`` as a uint8 array of ``shape``, refusing another shape
-    or a value outside 0..255 with ValueError."""
-    images = np.asarray(images)
-    if images.shape != shape:
-        raise ValueError(f"images of shape {images.shape} do not fit "
-                         f"the detector's {shape}")
-    if images.dtype != np.uint8:
-        if images.size and (images.min() < 0 or images.max() > 255):
-            raise ValueError("image values must lie in 0..255")
-        images = images.astype(np.uint8)
-    return images
-
-
 class Detector:
     """Incremental FAST detector over a sequence of boundary images.
 
@@ -133,9 +120,9 @@ class Detector:
     def update(self, image, pixels) -> np.ndarray:
         """Retest the candidates of the changed ``pixels`` on ``image``.
 
-        ``image`` holds the frame's values (height x width, in 0..255)
-        and ``pixels`` the row-major indices of the pixels that changed
-        since the previous call, repeats allowed; anything else raises
+        ``image`` holds the frame's 8-bit values (height x width) and
+        ``pixels`` the row-major indices of the pixels that changed since
+        the previous call, repeats allowed; anything else raises
         ValueError.  The candidates are those pixels, and in exact mode
         every pixel whose ring passes through one of them; each candidate
         inside the 3-pixel border is tested once and counted in
@@ -151,23 +138,26 @@ class Detector:
                              f"0..{self.corners.size - 1}")
         changed = np.zeros((1,) + self.corners.shape, bool)
         changed.reshape(-1)[pixels] = True
-        return next(self._steps(np.asarray(image)[None],
+        return next(self._steps(uint8_images(image, "image")[None],
                                 self._candidates(changed)))
 
     def _steps(self, images, candidate: np.ndarray) -> Iterator[np.ndarray]:
         """Test the ``candidate`` masks, one per image of ``images``, and
-        yield each boundary's fresh corners in order.  Consecutive
+        yield each boundary's fresh corners in order.  The images are
+        checked once, before any boundary is applied.  Consecutive
         boundaries are tested in batches of up to ``_BATCH`` candidates,
-        one ``_arc_test`` each, after their images are checked; then each
-        boundary's results are applied in turn."""
+        one ``_arc_test`` each; then each boundary's results are applied
+        in turn."""
+        images = uint8_images(images, "images")
+        if images.shape != candidate.shape:
+            raise ValueError(f"images of shape {images.shape} do not fit "
+                             f"the detector's {candidate.shape}")
         area = self.corners.size
         counts = np.count_nonzero(candidate.reshape(len(candidate), area),
                                   axis=1)
         for lo, hi in frame_groups(counts, _BATCH):
-            batch = _uint8_images(images[lo:hi],
-                                  (hi - lo,) + self.corners.shape)
             q = np.flatnonzero(candidate[lo:hi])
-            found = self._arc_test(batch.reshape(-1), q)
+            found = self._arc_test(images[lo:hi].reshape(-1), q)
             q %= area
             ends = np.cumsum(counts[lo:hi]).tolist()
             for start, end in zip([0] + ends, ends):
@@ -229,11 +219,11 @@ class Detector:
 
 
 def detect_frame(image, threshold: int) -> np.ndarray:
-    """Full-frame scan of ``image`` (a 2-D array or rows of ints in
-    0..255): one paper-mode ``Detector.update`` of every pixel.  Returns
+    """Full-frame scan of ``image`` (a 2-D grid that ``uint8_images``
+    takes): one paper-mode ``Detector.update`` of every pixel.  Returns
     the (height, width) bool corner mask, all False for an image under 7
     pixels on a side."""
-    image = np.asarray(image)
+    image = uint8_images(image, "image")
     height, width = image.shape
     detector = Detector(StreamHeader(width, height), threshold)
     detector.update(image, np.arange(width * height))

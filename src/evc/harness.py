@@ -35,6 +35,7 @@ from .events import (
     DEFAULT_DT_REF,
     StreamFormatError,
     StreamHeader,
+    uint8_images,
     window_of,
     write_stream,
 )
@@ -181,15 +182,15 @@ def ingest_y4m(path) -> tuple[list[np.ndarray], float]:
 def write_y4m(path, frames, fps: float = 30.0) -> None:
     """Write grayscale frames, a (count, height, width) stack or a list
     of equal images, as a mono YUV4MPEG2 file in one write.  A frame rate
-    that the header's ``F`` ratio cannot carry raises StreamFormatError
-    and writes nothing."""
+    that the header's ``F`` ratio cannot carry, or frames that
+    ``uint8_images`` refuses, raise StreamFormatError and write nothing."""
     if not math.isfinite(fps):
         raise StreamFormatError(f"frame rate {fps} is not finite")
     rate = Fraction(fps).limit_denominator(65535)
     if rate <= 0:
         raise StreamFormatError(f"frame rate {fps} does not round to a "
                                 "positive F ratio over at most 65535")
-    frames = np.asarray(frames, np.uint8)
+    frames = uint8_images(frames, "frames")
     count, height, width = frames.shape
     # every frame is its marker, then its plane
     body = np.empty((count, 6 + height * width), np.uint8)
@@ -226,8 +227,10 @@ def load_raw(path) -> list[np.ndarray]:
 
 def write_raw(path, frames) -> None:
     """Write raw planar 8-bit frames, a (count, height, width) stack or a
-    list of equal images, in one write, plus the ``<path>.dims`` sidecar."""
-    frames = np.ascontiguousarray(frames, np.uint8)
+    list of equal images, in one write, plus the ``<path>.dims`` sidecar.
+    Frames that ``uint8_images`` refuses raise StreamFormatError and write
+    nothing."""
+    frames = np.ascontiguousarray(uint8_images(frames, "frames"))
     _, height, width = frames.shape
     with open(path, "wb") as fp:
         fp.write(frames)
@@ -328,36 +331,13 @@ def _artifact_paths(config: ExperimentConfig) -> dict:
     }
 
 
-def _checked_frame(frame, index: int) -> np.ndarray:
-    """An in-memory frame as a 2-D uint8 array, refusing what would not
-    convert exactly: other ranks, non-integer values and values outside
-    0..255."""
-    try:
-        values = np.asarray(frame)
-    except ValueError as exc:
-        raise StreamFormatError(
-            f"frame {index} is not an array: {exc}") from exc
-    if values.ndim != 2:
-        raise StreamFormatError(
-            f"frame {index} has {values.ndim} dimensions, not 2")
-    if values.dtype == np.uint8:
-        return values
-    if values.dtype.kind not in "iu":
-        raise StreamFormatError(
-            f"frame {index} holds {values.dtype} values, not integers")
-    if values.size and (values.min() < 0 or values.max() > 255):
-        raise StreamFormatError(
-            f"frame {index} holds values outside 0..255")
-    return values.astype(np.uint8)
-
-
 def ingest(config: ExperimentConfig,
            frames=None) -> tuple[list[np.ndarray], StreamHeader]:
     """The clip's frames (``frames``, else loaded from ``config.input``)
     and the stream header they transcode under.  The frame rate, which sets
     ticks per second, is the file's when it has one, else ``config.fps``.
-    In-memory frames must be one or more 2-D integer grids of one shape
-    with values in 0..255; anything else fails with
+    In-memory frames must be one or more 2-D grids of one shape that
+    ``uint8_images`` takes; anything else fails with
     ``StreamFormatError``."""
     fps = config.fps
     if frames is None:
@@ -365,15 +345,19 @@ def ingest(config: ExperimentConfig,
         fps = file_fps or fps
     if not math.isfinite(fps):
         raise StreamFormatError(f"frame rate {fps} is not finite")
-    frames = [_checked_frame(f, k) for k, f in enumerate(frames)]
+    frames = [uint8_images(f, f"frame {k}") for k, f in enumerate(frames)]
     if not frames:
         raise StreamFormatError("clip has no frames")
-    height, width = frames[0].shape
+    shape = frames[0].shape
     for k, frame in enumerate(frames):
-        if frame.shape != (height, width):
+        if frame.ndim != 2:
+            raise StreamFormatError(
+                f"frame {k} has {frame.ndim} dimensions, not 2")
+        if frame.shape != shape:
             raise StreamFormatError(
                 f"frame {k} is {frame.shape[1]}x{frame.shape[0]}, "
-                f"not {width}x{height} like frame 0")
+                f"not {shape[1]}x{shape[0]} like frame 0")
+    height, width = shape
     header = StreamHeader(
         width=width, height=height, dt_ref=config.dt_ref,
         dt_max=config.dt_max, dt_s=round(config.dt_ref * fps),

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .events import EMPTY, D_MAX, StreamHeader, display_values, window_of
+from .events import (EMPTY, D_MAX, StreamHeader, display_values,
+                     uint8_images, window_of)
 
 PSNR_CAP = 60.0
 
@@ -66,9 +67,10 @@ def mse(a: np.ndarray, b: np.ndarray):
 
     The sums of squares are exact int64 sums, a·a - 2a·b + b·b, which
     ``einsum`` takes without a temporary the size of its inputs; so each
-    value is the float ``np.mean`` of the float64 squares gives.
+    value is the float ``np.mean`` of the float64 squares gives.  Images
+    that ``uint8_images`` refuses raise StreamFormatError.
     """
-    a, b = np.asarray(a, np.uint8), np.asarray(b, np.uint8)
+    a, b = uint8_images(a, "mse input a"), uint8_images(b, "mse input b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 

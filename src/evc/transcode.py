@@ -125,11 +125,12 @@ class Transcoder:
 
         ``frames`` may also be a (k, height, width) stack.  It advances by
         each frame in turn and returns the events that frame-by-frame calls
-        would return, concatenated.
+        would return, concatenated.  Values that are not integers raise
+        ValueError.
         """
         values = np.asarray(frames)
         if values.dtype.kind not in "iu":
-            values = values.astype(np.int64)
+            raise ValueError(f"{values.dtype} frame values are not integers")
         if values.ndim == 2:
             values = values[None]
         if values.ndim != 3 or values.shape[1:] != (self.height, self.width):
@@ -213,8 +214,8 @@ class Transcoder:
     def _open(self, idx, values, at) -> None:
         self.opened = True
         self.i0[idx] = values
-        # dark runs keep d = 0
-        self.d[idx] = starting_decimation(np.maximum(values, 1))
+        # starting_decimation, on values made positive: dark runs keep d = 0
+        self.d[idx] = _bit_length(np.maximum(values, 1)) - 1
         self.run_f[idx] = at
         self.units[idx] = 0
         # The run's first crossing, in this frame since 2**d <= i0, follows

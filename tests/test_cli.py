@@ -234,11 +234,14 @@ def test_play_shows_the_frame_of_the_last_tick(tmp_path):
     assert len(load_raw(play)) == 4
 
 
-def test_play_refuses_a_stream_of_no_events(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["play", "detect"])
+def test_play_refuses_a_stream_of_no_events(tmp_path, capsys, verb):
+    # detect used to exit 0 and write a one-frame CSV
     stream = tmp_path / "s.adder"
     write_stream(str(stream), StreamHeader(4, 4), np.empty(0, EVENT))
-    assert main(["play", str(stream), "--out", str(tmp_path / "s.gray")]) == 1
+    assert main([verb, str(stream), "--out", str(tmp_path / "out")]) == 1
     assert "stream holds no events" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("dt_adu", ["0", "-5", str(1 << 32)])

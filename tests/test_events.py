@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evc import events as ev
 from evc.events import (
+    CODEC_COMPRESSED,
     CRF_PARAMS,
     EMPTY,
     EVENT,
@@ -250,6 +251,28 @@ def test_stream_file_truncated(tmp_path):
         fh.write(blob[:-4])
     with pytest.raises(StreamFormatError):
         ev.read_stream(path)
+
+
+def test_read_stream_refuses_a_stream_that_is_not_raw(tmp_path):
+    # a compressed body whose length is a multiple of 9 used to read as
+    # raw records
+    path = tmp_path / "s.adderc"
+    path.write_bytes(write_header(StreamHeader(
+        4, 4, source_codec=CODEC_COMPRESSED)) + bytes(18))
+    with pytest.raises(StreamFormatError, match="not a raw stream"):
+        ev.read_stream(str(path))
+
+
+def test_write_stream_refuses_records_that_would_wrap(tmp_path):
+    # x = 70000 in an int64 record used to be written as 4464
+    wide = np.array([(70000, 0, 3, 10)], [(name, "<i8") for name in "xydt"])
+    path = tmp_path / "s.adder"
+    with pytest.raises(ValueError, match="16-bit"):
+        ev.write_stream(str(path), StreamHeader(4, 4), wide)
+    assert not path.exists()
+    wide["x"] = 3
+    ev.write_stream(str(path), StreamHeader(4, 4), wide)
+    assert ev.read_stream(str(path))[1].tolist() == [(3, 0, 3, 10)]
 
 
 @settings(max_examples=500, deadline=None)

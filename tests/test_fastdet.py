@@ -316,7 +316,7 @@ def test_update_refuses_an_image_or_pixel_that_does_not_fit():
     for pixel in (-52, -1, 256):
         with pytest.raises(ValueError, match="pixel indices"):
             det.update(np.zeros((16, 16), np.uint8), [5, pixel])
-    with pytest.raises(ValueError, match="image values"):
+    with pytest.raises(ValueError, match="image holds values outside"):
         det.update(np.full((16, 16), 256), [100])
     assert det.test_count == 0 and not det.corners.any()
     with pytest.raises(ValueError, match="negative"):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,13 +14,17 @@ import pytest
 from evc import (
     CLIP_KINDS,
     CSV_FIELDS,
+    EVENT,
     ExperimentConfig,
     PipelineError,
     StreamFormatError,
+    StreamHeader,
     Transcoder,
+    detect_frame,
     ingest_y4m,
     load_frames,
     load_raw,
+    mse,
     read_stream,
     reconstruct_at_boundaries,
     report,
@@ -545,6 +550,63 @@ def test_ingest_refuses_frames_it_would_mangle(tmp_path, bad, message):
         run_pipeline(config, frames=frames)
     assert info.value.stage == "ingest"
     assert not list(tmp_path.iterdir())
+
+
+BAD_IMAGES = {
+    "float": (np.full((8, 8), 7.5), "holds float64 values"),
+    "bool": (np.ones((8, 8), bool), "holds bool values"),
+    "negative": (np.full((8, 8), -1), "holds values outside 0..255"),
+    "over-255": (np.full((8, 8), 300), "holds values outside 0..255"),
+    "ragged": ([[1, 2], [3]], "is not an array"),
+}
+GOOD_IMAGE = np.zeros((8, 8), np.uint8)
+# each entry point of 8-bit images: the name its refusal gives, and a call
+# that hands it one bad image and writes under the given folder, if at all
+IMAGE_ENTRY_POINTS = {
+    "ingest": ("frame 1", lambda bad, path: harness.ingest(
+        ExperimentConfig(), [GOOD_IMAGE, bad])),
+    "Detector.update": ("image", lambda bad, path: Detector(
+        StreamHeader(8, 8)).update(bad, [27])),
+    "detect_frame": ("image", lambda bad, path: detect_frame(bad, 10)),
+    "detect_at_boundaries": ("images", lambda bad, path: list(
+        detect_at_boundaries(Detector(StreamHeader(8, 8)),
+                             np.array([(3, 3, 5, 100)], EVENT), [bad], 255))),
+    "mse": ("mse input a", lambda bad, path: mse(bad, GOOD_IMAGE)),
+    "write_y4m": ("frames", lambda bad, path: write_y4m(path / "c.y4m",
+                                                        [bad])),
+    "write_raw": ("frames", lambda bad, path: write_raw(path / "c.gray",
+                                                        [bad])),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_IMAGES)
+@pytest.mark.parametrize("entry", IMAGE_ENTRY_POINTS)
+def test_image_entry_points_refuse_what_would_wrap_or_truncate(tmp_path,
+                                                               entry, kind):
+    # mse, write_y4m and write_raw used to wrap 300 to 44 and -1 to 255,
+    # and the detector truncated floats and took bools
+    name, call = IMAGE_ENTRY_POINTS[entry]
+    bad, message = BAD_IMAGES[kind]
+    with pytest.raises(StreamFormatError,
+                       match=f"^{re.escape(name)} {message}"):
+        call(bad, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_detect_at_boundaries_checks_every_image_before_applying_any():
+    # boundary 0's 8,836 candidates are a batch of their own, which used
+    # to be applied before boundary 1's image was checked
+    side = 100
+    events = np.zeros(side * side, EVENT)
+    events["y"], events["x"] = np.divmod(np.arange(side * side), side)
+    events["t"] = 100
+    images = [np.zeros((side, side), np.uint8),
+              np.full((side, side), 300)]
+    det = Detector(StreamHeader(side, side), mode="exact")
+    with pytest.raises(ValueError, match="values") as info:
+        list(detect_at_boundaries(det, events, images, 255))
+    assert det.test_count == 0
+    assert info.type is StreamFormatError
 
 
 def test_ingest_refuses_an_empty_clip():

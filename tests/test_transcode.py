@@ -280,6 +280,15 @@ def test_frame_of_the_wrong_shape_raises_value_error():
         coder.integrate_frame([[1, 2, 3], [4, 5], [6, 7, 8]])
 
 
+def test_frames_that_are_not_integers_are_refused():
+    # 7.9 used to transcode as 7, and bools as 0 and 1
+    coder = Transcoder(header(2, 2))
+    for frame in (np.full((2, 2), 7.9), np.ones((2, 2), bool)):
+        with pytest.raises(ValueError, match="not integers"):
+            coder.integrate_frame(frame)
+    assert coder.now == 0 and not coder.opened
+
+
 def test_negative_values_are_refused():
     # Integration assumes values of at least zero; the scalar integrator
     # would take these and emit (1, 170), (3, 1360), (1, 1530).
