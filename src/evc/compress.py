@@ -39,6 +39,7 @@ from .events import (
     EVENT,
     HEADER_SIZE,
     StreamFormatError,
+    checked_order,
     read_header,
     window_of,
     write_header,
@@ -86,21 +87,17 @@ class Adu:
 
 
 def build_adus(events, header, dt_adu=None):
-    """Partition an ``EVENT`` array into ADUs on the dt_adu tick grid."""
+    """Check and partition an ``EVENT`` array into ADUs on the dt_adu grid."""
     span = header.dt_max if dt_adu is None else int(dt_adu)
     if not 0 < span < _T_LIMIT:
         raise ValueError(f"dt_adu {span} outside 1..{_T_LIMIT - 1}")
-    x, y, t = (events[f].astype(np.int64) for f in "xyt")
-    outside = np.flatnonzero((x >= header.width) | (y >= header.height))
-    if len(outside):
-        k = outside[0]
-        raise ValueError(f"event out of bounds at ({x[k]}, {y[k]})")
+    order, _ = checked_order(events, header.width, header.height)
     # the window is left-open: an event at exactly start_t + span still
     # belongs to the unit, the first event beyond it opens the next
-    window = window_of(t, span)
-    order = np.lexsort((t, y * header.width + x, window))
+    window = window_of(events["t"][order], span)
+    by_window = np.argsort(window, kind="stable")
     # take gathers 9-byte records about ten times faster than indexing
-    ordered, window = events.take(order), window[order]
+    ordered, window = events.take(order[by_window]), window[by_window]
     at = np.searchsorted(window, np.arange(int(window.max(initial=0)) + 2))
     return [Adu(k * span, span, ordered[at[k]:at[k + 1]])
             for k in range(len(at) - 1)]

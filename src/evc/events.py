@@ -68,10 +68,42 @@ def event_array(x, y, d, t) -> np.ndarray:
     return out
 
 
+def checked_order(events: np.ndarray, width: int, height: int):
+    """The rule for a valid stream: each event lies inside the width x
+    height frame, has a decimation of 0..D_MAX or EMPTY, and a tick after
+    its pixel's previous event's, else after 0.  The first bad event by
+    tick, then stream order, raises StreamFormatError.  Returns the stable
+    order by pixel, in raster order, then tick, and in that order each
+    event's previous tick at its pixel, else 0."""
+    x, y, d, t = (events[name] for name in "xydt")
+    inside = (x < width) & (y < height)
+    pixel = np.where(inside, y.astype(np.uint32) * width + x, 0)
+    order = np.argsort((pixel.astype(np.uint64) << 32) | t, kind="stable")
+    pixel, t = pixel[order], t[order]
+    before = np.zeros_like(t)
+    before[1:] = t[:-1]
+    before[1:][pixel[1:] != pixel[:-1]] = 0
+    bad = (~inside | ((d > D_MAX) & (d != EMPTY)))[order] | (t <= before)
+    if bad.any():
+        at = np.flatnonzero(bad)   # the first by tick, then stream order
+        at = at[np.lexsort((order[at], t[at]))[0]]
+        j = order[at]
+        x, y, d, t, before = x[j], y[j], d[j], t[at], before[at]
+        if not inside[j]:
+            raise StreamFormatError(f"event outside image bounds: ({x}, {y})")
+        if t <= before:
+            raise StreamFormatError(f"out-of-order event for pixel ({x}, {y}):"
+                                    f" t={t} after t={before}")
+        raise StreamFormatError(f"decimation out of range: {d}")
+    return order, before
+
+
 def uint8_images(values, what: str) -> np.ndarray:
     """``values`` as a uint8 array, not copied if it is one: the rule for
     8-bit images.  Anything but integers in 0..255 (floats, bools, values
     outside it, ragged lists) raises StreamFormatError naming ``what``."""
+    if isinstance(values, (list, tuple)):   # numpy promotes mixed-in bools
+        values = [uint8_images(v, what) for v in values]
     try:
         values = np.asarray(values)
     except ValueError as exc:

@@ -35,7 +35,8 @@ from functools import cache
 
 import numpy as np
 
-from .events import StreamHeader, frame_groups, uint8_images, window_of
+from .events import (StreamHeader, checked_order, frame_groups,
+                     uint8_images, window_of)
 
 # Radius-3 Bresenham circle, clockwise from straight up (y grows downward).
 RING = (
@@ -239,14 +240,19 @@ def detect_at_boundaries(detector: Detector, events: np.ndarray, images,
     of frame k (``window_of(t, dt_ref) == k``), in any stream order.
     Yields each step's freshly inserted corners, as ``update`` would.  The
     events after the last boundary are not detected: no image shows them.
+    An event outside the frame raises StreamFormatError before any
+    boundary is applied; replaying the events checks the rest of the rule.
     """
-    n_images, shape = len(images), detector.corners.shape
+    n_images, (height, width) = len(images), detector.corners.shape
+    x, y = events["x"], events["y"]
+    # the rule refuses the events outside the frame, sorting only them
+    checked_order(events[(x >= width) | (y >= height)], width, height)
     # the events after the last boundary mark a spare row
     frame = window_of(events["t"], dt_ref)
     np.minimum(frame, n_images, out=frame)
-    pixel = events["y"].astype(np.uint32) * detector.width + events["x"]
-    changed = np.zeros((n_images + 1,) + shape, bool)
-    changed.reshape(n_images + 1, detector.corners.size)[frame, pixel] = True
+    pixel = y.astype(np.uint32) * width + x
+    changed = np.zeros((n_images + 1, height, width), bool)
+    changed.reshape(n_images + 1, height * width)[frame, pixel] = True
     candidate = detector._candidates(changed[:n_images])
     del changed
     yield from detector._steps(images, candidate)

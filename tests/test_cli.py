@@ -244,6 +244,27 @@ def test_play_refuses_a_stream_of_no_events(tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ((1, 2, 200, 300), "decimation out of range: 200"),
+    ((1, 2, 5, 0), "out-of-order event for pixel (1, 2): t=0 after t=0"),
+    ((4, 2, 5, 300), "event outside image bounds: (4, 2)"),
+], ids=["d-200", "tick-0", "x-outside"])
+def test_compress_refuses_what_the_replay_refuses(tmp_path, capsys, row,
+                                                  message):
+    # d = 200 and a first tick of 0 used to compress, with exit 0, to units
+    # that play and decompress refused
+    stream = tmp_path / "s.adder"
+    write_stream(str(stream), StreamHeader(4, 4),
+                 np.array([(0, 0, 5, 255), row], EVENT))
+    out = tmp_path / "s.adderc"
+    assert main(["compress", str(stream), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+    assert main(["play", str(stream), "--out", str(tmp_path / "s.gray")]) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("dt_adu", ["0", "-5", str(1 << 32)])
 @pytest.mark.parametrize("verb", ["compress", "bench"])
 def test_dt_adu_outside_32_bits_is_a_usage_error(tmp_path, capsys, verb,

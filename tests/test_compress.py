@@ -229,10 +229,11 @@ def test_repeated_tick_raises_naming_the_pixel():
     hdr = header(32, 24)
     events = events_of([(1, 1, 3, 100), (5, 2, 3, 300), (5, 2, 4, 300),
                         (5, 2, 3, 900)])
-    (adu,) = build_adus(events, hdr)
-    with pytest.raises(ValueError, match=r"pixel \(5, 2\): tick 300"):
-        encode_adu(adu, hdr)
-    # as does an ADU assembled out of order by hand
+    with pytest.raises(StreamFormatError,
+                       match=r"^out-of-order event for pixel \(5, 2\): "
+                             r"t=300 after t=300$"):
+        build_adus(events, hdr)
+    # an ADU assembled out of order by hand raises in encode_adu
     adu = Adu(0, 2550, events_of([(5, 2, 3, 900), (5, 2, 3, 300)]))
     with pytest.raises(ValueError, match=r"pixel \(5, 2\): tick 300"):
         encode_adu(adu, hdr)

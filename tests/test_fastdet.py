@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evc import EMPTY, EVENT, StreamHeader, reconstruct_at_boundaries
+from evc import (EMPTY, EVENT, StreamFormatError, StreamHeader,
+                 reconstruct_at_boundaries)
 from evc import fastdet
 from evc.events import window_of
 from evc.fastdet import MODES, RING, Detector, detect_at_boundaries
@@ -329,6 +330,24 @@ def test_boundary_images_that_do_not_fit_are_refused():
     with pytest.raises(ValueError, match="shape"):
         list(detect_at_boundaries(det, events, np.zeros((2, 16, 20),
                                                         np.uint8), 255))
+
+
+@pytest.mark.parametrize("x, y", [(11, 3), (3, 20)])
+def test_detect_at_boundaries_refuses_events_outside_the_frame(x, y):
+    # on an 8x8 frame, x = 11 used to test pixel (3, 4) and y = 20 to
+    # raise a bare IndexError; the first outside event by tick is named
+    events = np.array([(3, 3, 5, 100), (x, y, 5, 200), (4, 20, 5, 150)],
+                      EVENT)
+    det = Detector(header(8, 8), mode="exact")
+    with pytest.raises(StreamFormatError, match=r"^event outside image "
+                                                r"bounds: \(4, 20\)$"):
+        list(detect_at_boundaries(det, events, np.zeros((1, 8, 8),
+                                                        np.uint8), 255))
+    with pytest.raises(StreamFormatError, match=rf"^event outside image "
+                                                rf"bounds: \({x}, {y}\)$"):
+        list(detect_at_boundaries(det, events[:2], np.zeros((1, 8, 8),
+                                                            np.uint8), 255))
+    assert det.test_count == 0
 
 
 def pixels_of(stream, width):

@@ -558,6 +558,9 @@ BAD_IMAGES = {
     "negative": (np.full((8, 8), -1), "holds values outside 0..255"),
     "over-255": (np.full((8, 8), 300), "holds values outside 0..255"),
     "ragged": ([[1, 2], [3]], "is not an array"),
+    # numpy stacks uint8 and bool rows to uint8
+    "mixed": ([np.zeros(8, np.uint8)] * 7 + [np.ones(8, bool)],
+              "holds bool values"),
 }
 GOOD_IMAGE = np.zeros((8, 8), np.uint8)
 # each entry point of 8-bit images: the name its refusal gives, and a call

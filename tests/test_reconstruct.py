@@ -9,7 +9,9 @@ from evc import (
     EMPTY,
     EVENT,
     PSNR_CAP,
+    StreamFormatError,
     StreamHeader,
+    build_adus,
     mse,
     reconstruct_at_boundaries,
     synth_clip,
@@ -203,7 +205,8 @@ def outcome(replay, events, hdr, n_frames):
 def test_one_pass_errors_name_the_first_event_the_oracle_refuses(rows):
     # events outside a 3x3 frame, repeated ticks, ticks at 0 and
     # decimations 128..254, in any mix and over three frames: the replay
-    # raises the per-event replay's message, for the first refused event
+    # raises the per-event replay's message, for the first refused event,
+    # and build_adus, which sees the same events, raises it too
     hdr = header(3, 3, dt_ref=4)
     events = np.array(rows, EVENT)
     expected = outcome(replay_per_event, events, hdr, 3)
@@ -211,8 +214,13 @@ def test_one_pass_errors_name_the_first_event_the_oracle_refuses(rows):
     assert type(got) is type(expected)
     if isinstance(expected, str):
         assert got == expected
+        with pytest.raises(StreamFormatError) as info:
+            build_adus(events, hdr)
+        assert str(info.value) == expected
     else:
         assert np.array_equal(got, expected)
+        adus = build_adus(events, hdr)
+        assert sum(len(adu.events) for adu in adus) == len(events)
 
 
 @st.composite

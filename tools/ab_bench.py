@@ -75,8 +75,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true",
                         help="pass --tiny: smoke-test clip sizes")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        # the parent's quartiles need two runs
+        parser.error("--pairs must be at least 2")
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
     sides = (args.parent, args.change)
